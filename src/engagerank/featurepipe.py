@@ -184,6 +184,12 @@ def chunk_summarize(frames: FrameSequence, n_chunks: int = DEFAULT_CHUNKS) -> Ch
     lengths differ by at most one; the first ``F mod n_chunks`` chunks take the
     extra frame.  Variance is the population variance (ddof=0), which is
     defined even for single-frame chunks.
+
+    The long and the short chunks are each viewed as one (D, chunks, size)
+    block and reduced along the last axis.  Every chunk is thus reduced along
+    its own frame axis, with the same strides as a lone chunk slice, so the
+    sums behind the variance run in the same order and the result is bitwise
+    that of summarizing chunk by chunk.
     """
     if n_chunks <= 0:
         raise ValueError("chunk count must be positive")
@@ -192,16 +198,17 @@ def chunk_summarize(frames: FrameSequence, n_chunks: int = DEFAULT_CHUNKS) -> Ch
         raise ValueError("too few frames")
     d = frames.n_channels
     base, extra = divmod(f, n_chunks)
-    out = np.empty((3 * d, n_chunks), dtype=np.float64)
-    start = 0
-    for t in range(n_chunks):
-        size = base + (1 if t < extra else 0)
-        chunk = frames.values[:, start:start + size]
-        out[:d, t] = chunk.min(axis=1)
-        out[d:2 * d, t] = chunk.max(axis=1)
-        out[2 * d:, t] = chunk.var(axis=1)
-        start += size
-    return ChunkedFeatures(out)
+    split = extra * (base + 1)
+    out = np.empty((3, d, n_chunks), dtype=np.float64)
+    for chunks, size, block in ((slice(0, extra), base + 1, frames.values[:, :split]),
+                                (slice(extra, n_chunks), base, frames.values[:, split:])):
+        if block.size == 0:
+            continue
+        block = block.reshape(d, -1, size)
+        block.min(axis=-1, out=out[0, :, chunks])
+        block.max(axis=-1, out=out[1, :, chunks])
+        out[2, :, chunks] = block.var(axis=-1)
+    return ChunkedFeatures(out.reshape(3 * d, n_chunks))
 
 
 def prepare_record(record: SampleRecord, n_chunks: int = DEFAULT_CHUNKS,

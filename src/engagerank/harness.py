@@ -78,7 +78,9 @@ class TrainConfig:
             raise ValueError(f"sampler must be one of {SAMPLERS}")
         if not self.lr_start >= self.lr_end > 0:
             raise ValueError("learning rates must satisfy lr_start >= lr_end > 0")
-        if self.batch_size < 1 or self.batch_size > self.pool_size:
+        if self.batch_size < 1:
+            raise ValueError("batch size must be at least 1")
+        if self.needs_pool and self.batch_size > self.pool_size:
             raise ValueError("batch size must be in 1..pool_size")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
@@ -240,6 +242,12 @@ def _load_dataset(path: Optional[str], name: str) -> Dataset:
 def init_train_state(config: TrainConfig, train_set: Dataset,
                      model_config: Optional[model_mod.ModelConfig] = None,
                      frozen_keys: tuple = ()) -> TrainState:
+    if config.use_audio:
+        n_speech = train_set.speech_indices().size
+        if 0 < n_speech < len(train_set):
+            raise ValueError(
+                f"use_audio needs speech on every training record, but {n_speech} "
+                f"of {len(train_set)} have it; train mixed sets with train-two-stage")
     rng = np.random.default_rng(config.seed)
     mcfg = model_config or config.model_config()
     params = model_mod.init_params(mcfg, seed=config.seed)
@@ -544,10 +552,20 @@ def save_checkpoint(state: TrainState, path: str) -> None:
     if state.centers is not None:
         meta["centers_alpha"] = state.centers.alpha
         arrays["centers__values"] = state.centers.values
-    # write through a handle so the exact path is honored (savez would
-    # otherwise append .npz)
-    with open(path, "wb") as fh:
-        np.savez(fh, meta=json.dumps(meta), **arrays)
+    # Write a sibling temporary file and rename it over the target, so a
+    # failed or interrupted save leaves any earlier checkpoint intact.  The
+    # handle keeps savez from appending .npz to the exact path.
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, meta=json.dumps(meta), **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> TrainState:
@@ -586,13 +604,16 @@ def load_checkpoint(path: str) -> TrainState:
         state.enc = MomentumEncoder(params=enc_params,
                                     momentum=float(meta["enc_momentum"]))
     if meta["has_pool"]:
-        state.pool = ScorePool.from_state({
-            "labels": loaded["pool__labels"],
-            "scores": loaded["pool__scores"],
-            "embeddings": loaded["pool__embeddings"],
-            "count": meta["pool"]["count"],
-            "next": meta["pool"]["next"],
-            "capacity": meta["pool"]["capacity"]})
+        try:
+            state.pool = ScorePool.from_state({
+                "labels": loaded["pool__labels"],
+                "scores": loaded["pool__scores"],
+                "embeddings": loaded["pool__embeddings"],
+                "count": meta["pool"]["count"],
+                "next": meta["pool"]["next"],
+                "capacity": meta["pool"]["capacity"]})
+        except ValueError as err:
+            raise ValueError(f"corrupt checkpoint {path!r}: {err}") from err
     if meta["has_centers"]:
         state.centers = ClassCenters(values=loaded["centers__values"].copy(),
                                      alpha=float(meta["centers_alpha"]))

@@ -143,14 +143,45 @@ class ScorePool:
 
     @classmethod
     def from_state(cls, state: dict) -> "ScorePool":
+        """Rebuild a pool from ``state()`` output, refusing inconsistent rings.
+
+        Errors name the offending field, so a corrupt checkpoint fails on load
+        rather than inside the loss.
+        """
         pool = cls(int(state["capacity"]))
-        pool._labels[...] = np.asarray(state["labels"], dtype=np.int64)
-        pool._scores[...] = np.asarray(state["scores"], dtype=np.float64)
+        cap = pool.capacity
+        count, nxt = int(state["count"]), int(state["next"])
+        labels = np.asarray(state["labels"], dtype=np.int64)
+        scores = np.asarray(state["scores"], dtype=np.float64)
         emb = np.asarray(state["embeddings"], dtype=np.float64)
+        if not 0 <= count <= cap:
+            raise ValueError(f"pool state field 'count': {count} outside 0..{cap}")
+        if not 0 <= nxt < cap or (count < cap and nxt != count):
+            raise ValueError(f"pool state field 'next': {nxt} inconsistent with "
+                             f"count {count} and capacity {cap}")
+        for name, arr in (("labels", labels), ("scores", scores)):
+            if arr.shape != (cap,):
+                raise ValueError(f"pool state field {name!r}: shape {arr.shape}, "
+                                 f"expected ({cap},)")
+        if np.any((labels[:count] < 0) | (labels[:count] >= N_CLASSES)):
+            raise ValueError(f"pool state field 'labels': live label outside "
+                             f"0..{N_CLASSES - 1}")
+        if np.any(np.abs(scores[:count]) > 1.0 + SCORE_TOL):
+            raise ValueError("pool state field 'scores': live score out of range")
+        if emb.size and (emb.ndim != 2 or emb.shape[0] != cap):
+            raise ValueError(f"pool state field 'embeddings': shape {emb.shape}, "
+                             f"expected ({cap}, dim)")
+        if count and not emb.size:
+            raise ValueError("pool state field 'embeddings': missing for a "
+                             "non-empty pool")
+        if not np.all(np.isfinite(emb)):
+            raise ValueError("pool state field 'embeddings': non-finite value")
+        pool._labels[...] = labels
+        pool._scores[...] = scores
         if emb.size:
             pool._embeddings = emb.copy()
-        pool._count = int(state["count"])
-        pool._next = int(state["next"])
+        pool._count = count
+        pool._next = nxt
         return pool
 
 

@@ -17,6 +17,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from engagerank import featurepipe as fp
 from engagerank import harness
@@ -39,6 +40,25 @@ def desk_bench_dataset(n=3000, noise=1.0, seed=0):
     data = fp.synth_dataset(n, noise=noise, seed=seed,
                             proportions=(346, 2208, 8469, 1170))
     return fp.split_dataset(data, seed=seed)
+
+
+@pytest.fixture(scope="module")
+def mocorank_arm():
+    """Criterion 4's mocorank arm, which is also criterion 5's full arm.
+
+    Both are the desk preset's defaults (mocorank loss, concat+attention
+    fusion) on the same corpus and seeds, so the five trainings run once per
+    module.  ``elapsed`` covers the corpus and the trainings, for criterion
+    4's time budget.
+    """
+    t0 = time.perf_counter()
+    train, _, test = desk_bench_dataset(noise=1.5)
+    res = harness.bench_losses(
+        harness.TrainConfig.desk(),
+        {"mocorank": {"loss": "mocorank", "ablation": "concat+attention"}},
+        seeds=[0, 1, 2, 3, 4], train_set=train, val_set=None, test_set=test)
+    return {"train": train, "test": test, "res": res,
+            "elapsed": time.perf_counter() - t0}
 
 
 def sign_test_p(deltas):
@@ -151,45 +171,49 @@ class TestAcceptance:
             f"{name}={'ok' if good else 'FAIL'}" for name, good in checks.items()))
         assert ok
 
-    def test_criterion_4_ranking_beats_regression_on_avg_acc(self):
+    def test_criterion_4_ranking_beats_regression_on_avg_acc(self, mocorank_arm):
         # Desk preset, reference imbalance, feature noise sized so scores
         # land in the realistic AvgAcc band rather than at a toy ceiling.
         t0 = time.perf_counter()
-        train, _, test = desk_bench_dataset(noise=1.5)
         seeds = [0, 1, 2, 3, 4]
         res = harness.bench_losses(
-            harness.TrainConfig.desk(),
-            {"mocorank": {"loss": "mocorank"}, "mse": {"loss": "mse"}},
-            seeds=seeds, train_set=train, val_set=None, test_set=test)
-        by = {v: {r["seed"]: r["avg_acc"] for r in res["rows"]
+            harness.TrainConfig.desk(), {"mse": {"loss": "mse"}},
+            seeds=seeds, train_set=mocorank_arm["train"], val_set=None,
+            test_set=mocorank_arm["test"])
+        rows = mocorank_arm["res"]["rows"] + res["rows"]
+        summary = {**mocorank_arm["res"]["summary"], **res["summary"]}
+        by = {v: {r["seed"]: r["avg_acc"] for r in rows
                   if r["variant"] == v} for v in ("mocorank", "mse")}
         deltas = [by["mocorank"][s] - by["mse"][s] for s in seeds]
         mean_delta = float(np.mean(deltas))
         p = sign_test_p(deltas)
-        elapsed = time.perf_counter() - t0
+        elapsed = mocorank_arm["elapsed"] + time.perf_counter() - t0
         ok = mean_delta > 0 and p <= 0.05 and elapsed < 1800.0
-        moco = res["summary"]["mocorank"]["mean_avg_acc"]
-        mse = res["summary"]["mse"]["mean_avg_acc"]
+        moco = summary["mocorank"]["mean_avg_acc"]
+        mse = summary["mse"]["mean_avg_acc"]
         record(4, ok, f"ranking {moco:.3f} vs regression {mse:.3f} mean AvgAcc "
                       f"over {len(seeds)} seeds; mean delta {mean_delta:+.3f}, "
                       f"sign test p={p:.3f}, {elapsed / 60:.1f} min")
         assert ok
 
-    def test_criterion_5_full_fusion_beats_frame_branch_alone(self):
-        train, _, test = desk_bench_dataset(noise=1.5)
+    def test_criterion_5_full_fusion_beats_frame_branch_alone(self, mocorank_arm):
         seeds = [0, 1, 2, 3, 4]
         res = harness.bench_losses(
             harness.TrainConfig.desk(),
-            {"full": {"ablation": "concat+attention"},
-             "frames_only": {"ablation": "openface_only"}},
-            seeds=seeds, train_set=train, val_set=None, test_set=test)
-        by = {v: {r["seed"]: r["avg_acc"] for r in res["rows"]
+            {"frames_only": {"ablation": "openface_only"}},
+            seeds=seeds, train_set=mocorank_arm["train"], val_set=None,
+            test_set=mocorank_arm["test"])
+        rows = [dict(r, variant="full") for r in mocorank_arm["res"]["rows"]]
+        rows += res["rows"]
+        summary = {"full": mocorank_arm["res"]["summary"]["mocorank"],
+                   **res["summary"]}
+        by = {v: {r["seed"]: r["avg_acc"] for r in rows
                   if r["variant"] == v} for v in ("full", "frames_only")}
         deltas = [by["full"][s] - by["frames_only"][s] for s in seeds]
         mean_delta = float(np.mean(deltas))
         ok = mean_delta > 0
-        full = res["summary"]["full"]["mean_avg_acc"]
-        alone = res["summary"]["frames_only"]["mean_avg_acc"]
+        full = summary["full"]["mean_avg_acc"]
+        alone = summary["frames_only"]["mean_avg_acc"]
         record(5, ok, f"concat+attention {full:.3f} vs frame branch alone "
                       f"{alone:.3f} mean AvgAcc over {len(seeds)} seeds; "
                       f"mean delta {mean_delta:+.3f}")

@@ -4,10 +4,32 @@ import numpy as np
 import pytest
 
 from engagerank import featurepipe as fp
+from engagerank import model
 
 
 def make_frames(values):
     return fp.FrameSequence(values=np.asarray(values, dtype=np.float64))
+
+
+def chunk_summarize_loop(frames, n_chunks):
+    """Reference: summarize one chunk slice at a time."""
+    d = frames.n_channels
+    base, extra = divmod(frames.n_frames, n_chunks)
+    out = np.empty((3 * d, n_chunks), dtype=np.float64)
+    start = 0
+    for t in range(n_chunks):
+        size = base + (1 if t < extra else 0)
+        chunk = frames.values[:, start:start + size]
+        out[:d, t] = chunk.min(axis=1)
+        out[d:2 * d, t] = chunk.max(axis=1)
+        out[2 * d:, t] = chunk.var(axis=1)
+        start += size
+    return out
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestFrameSequence:
@@ -96,6 +118,75 @@ class TestChunkSummarize:
         np.testing.assert_allclose(out.values[0:3, 0], first.min(axis=1))
         np.testing.assert_allclose(out.values[3:6, 0], first.max(axis=1))
         np.testing.assert_allclose(out.values[6:9, 1], second.var(axis=1))
+
+
+class TestChunkSummarizeMatchesLoop:
+    """The blocked reductions are bitwise those of the per-chunk loop."""
+
+    @pytest.mark.parametrize("d,f,n_chunks", [
+        (17, 300, 10),    # divisible
+        (17, 253, 10),    # uneven: three long chunks
+        (3, 7, 3),
+        (4, 10, 10),      # F == n_chunks: single-frame chunks
+        (5, 33, 1),       # one chunk
+        (1, 129, 4),      # inner length past the pairwise-sum block
+    ])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_layouts(self, d, f, n_chunks, order):
+        rng = np.random.default_rng(f * 31 + d)
+        vals = np.asarray(rng.standard_normal((d, f)) * 50.0 + 7.0, order=order)
+        frames = make_frames(vals)
+        assert frames.values.flags[f"{order}_CONTIGUOUS"]
+        assert_bitwise(fp.chunk_summarize(frames, n_chunks).values,
+                       chunk_summarize_loop(frames, n_chunks))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_repeat_padded_clips(self, order):
+        rng = np.random.default_rng(2)
+        for f in (1, 9, 37, 100, 249):
+            vals = np.asarray(rng.standard_normal((17, f)), order=order)
+            padded = fp.repeat_pad(make_frames(vals), min_frames=250)
+            assert_bitwise(fp.chunk_summarize(padded).values,
+                           chunk_summarize_loop(padded, fp.DEFAULT_CHUNKS))
+
+    def test_hypothesis_sweep(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=300, deadline=None, database=None)
+        @hyp.given(st.integers(1, 20), st.integers(1, 400), st.integers(1, 12),
+                   st.sampled_from("CF"), st.integers(0, 2 ** 32 - 1))
+        def check(d, f, n_chunks, order, seed):
+            hyp.assume(n_chunks <= f)
+            rng = np.random.default_rng(seed)
+            scale = 10.0 ** rng.uniform(-3, 3)
+            vals = np.asarray(rng.standard_normal((d, f)) * scale, order=order)
+            frames = make_frames(vals)
+            assert_bitwise(fp.chunk_summarize(frames, n_chunks).values,
+                           chunk_summarize_loop(frames, n_chunks))
+
+        check()
+
+    def test_prepare_batch_on_jsonl_set(self, tmp_path):
+        """JSONL-loaded frames are Fortran-ordered; clips vary in length."""
+        path = tmp_path / "data.jsonl"
+        records = []
+        for i, f in enumerate((300, 251, 120, 17)):
+            ds = fp.synth_dataset(n=4, n_frames=f, proportions=(1, 1, 1, 1),
+                                  seed=i, noise=0.7)
+            for r in ds.records:
+                r.id = f"{r.id}-{f}"
+            records.extend(ds.records)
+        fp.save_records(fp.Dataset(records), path)
+        back = fp.load_records(path)
+        assert back.records[0].frames.values.flags.f_contiguous
+        cfg = model.ModelConfig()
+        chunks, *_ = model.prepare_batch(back.records, cfg)
+        expected = np.stack([
+            chunk_summarize_loop(fp.repeat_pad(r.frames, cfg.min_frames,
+                                               cfg.strict_pad), cfg.n_chunks)
+            for r in back.records])
+        assert_bitwise(chunks, expected)
 
 
 class TestSampleRecord:

@@ -51,6 +51,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="pool_size"):
             tiny_train_config(batch_size=32, pool_size=16)
 
+    def test_batch_pool_relation_only_with_pool(self):
+        cfg = harness.TrainConfig(loss="mse", batch_size=512)
+        assert cfg.batch_size > cfg.pool_size
+        harness.TrainConfig(loss="cb_focal", batch_size=512)
+        with pytest.raises(ValueError, match="at least 1"):
+            harness.TrainConfig(loss="mse", batch_size=0)
+
     def test_epoch_and_momentum_bounds(self):
         with pytest.raises(ValueError, match="epochs"):
             tiny_train_config(epochs=0)
@@ -173,6 +180,12 @@ class TestInitTrainState:
     def test_scalar_baselines_run_lean(self):
         state = harness.init_train_state(tiny_train_config(loss="mse"), tiny_data())
         assert state.pool is None and state.enc is None and state.centers is None
+
+    def test_audio_on_mixed_speech_points_to_two_stage(self):
+        data = tiny_data(speech_fraction=0.5)
+        cfg = tiny_train_config(loss="mocorank", use_audio=True)
+        with pytest.raises(ValueError, match="train-two-stage"):
+            harness.init_train_state(cfg, data)
 
     def test_center_variant_gets_centers(self):
         cfg = tiny_train_config(loss="mocorank+center")
@@ -330,6 +343,39 @@ class TestCheckpointing:
         assert loaded.epoch == 1
         assert loaded.opt["step"] == state.opt["step"]
         assert loaded.rng.bit_generator.state == state.rng.bit_generator.state
+
+    def test_failed_save_keeps_earlier_checkpoint(self, tmp_path, monkeypatch):
+        data = tiny_data(n=32)
+        state = harness.init_train_state(tiny_train_config(loss="mocorank"), data)
+        path = tmp_path / "ckpt.npz"
+        harness.save_checkpoint(state, str(path))
+        before = path.read_bytes()
+        saved_params = state.params.flat().copy()
+        harness.train_epochs(state, data, n_epochs=1)
+
+        def cut_off(fh, **arrays):
+            fh.write(b"PK\x03\x04\x14\x00\x00")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness.np, "savez", cut_off)
+        with pytest.raises(OSError, match="disk full"):
+            harness.save_checkpoint(state, str(path))
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
+        loaded = harness.load_checkpoint(str(path))
+        assert loaded.epoch == 0
+        np.testing.assert_array_equal(loaded.params.flat(), saved_params)
+
+    def test_corrupt_pool_names_path_and_field(self, tmp_path):
+        data = tiny_data(n=32)
+        state = harness.init_train_state(tiny_train_config(loss="mocorank"), data)
+        state.pool._count = 99
+        path = tmp_path / "ckpt.npz"
+        harness.save_checkpoint(state, str(path))
+        with pytest.raises(ValueError, match="'count'") as err:
+            harness.load_checkpoint(str(path))
+        assert "ckpt.npz" in str(err.value)
 
     def test_future_version_refused(self, tmp_path):
         path = tmp_path / "future.npz"

@@ -120,6 +120,35 @@ class TestScorePool:
             assert x.label == y.label and x.score == y.score
             np.testing.assert_array_equal(x.embedding, y.embedding)
 
+    @pytest.mark.parametrize("field,value", [
+        ("count", 9),                        # beyond capacity 4
+        ("count", -1),
+        ("next", 4),
+        ("next", 1),                         # not full, so next must equal count
+        ("labels", np.zeros(3, dtype=np.int64)),
+        ("scores", np.zeros(5)),
+        ("labels", np.array([0, 7, 2, 0])),
+        ("scores", np.array([0.1, 1.5, 0.3, 0.0])),
+        ("embeddings", np.full((4, 2), np.nan)),
+        ("embeddings", np.ones((3, 2))),
+    ])
+    def test_state_field_validation(self, field, value):
+        pool = mr.ScorePool(4)
+        pool.push([0, 1, 2], [0.1, -0.2, 0.3], np.ones((3, 2)))
+        state = pool.state()
+        state[field] = value
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            mr.ScorePool.from_state(state)
+
+    def test_state_dead_slots_unchecked(self):
+        """Slots past count are never read, so their contents do not matter."""
+        pool = mr.ScorePool(4)
+        pool.push([0, 1], [0.1, -0.2], np.ones((2, 2)))
+        state = pool.state()
+        state["labels"][3] = 99
+        state["scores"][3] = 5.0
+        assert len(mr.ScorePool.from_state(state)) == 2
+
 
 class TestMomentumEncoder:
     def tiny_params(self, seed=0):
