@@ -26,11 +26,12 @@ CONFIG_VERSION = 1
 
 # TrainConfig fields the CLI and config files may set
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
+_PRESETS = {"desk": TrainConfig.desk, "paper": TrainConfig.paper_scale}
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (see README for schema)")
-    p.add_argument("--preset", choices=["desk", "paper"],
+    p.add_argument("--preset", choices=list(_PRESETS),
                    help="base preset applied before config file and flags")
     p.add_argument("--loss", choices=LOSSES)
     p.add_argument("--batch-size", type=int, dest="batch_size")
@@ -84,10 +85,6 @@ def build_train_config(args: argparse.Namespace, train_path=None,
                        val_path=None) -> TrainConfig:
     """Merge preset < config file < explicit CLI flags into a TrainConfig."""
     merged: dict = {}
-    if args.preset == "desk":
-        merged.update(batch_size=32, pool_size=256, epochs=60, width=32)
-    elif args.preset == "paper":
-        merged.update(batch_size=256, pool_size=2048, epochs=1200, width=64)
     if args.config:
         merged.update(_load_config_file(args.config))
     for name in _CONFIG_FIELDS:
@@ -98,7 +95,8 @@ def build_train_config(args: argparse.Namespace, train_path=None,
         merged["train_path"] = train_path
     if val_path is not None:
         merged["val_path"] = val_path
-    return TrainConfig(**merged)
+    # a preset's own values sit under everything merged above
+    return _PRESETS.get(args.preset, TrainConfig)(**merged)
 
 
 def _write_history_csv(history: list, path) -> None:
@@ -110,13 +108,14 @@ def _write_history_csv(history: list, path) -> None:
             writer.writerow([row.get(c, "") for c in columns])
 
 
-def _write_run_outputs(out_dir: str, state, history, val_set) -> None:
+def _write_run_outputs(out_dir: str, state, history) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     harness.save_checkpoint(state, str(out / "checkpoint.npz"))
     _write_history_csv(history, out / "history.csv")
-    if val_set is not None and len(val_set.records):
-        report = harness.evaluate(state, val_set)
+    # training scored the validation set after its final epoch
+    report = state.val_report
+    if report is not None:
         (out / "metrics.json").write_text(report.to_json() + "\n")
         metrics.write_recall_csv(out / "recall.csv", {"model": report})
     print(f"run artifacts written to {out}")
@@ -147,7 +146,7 @@ def cmd_train(args) -> int:
     config = build_train_config(args, train_path=args.train, val_path=args.val)
     train_set, val_set = _load_train_val(args)
     state, history = harness.train(config, train_set, val_set)
-    _write_run_outputs(args.out_dir, state, history, val_set)
+    _write_run_outputs(args.out_dir, state, history)
     return 0
 
 
@@ -155,7 +154,7 @@ def cmd_train_two_stage(args) -> int:
     config = build_train_config(args, train_path=args.train, val_path=args.val)
     train_set, val_set = _load_train_val(args)
     state, history = harness.train_two_stage(config, train_set, val_set)
-    _write_run_outputs(args.out_dir, state, history, val_set)
+    _write_run_outputs(args.out_dir, state, history)
     return 0
 
 

@@ -16,7 +16,7 @@ import math
 import os
 import zipfile
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -28,10 +28,68 @@ from .mocorank import ClassCenters, MomentumEncoder, ScorePool
 
 logger = logging.getLogger("engagerank")
 
-LOSSES = ("mocorank", "mocorank+center", "mse", "ce", "cb_focal", "ce+center")
-CATEGORICAL_LOSSES = ("ce", "cb_focal", "ce+center")
 SAMPLERS = ("sequential", "class_balanced")
 CHECKPOINT_VERSION = "1"
+
+
+# ---------------------------------------------------------------------------
+# Loss table
+# ---------------------------------------------------------------------------
+# Each loss maps (config, trace, labels, pool, centers, class_counts) to
+# (loss, d_score, d_embed, d_logits, centers): the output-side gradients the
+# backward pass takes, and the class centers after this batch.
+
+def _margin_loss(config, trace, labels, pool, centers, class_counts):
+    loss, d_score, d_embed = mocorank.multi_margin_loss(
+        trace.score, labels, trace.embedding, pool, detach_margin=config.detach_margin)
+    return loss, d_score, d_embed, None, centers
+
+
+def _mse_loss(config, trace, labels, pool, centers, class_counts):
+    loss, d_score = mocorank.mse_loss(trace.score, labels)
+    return loss, d_score, None, None, centers
+
+
+def _ce_loss(config, trace, labels, pool, centers, class_counts):
+    loss, d_logits = mocorank.ce_loss(trace.logits, labels)
+    return loss, None, None, d_logits, centers
+
+
+def _cb_focal_loss(config, trace, labels, pool, centers, class_counts):
+    loss, d_logits = mocorank.cb_focal_loss(trace.logits, labels, class_counts,
+                                            beta=config.cb_beta, gamma=config.cb_gamma)
+    return loss, None, None, d_logits, centers
+
+
+def _plus_center(base):
+    """``base`` followed by the center-loss regularizer on the embedding."""
+    def loss_fn(config, trace, labels, pool, centers, class_counts):
+        loss, d_score, d_embed, d_logits, _ = base(config, trace, labels, pool,
+                                                   centers, class_counts)
+        closs, d_c, centers = mocorank.center_loss(trace.embedding, labels, centers,
+                                                   config.center_weight)
+        d_embed = d_c if d_embed is None else d_embed + d_c
+        return loss + closs, d_score, d_embed, d_logits, centers
+    return loss_fn
+
+
+class Loss(NamedTuple):
+    head: str
+    needs_pool: bool
+    needs_centers: bool
+    fn: Callable
+
+
+LOSS_TABLE = {
+    "mocorank": Loss("scalar", True, False, _margin_loss),
+    "mocorank+center": Loss("scalar", True, True, _plus_center(_margin_loss)),
+    "mse": Loss("scalar", False, False, _mse_loss),
+    "ce": Loss("categorical", False, False, _ce_loss),
+    "cb_focal": Loss("categorical", False, False, _cb_focal_loss),
+    "ce+center": Loss("categorical", False, True, _plus_center(_ce_loss)),
+}
+LOSSES = tuple(LOSS_TABLE)
+CATEGORICAL_LOSSES = tuple(k for k, v in LOSS_TABLE.items() if v.head == "categorical")
 
 
 @dataclass(frozen=True)
@@ -91,15 +149,15 @@ class TrainConfig:
 
     @property
     def head(self) -> str:
-        return "categorical" if self.loss in CATEGORICAL_LOSSES else "scalar"
+        return LOSS_TABLE[self.loss].head
 
     @property
     def needs_pool(self) -> bool:
-        return self.loss.startswith("mocorank")
+        return LOSS_TABLE[self.loss].needs_pool
 
     @property
     def needs_centers(self) -> bool:
-        return self.loss.endswith("+center")
+        return LOSS_TABLE[self.loss].needs_centers
 
     @property
     def resolved_sampler(self) -> str:
@@ -156,35 +214,34 @@ def adamw_step(params: model_mod.ModelParams, grads: np.ndarray, state: dict,
                lr: float, weight_decay: float = 1e-3, beta1: float = 0.9,
                beta2: float = 0.999, eps: float = 1e-8,
                frozen_keys: tuple = ()) -> tuple[model_mod.ModelParams, dict]:
-    """One AdamW update in place; decoupled decay scales weights before the
-    adaptive step.  Frozen blocks are skipped entirely, decay included."""
+    """One AdamW update in place on the whole parameter vector; decoupled
+    decay scales weights before the adaptive step.  Entries of frozen blocks
+    are skipped entirely: weights, moments and decay, whatever their gradient."""
     grads = np.asarray(grads, dtype=np.float64)
     if grads.shape != (params.n_params,):
         raise ValueError(f"gradient vector must have length {params.n_params}")
-    frozen = set(frozen_keys)
-    for key, sl in params.slices.items():
-        if key in frozen:
-            continue
-        if not np.all(np.isfinite(grads[sl])):
-            raise ValueError(f"non-finite gradient in parameter '{key}'")
+    live = np.ones(params.n_params, dtype=bool)
+    for key in frozen_keys:
+        live[params.slices[key]] = False
+    bad = live & ~np.isfinite(grads)
+    if bad.any():
+        raise ValueError(f"non-finite gradient in parameter "
+                         f"'{params.key_at(int(np.argmax(bad)))}'")
     state["step"] += 1
     t = state["step"]
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
-    for key, sl in params.slices.items():
-        if key in frozen:
-            continue
-        g = grads[sl]
-        p = params[key]
-        p *= 1.0 - lr * weight_decay
-        m = state["m"][sl]
-        v = state["v"][sl]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
-        p -= (lr * update).reshape(p.shape)
+    # a slice gives views updated in place; an index array gives copies
+    # that are written back, leaving frozen entries bitwise untouched
+    sel = slice(None) if live.all() else np.flatnonzero(live)
+    p, m, v, g = params.vector[sel], state["m"][sel], state["v"][sel], grads[sel]
+    p *= 1.0 - lr * weight_decay
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * g * g
+    p -= lr * ((m / bc1) / (np.sqrt(v / bc2) + eps))
+    params.vector[sel], state["m"][sel], state["v"][sel] = p, m, v
     return params, state
 
 
@@ -194,7 +251,8 @@ def adamw_step(params: model_mod.ModelParams, grads: np.ndarray, state: dict,
 
 @dataclass
 class TrainState:
-    """Complete mutable state of a run; everything here is checkpointed."""
+    """Complete mutable state of a run; everything here but the history and
+    the last validation report is checkpointed."""
 
     config: TrainConfig
     params: model_mod.ModelParams
@@ -206,6 +264,7 @@ class TrainState:
     centers: Optional[ClassCenters] = None
     frozen_keys: tuple = ()
     history: list = field(default_factory=list)
+    val_report: Optional[MetricsReport] = None   # of the latest epoch
 
 
 @dataclass
@@ -252,55 +311,27 @@ def init_train_state(config: TrainConfig, train_set: Dataset,
     mcfg = model_config or config.model_config()
     params = model_mod.init_params(mcfg, seed=config.seed)
     if config.init_from is not None:
-        donor = load_checkpoint(config.init_from)
-        donor_params = donor.params
-        if list(donor_params.keys()) != list(params.keys()) or any(
-                donor_params[k].shape != params[k].shape for k in params.keys()):
+        donor = load_checkpoint(config.init_from).params
+        if donor.layout != params.layout:
             raise ValueError("init_from checkpoint does not match the model shape")
-        params = model_mod.ModelParams(mcfg, {k: v.copy()
-                                              for k, v in donor_params.items()})
+        params.set_flat(donor.vector)
     state = TrainState(config=config, params=params, opt=init_opt_state(params),
                        rng=rng, frozen_keys=tuple(frozen_keys))
+    _init_loss_state(state, train_set)
+    return state
+
+
+def _init_loss_state(state: TrainState, train_set: Dataset) -> None:
+    """A fresh momentum encoder and pool, and zero centers, where the loss uses them."""
+    config, mcfg = state.config, state.params.config
     if config.needs_pool:
-        state.enc = MomentumEncoder.from_model(params, config.momentum)
-        pool_seed = int(rng.integers(2 ** 31))
+        state.enc = MomentumEncoder.from_model(state.params, config.momentum)
+        pool_seed = int(state.rng.integers(2 ** 31))
         state.pool = mocorank.pool_init(train_set, state.enc, config.pool_size,
                                         seed=pool_seed, use_audio=config.use_audio)
     if config.needs_centers:
         embed_dim = (mcfg.audio_embed_dim if config.use_audio else mcfg.embed_dim)
         state.centers = ClassCenters.zeros(embed_dim)
-    return state
-
-
-def _batch_loss(config: TrainConfig, trace: model_mod.Trace, labels: np.ndarray,
-                state: TrainState, class_counts: np.ndarray):
-    """Loss value and output-side gradients for the configured objective."""
-    d_score = d_embed = d_logits = None
-    if config.needs_pool:
-        loss, d_score, d_embed = mocorank.multi_margin_loss(
-            trace.score, labels, trace.embedding, state.pool,
-            detach_margin=config.detach_margin)
-        if config.needs_centers:
-            closs, d_c, state.centers = mocorank.center_loss(
-                trace.embedding, labels, state.centers, config.center_weight)
-            loss += closs
-            d_embed = d_embed + d_c
-    elif config.loss == "mse":
-        loss, d_score = mocorank.mse_loss(trace.score, labels)
-    elif config.loss == "ce":
-        loss, d_logits = mocorank.ce_loss(trace.logits, labels)
-    elif config.loss == "cb_focal":
-        loss, d_logits = mocorank.cb_focal_loss(trace.logits, labels, class_counts,
-                                                beta=config.cb_beta,
-                                                gamma=config.cb_gamma)
-    elif config.loss == "ce+center":
-        loss, d_logits = mocorank.ce_loss(trace.logits, labels)
-        closs, d_embed, state.centers = mocorank.center_loss(
-            trace.embedding, labels, state.centers, config.center_weight)
-        loss += closs
-    else:  # pragma: no cover - config validation rules this out
-        raise ValueError(f"unknown loss {config.loss!r}")
-    return loss, d_score, d_embed, d_logits
 
 
 def _score_with_encoder(enc: MomentumEncoder, data, use_audio: bool):
@@ -332,9 +363,7 @@ def train_epochs(state: TrainState, train_set: Dataset,
     if val_set is not None and len(val_set.records):
         val_arrays = _BatchArrays.prepare(val_set, state.params.config)
     class_counts = train_set.class_counts()
-    frozen_mask = np.zeros(state.params.n_params, dtype=bool)
-    for key in state.frozen_keys:
-        frozen_mask[state.params.slices[key]] = True
+    loss_fn = LOSS_TABLE[config.loss].fn
 
     cb_gen = None
     if config.resolved_sampler == "class_balanced":
@@ -354,12 +383,10 @@ def train_epochs(state: TrainState, train_set: Dataset,
                 chunks, gfeat, state.params, mode="train",
                 use_audio=config.use_audio, speech=speech, meta=meta,
                 has_speech=has_speech, rng=state.rng)
-            loss, d_score, d_embed, d_logits = _batch_loss(
-                config, trace, labels, state, class_counts)
+            loss, d_score, d_embed, d_logits, state.centers = loss_fn(
+                config, trace, labels, state.pool, state.centers, class_counts)
             grads = model_mod.backward(trace, state.params, d_score=d_score,
                                        d_embed=d_embed, d_logits=d_logits)
-            if state.frozen_keys:
-                grads[frozen_mask] = 0.0
             lr = cosine_lr(state.opt["step"], total_steps, config.lr_start,
                            config.lr_end)
             if config.needs_pool and config.score_before_step:
@@ -382,7 +409,8 @@ def train_epochs(state: TrainState, train_set: Dataset,
                "lr": cosine_lr(state.opt["step"], total_steps, config.lr_start,
                                config.lr_end)}
         if val_arrays is not None:
-            report = _evaluate_arrays(state.params, val_arrays, config.use_audio)
+            report = state.val_report = _evaluate_arrays(state.params, val_arrays,
+                                                         config.use_audio)
             row["val_acc"] = report.acc
             row["val_avg_acc"] = report.avg_acc
         state.history.append(row)
@@ -419,10 +447,9 @@ def train_two_stage(config: TrainConfig, train_set: Optional[Dataset] = None,
     speech_records = [r for r in train_set.records if r.has_speech]
     if not speech_records:
         raise ValueError("no speech records")
-    mcfg = config.model_config(with_audio=True)
-
     stage1_cfg = replace(config, use_audio=False)
-    state = init_train_state(stage1_cfg, train_set, model_config=mcfg)
+    state = init_train_state(stage1_cfg, train_set,
+                             model_config=config.model_config(with_audio=True))
     state.frozen_keys = tuple(state.params.audio_keys())
     train_epochs(state, train_set, val_set)
     for row in state.history:
@@ -436,16 +463,8 @@ def train_two_stage(config: TrainConfig, train_set: Optional[Dataset] = None,
     visual_keys = tuple(state.params.visual_keys())
     stage2 = TrainState(config=stage2_cfg, params=state.params,
                         opt=init_opt_state(state.params), rng=state.rng,
-                        enc=state.enc, frozen_keys=visual_keys,
-                        history=state.history)
-    if stage2_cfg.needs_pool:
-        pool_seed = int(stage2.rng.integers(2 ** 31))
-        stage2.enc = MomentumEncoder.from_model(state.params, config.momentum)
-        stage2.pool = mocorank.pool_init(speech_set, stage2.enc, config.pool_size,
-                                         seed=pool_seed, use_audio=True)
-    if stage2_cfg.needs_centers:
-        stage2.centers = ClassCenters.zeros(mcfg.audio_embed_dim)
-    stage2.epoch = 0
+                        frozen_keys=visual_keys, history=state.history)
+    _init_loss_state(stage2, speech_set)
     n_before = len(stage2.history)
     train_epochs(stage2, speech_set, val_set)
     for row in stage2.history[n_before:]:
@@ -633,38 +652,6 @@ def _tiny_dataset(config: TrainConfig, seed: int) -> Dataset:
         speech_dim=config.speech_dim)
 
 
-def _loss_and_signature(config: TrainConfig, params, data, pool, centers,
-                        class_counts):
-    chunks, gfeat, speech, meta, has_speech, labels = data
-    trace = model_mod.forward_batch(chunks, gfeat, params, mode="train",
-                                    use_audio=config.use_audio, speech=speech,
-                                    meta=meta, has_speech=has_speech)
-    sig_parts = [model_mod.relu_signature(trace).astype(np.float64)]
-    if config.needs_pool:
-        pairs = mocorank.pairwise_matrix(trace.score, labels, trace.embedding, pool)
-        b, p = pairs["f"].shape
-        loss = float(np.sum(np.maximum(pairs["f"], 0.0)) / (b * p))
-        sig_parts.append(pairs["active"].ravel().astype(np.float64))
-        sig_parts.append(np.sign(pairs["diff"][pairs["same"]]))
-        if config.needs_centers:
-            closs, _, _ = mocorank.center_loss(trace.embedding, labels, centers,
-                                               config.center_weight)
-            loss += closs
-    elif config.loss == "mse":
-        loss, _ = mocorank.mse_loss(trace.score, labels)
-    elif config.loss == "ce":
-        loss, _ = mocorank.ce_loss(trace.logits, labels)
-    elif config.loss == "cb_focal":
-        loss, _ = mocorank.cb_focal_loss(trace.logits, labels, class_counts,
-                                         beta=config.cb_beta, gamma=config.cb_gamma)
-    else:  # ce+center
-        loss, _ = mocorank.ce_loss(trace.logits, labels)
-        closs, _, _ = mocorank.center_loss(trace.embedding, labels, centers,
-                                           config.center_weight)
-        loss += closs
-    return loss, np.concatenate(sig_parts), trace
-
-
 def grad_check_loss(config: TrainConfig, n_params_max: int = 1000,
                     tolerance: float = 1e-4, h: float = 5e-5,
                     seed: int = 0) -> dict:
@@ -679,9 +666,8 @@ def grad_check_loss(config: TrainConfig, n_params_max: int = 1000,
         raise ValueError(
             f"model has {params.n_params} parameters, over the {n_params_max} cap")
     ds = _tiny_dataset(config, seed)
-    data_idx = np.arange(config.batch_size)
-    arrays = _BatchArrays.prepare(ds, params.config)
-    data = arrays.take(data_idx)
+    chunks, gfeat, speech, meta, has_speech, labels = _BatchArrays.prepare(
+        ds, params.config).take(np.arange(config.batch_size))
     class_counts = ds.class_counts()
 
     pool = None
@@ -698,43 +684,45 @@ def grad_check_loss(config: TrainConfig, n_params_max: int = 1000,
             values=0.1 * np.random.default_rng(seed + 2).standard_normal(
                 (N_CLASSES, embed_dim)))
 
-    # analytic gradient at the center point
-    _, sig0, trace = _loss_and_signature(config, params, data, pool, centers,
-                                         class_counts)
-    labels = data[5]
-    dummy_state = TrainState(config=config, params=params, opt=init_opt_state(params),
-                             rng=np.random.default_rng(0), pool=pool,
-                             centers=centers)
-    _, d_score, d_embed, d_logits = _batch_loss(config, trace, labels, dummy_state,
-                                                class_counts)
+    loss_fn = LOSS_TABLE[config.loss].fn
+
+    def loss_and_signature():
+        # kinks: ReLU masks; for the pool loss, live hinges and same-label orders
+        trace = model_mod.forward_batch(chunks, gfeat, params, mode="train",
+                                        use_audio=config.use_audio, speech=speech,
+                                        meta=meta, has_speech=has_speech)
+        out = loss_fn(config, trace, labels, pool, centers, class_counts)
+        sig = [model_mod.relu_signature(trace).astype(np.float64)]
+        if pool is not None:
+            pairs = mocorank.pairwise_matrix(trace.score, labels, trace.embedding, pool)
+            sig += [pairs["active"].ravel().astype(np.float64),
+                    np.sign(pairs["diff"][pairs["same"]])]
+        return out, np.concatenate(sig), trace
+
+    # analytic gradient and kink signature at the center point
+    (_, d_score, d_embed, d_logits, _), sig0, trace = loss_and_signature()
     analytic = model_mod.backward(trace, params, d_score=d_score, d_embed=d_embed,
                                   d_logits=d_logits)
 
-    key_of = np.empty(params.n_params, dtype=object)
-    for k, sl in params.slices.items():
-        key_of[sl] = k
-    x0 = params.flat()
     block_err = {k: 0.0 for k in params.keys()}
     max_err = 0.0
     n_skipped = 0
+    x = params.vector
     for i in range(params.n_params):
-        x = x0.copy()
-        x[i] = x0[i] + h
-        params.set_flat(x)
-        l_plus, sig_plus, _ = _loss_and_signature(config, params, data, pool,
-                                                  centers, class_counts)
-        x[i] = x0[i] - h
-        params.set_flat(x)
-        l_minus, sig_minus, _ = _loss_and_signature(config, params, data, pool,
-                                                    centers, class_counts)
+        xi = x[i]
+        x[i] = xi + h
+        (l_plus, *_), sig_plus, _ = loss_and_signature()
+        x[i] = xi - h
+        (l_minus, *_), sig_minus, _ = loss_and_signature()
+        x[i] = xi
         if not (np.array_equal(sig_plus, sig0) and np.array_equal(sig_minus, sig0)):
             n_skipped += 1
             continue
         numeric = (l_plus - l_minus) / (2.0 * h)
         rel = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1e-6)
-        block_err[key_of[i]] = max(block_err[key_of[i]], rel)
+        key = params.key_at(i)
+        block_err[key] = max(block_err[key], rel)
         max_err = max(max_err, rel)
-    params.set_flat(x0)
     return {"loss": config.loss, "max_rel_err": max_err, "n_params": params.n_params,
             "n_skipped": n_skipped, "blocks": block_err,
             "passed": bool(max_err < tolerance)}

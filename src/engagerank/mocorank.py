@@ -210,15 +210,12 @@ class MomentumEncoder:
 
 def momentum_update(enc: MomentumEncoder, model_params: model_mod.ModelParams,
                     m: float = 0.999) -> MomentumEncoder:
-    """In-place w_m <- m*w_m + (1-m)*w for every tensor; returns enc."""
-    if list(enc.params.keys()) != list(model_params.keys()):
+    """In-place w_m <- m*w_m + (1-m)*w on the parameter vector; returns enc."""
+    if enc.params.layout != model_params.layout:
         raise ValueError("momentum encoder parameters do not match the model")
-    for k, wm in enc.params.items():
-        w = model_params[k]
-        if wm.shape != w.shape:
-            raise ValueError("momentum encoder parameters do not match the model")
-        wm *= m
-        wm += (1.0 - m) * w
+    wm = enc.params.vector
+    wm *= m
+    wm += (1.0 - m) * model_params.vector
     return enc
 
 

@@ -8,14 +8,16 @@ weight vector, no bias), so every score lands in [-1, 1].  An optional audio
 branch projects a speech embedding, concatenates it with the visual feature
 and the acoustic metadata, and scores through a second cosine head.
 
-Everything is float64 numpy.  Forward passes record the intermediates needed
-for an exact backward pass; gradients come back as a single flat vector
-aligned with ``ModelParams.flat()``.
+Everything is float64 numpy.  ``ModelParams`` keeps every weight in one
+contiguous vector with named views into it.  Forward passes record the
+intermediates needed for an exact backward pass, which accumulates into
+named views of one zeroed gradient vector laid out like that buffer.
 """
 
 from __future__ import annotations
 
 import warnings
+from copy import copy as shallow_copy
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -78,49 +80,57 @@ class ModelConfig:
 
 
 class ModelParams:
-    """All trainable tensors, addressable by name and as one flat vector."""
+    """All trainable tensors: one contiguous float64 ``vector``, packed from a
+    dict of arrays in key order, with each named tensor a reshaped view into it."""
 
     def __init__(self, config: ModelConfig, arrays: dict[str, np.ndarray]):
         self.config = config
-        self._arrays = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
+        arrays = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
+        self.layout = tuple((k, v.shape) for k, v in arrays.items())
         self.slices: dict[str, slice] = {}
         offset = 0
-        for k, v in self._arrays.items():
+        for k, v in arrays.items():
             self.slices[k] = slice(offset, offset + v.size)
             offset += v.size
         self.n_params = offset
+        self.vector = np.concatenate([v.ravel() for v in arrays.values()])
+        self._views = self.unflatten(self.vector)
 
     def keys(self):
-        return self._arrays.keys()
+        return self._views.keys()
 
     def items(self):
-        return self._arrays.items()
+        return self._views.items()
 
     def __contains__(self, key) -> bool:
-        return key in self._arrays
+        return key in self._views
 
     def __getitem__(self, key: str) -> np.ndarray:
-        return self._arrays[key]
+        return self._views[key]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.config, {k: v.copy() for k, v in self._arrays.items()})
+        """An independent copy: one new vector with fresh views over it."""
+        new = shallow_copy(self)
+        new.vector = self.vector.copy()
+        new._views = new.unflatten(new.vector)
+        return new
 
     def flat(self) -> np.ndarray:
-        return np.concatenate([v.ravel() for v in self._arrays.values()])
+        return self.vector.copy()
 
     def set_flat(self, vec: np.ndarray) -> None:
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.n_params,):
-            raise ValueError(f"flat vector must have length {self.n_params}")
-        for k, v in self._arrays.items():
-            v[...] = vec[self.slices[k]].reshape(v.shape)
+        self.vector[...] = self._check_length(vec)
 
     def unflatten(self, vec: np.ndarray) -> dict[str, np.ndarray]:
         """View a flat vector as named blocks shaped like the parameters."""
+        vec = self._check_length(vec)
+        return {k: vec[self.slices[k]].reshape(shape) for k, shape in self.layout}
+
+    def _check_length(self, vec) -> np.ndarray:
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (self.n_params,):
             raise ValueError(f"flat vector must have length {self.n_params}")
-        return {k: vec[self.slices[k]].reshape(v.shape) for k, v in self._arrays.items()}
+        return vec
 
     def key_at(self, flat_index: int) -> str:
         for k, s in self.slices.items():
@@ -128,17 +138,11 @@ class ModelParams:
                 return k
         raise IndexError(flat_index)
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self._arrays.items()}
-
-    def grads_to_flat(self, grads: dict[str, np.ndarray]) -> np.ndarray:
-        return np.concatenate([grads[k].ravel() for k in self._arrays])
-
     def visual_keys(self) -> list[str]:
-        return [k for k in self._arrays if not k.startswith("audio.")]
+        return [k for k in self.slices if not k.startswith("audio.")]
 
     def audio_keys(self) -> list[str]:
-        return [k for k in self._arrays if k.startswith("audio.")]
+        return [k for k in self.slices if k.startswith("audio.")]
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
@@ -642,8 +646,8 @@ def backward(trace: Trace, params: ModelParams, d_score=None, d_embed=None,
 
     ``d_score`` is dLoss/dscore per record, ``d_embed`` dLoss/dembedding
     (the pre-head feature the score used), and ``d_logits`` dLoss/dlogits for
-    the categorical head.  Returns one flat vector aligned with
-    ``params.flat()``.
+    the categorical head.  Returns one gradient vector laid out like
+    ``params.vector``; each tensor's gradient accumulates into its named view.
     """
     if trace.config is not params.config:
         if trace.config != params.config:
@@ -653,7 +657,8 @@ def backward(trace: Trace, params: ModelParams, d_score=None, d_embed=None,
         raise ValueError("cannot backpropagate a mixed visual/audio batch")
     audio = bool(trace.audio_used.all()) and "audio" in trace.cache
 
-    grads = params.zero_grads()
+    g = np.zeros(params.n_params)
+    grads = params.unflatten(g)
     d_score = np.zeros(b) if d_score is None else np.asarray(d_score, dtype=np.float64)
     if d_score.shape != (b,):
         raise ValueError("d_score must have one entry per record")
@@ -677,7 +682,7 @@ def backward(trace: Trace, params: ModelParams, d_score=None, d_embed=None,
     dpooled, _ = _concat_backward(dfused, trace.cache["concat"], params, grads)
     denc, _, _ = _attention_backward(dpooled, trace.cache["attn"], params, grads)
     _tcn_backward(denc, trace.cache["tcn"], params, grads)
-    return params.grads_to_flat(grads)
+    return g
 
 
 def relu_signature(trace: Trace) -> np.ndarray:

@@ -1,10 +1,14 @@
 """Hand-rolled reference computations the tests compare the library against.
 
-Everything here is deliberately written with plain Python loops and math,
-sharing no code with the package, so agreement is evidence rather than
-tautology.
+Everything here is deliberately written with plain loops, sharing no code
+with the package, so agreement is evidence rather than tautology.  The
+optimizer and momentum references are the per-tensor numpy loops the package
+ran before its parameters moved into one vector; the whole-vector updates
+must match them bit for bit.
 """
 import math
+
+import numpy as np
 
 
 def margin_loss_brute(scores, labels, embeddings, pool_labels, pool_scores,
@@ -56,3 +60,32 @@ def icc_2_1_anova(table):
     msc = ss_cols / (k - 1)
     mse = ss_err / ((n - 1) * (k - 1))
     return (msr - mse) / (msr + (k - 1) * mse + k * (msc - mse) / n)
+
+
+def adamw_per_key(params, grads, m, v, step, lr, weight_decay=1e-3, beta1=0.9,
+                  beta2=0.999, eps=1e-8, frozen_keys=()):
+    """One AdamW update, tensor by tensor, on dicts of arrays updated in place.
+
+    ``m`` and ``v`` are per-key moment arrays and ``step`` is the update count
+    including this one.  Frozen keys are skipped, decay included.
+    """
+    bc1 = 1.0 - beta1 ** step
+    bc2 = 1.0 - beta2 ** step
+    for key, p in params.items():
+        if key in frozen_keys:
+            continue
+        g, mk, vk = grads[key], m[key], v[key]
+        p *= 1.0 - lr * weight_decay
+        mk *= beta1
+        mk += (1.0 - beta1) * g
+        vk *= beta2
+        vk += (1.0 - beta2) * g * g
+        update = (mk / bc1) / (np.sqrt(vk / bc2) + eps)
+        p -= lr * update
+
+
+def momentum_per_key(enc_params, params, m):
+    """w_m <- m*w_m + (1-m)*w, tensor by tensor, on dicts updated in place."""
+    for key, wm in enc_params.items():
+        wm *= m
+        wm += (1.0 - m) * params[key]

@@ -101,6 +101,29 @@ class TestTrainEval:
         assert printed["acc"] == pytest.approx(report.acc)
         assert printed["confusion"] == report.confusion.tolist()
 
+    @pytest.mark.parametrize("command", ["train", "train-two-stage"])
+    def test_val_metrics_come_from_the_last_epoch(self, tmp_path, monkeypatch,
+                                                  command):
+        """--val writes the final epoch's report, without scoring the set again,
+        and it agrees with evaluating the saved checkpoint."""
+        train = synth_file(tmp_path / "train.jsonl", n=32, speech_fraction=0.5)
+        val = synth_file(tmp_path / "val.jsonl", n=16, seed=1, speech_fraction=0.5)
+        out_dir = tmp_path / "run"
+
+        def no_evaluate(*args, **kwargs):
+            raise AssertionError("validation set evaluated again")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "evaluate", no_evaluate)
+            code = run_cli(command, "--train", train, "--val", val,
+                           "--out-dir", str(out_dir), "--loss", "mocorank",
+                           "--stage2-epochs", "1", *TINY_FLAGS)
+        assert code == 0
+        state = harness.load_checkpoint(str(out_dir / "checkpoint.npz"))
+        report = harness.evaluate(state, featurepipe.load_records(val))
+        assert (out_dir / "metrics.json").read_text() == report.to_json() + "\n"
+        assert (out_dir / "recall.csv").exists()
+
     def test_two_stage_command(self, tmp_path):
         train = synth_file(tmp_path / "train.jsonl", n=40, speech_fraction=0.5)
         out_dir = tmp_path / "run2"
@@ -140,6 +163,14 @@ class TestConfigFile:
         assert config.batch_size == 32    # desk preset
         assert config.pool_size == 64     # file beats preset
         assert config.epochs == 3         # flag beats file
+
+    @pytest.mark.parametrize("preset, factory", [
+        ("desk", harness.TrainConfig.desk), ("paper", harness.TrainConfig.paper_scale)],
+        ids=["desk", "paper"])
+    def test_preset_is_the_library_preset(self, preset, factory):
+        args = cli.build_parser().parse_args(
+            ["train", "--train", "x", "--out-dir", "y", "--preset", preset])
+        assert cli.build_train_config(args) == factory()
 
     def test_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -7,6 +7,8 @@ import pytest
 from engagerank import featurepipe as fp
 from engagerank import harness, model
 
+from _oracles import adamw_per_key
+
 
 def tiny_train_config(**overrides):
     kw = dict(batch_size=8, pool_size=16, epochs=6, n_channels=2, global_dim=5,
@@ -158,6 +160,59 @@ class TestAdamW:
         with pytest.raises(ValueError, match="length"):
             harness.adamw_step(params, np.zeros(7), harness.init_opt_state(params),
                                lr=0.1)
+
+    def test_nonfinite_gradient_names_the_first_bad_live_key(self):
+        cfg = model.ModelConfig(n_channels=2, n_chunks=4, width=4, global_dim=5,
+                                speech_dim=6, min_frames=8)
+        params = model.ModelParams(cfg, {"a": np.ones(2), "b": np.ones(3),
+                                         "c": np.ones(1)})
+        opt = harness.init_opt_state(params)
+        grads = np.array([np.nan, 0.0, 0.0, 0.0, np.inf, np.nan])
+        with pytest.raises(ValueError, match="parameter 'b'"):
+            harness.adamw_step(params, grads, opt, lr=0.1, frozen_keys=("a",))
+        assert opt["step"] == 0
+
+    def test_whole_vector_matches_per_key_loop(self):
+        """Bitwise against the per-tensor loop: random shapes and frozen sets,
+        nonzero moments everywhere, non-finite gradients on frozen entries."""
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        cfg = model.ModelConfig(n_channels=2, n_chunks=4, width=4, global_dim=5,
+                                speech_dim=6, min_frames=8)
+
+        @hyp.settings(max_examples=200, deadline=None, database=None)
+        @hyp.given(st.lists(st.lists(st.integers(1, 4), max_size=3), min_size=1,
+                            max_size=6),
+                   st.integers(0, 63), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+        def check(shapes, frozen_bits, n_steps, seed):
+            rng = np.random.default_rng(seed)
+            keys = [f"k{i}" for i in range(len(shapes))]
+            frozen = tuple(k for i, k in enumerate(keys) if frozen_bits >> i & 1)
+            ref = {k: rng.standard_normal(tuple(s)) for k, s in zip(keys, shapes)}
+            ref_m = {k: rng.standard_normal(v.shape) for k, v in ref.items()}
+            ref_v = {k: rng.random(v.shape) for k, v in ref.items()}
+            params = model.ModelParams(cfg, ref)
+
+            def pack(d):
+                return np.concatenate([d[k].ravel() for k in keys])
+
+            opt = {"m": pack(ref_m), "v": pack(ref_v), "step": 4}
+            for step in range(5, 5 + n_steps):
+                grads = {k: rng.standard_normal(v.shape) for k, v in ref.items()}
+                for k in frozen:
+                    grads[k].flat[rng.integers(grads[k].size)] = rng.choice(
+                        [np.nan, np.inf, -np.inf])
+                lr = float(rng.uniform(1e-4, 1e-1))
+                harness.adamw_step(params, pack(grads), opt, lr, weight_decay=0.01,
+                                   frozen_keys=frozen)
+                adamw_per_key(ref, grads, ref_m, ref_v, step, lr, weight_decay=0.01,
+                              frozen_keys=frozen)
+            assert opt["step"] == 4 + n_steps
+            for got, want in ((params.vector, ref), (opt["m"], ref_m),
+                              (opt["v"], ref_v)):
+                assert got.tobytes() == pack(want).tobytes()
+
+        check()
 
 
 class TestStepsPerEpoch:
@@ -391,6 +446,27 @@ class TestCheckpointing:
             harness.load_checkpoint(str(path))
         assert "broken.npz" in str(err.value)
         assert "24-byte" in str(err.value)
+
+    def test_layout_readable_without_the_package(self, tmp_path):
+        """The benchmark reads checkpoints with a plain np.load: meta's
+        param_keys and one param__<key> array per key rebuild the params."""
+        cfg = tiny_train_config(loss="mocorank+center", epochs=1)
+        state, _ = harness.train(cfg, tiny_data(n=32))
+        path = tmp_path / "ckpt.npz"
+        harness.save_checkpoint(state, str(path))
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"][()]))
+            assert meta["version"] == harness.CHECKPOINT_VERSION
+            assert meta["param_keys"] == list(state.params.keys())
+            assert sorted(k for k in data.files if k.startswith("param__")) == \
+                sorted(f"param__{k}" for k in meta["param_keys"])
+            arrays = {k: data[f"param__{k}"] for k in meta["param_keys"]}
+        mcfg = dict(meta["model_config"],
+                    dilations=tuple(meta["model_config"]["dilations"]))
+        rebuilt = model.ModelParams(model.ModelConfig(**mcfg), arrays)
+        assert rebuilt.config == state.params.config
+        assert rebuilt.layout == state.params.layout
+        assert rebuilt.vector.tobytes() == state.params.vector.tobytes()
 
     def test_init_from_transplants_weights(self, tmp_path):
         data = tiny_data(n=32)

@@ -8,7 +8,7 @@ from engagerank import featurepipe as fp
 from engagerank import mocorank as mr
 from engagerank import model
 
-from _oracles import margin_loss_brute
+from _oracles import margin_loss_brute, momentum_per_key
 
 
 def entry(label, score, embedding):
@@ -182,6 +182,32 @@ class TestMomentumEncoder:
         np.testing.assert_allclose(enc.params.flat(), expect, rtol=1e-9,
                                    atol=1e-12)
 
+    def test_matches_per_key_loop_bitwise(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        cfg = self.tiny_params().config
+
+        @hyp.settings(max_examples=100, deadline=None, database=None)
+        @hyp.given(st.lists(st.lists(st.integers(1, 4), max_size=3), min_size=1,
+                            max_size=6),
+                   st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1,
+                            max_size=3),
+                   st.integers(0, 2 ** 32 - 1))
+        def check(shapes, momenta, seed):
+            rng = np.random.default_rng(seed)
+            keys = [f"k{i}" for i in range(len(shapes))]
+            target = {k: rng.standard_normal(tuple(s)) for k, s in zip(keys, shapes)}
+            ref = {k: rng.standard_normal(v.shape) for k, v in target.items()}
+            enc = mr.MomentumEncoder(params=model.ModelParams(cfg, ref))
+            params = model.ModelParams(cfg, target)
+            for m in momenta:
+                mr.momentum_update(enc, params, m=m)
+                momentum_per_key(ref, target, m)
+            for k, v in ref.items():
+                assert enc.params[k].tobytes() == v.tobytes(), k
+
+        check()
+
     def test_from_model_copies(self):
         target = self.tiny_params(seed=5)
         enc = mr.MomentumEncoder.from_model(target)
@@ -194,6 +220,12 @@ class TestMomentumEncoder:
         enc = mr.MomentumEncoder.from_model(self.tiny_params())
         with pytest.raises(ValueError, match="do not match"):
             mr.momentum_update(enc, model.init_params(cfg))
+        # same keys and size, other shapes
+        target = self.tiny_params()
+        transposed = model.ModelParams(target.config,
+                                       {k: v.T for k, v in target.items()})
+        with pytest.raises(ValueError, match="do not match"):
+            mr.momentum_update(mr.MomentumEncoder.from_model(transposed), target)
 
 
 class TestPoolInit:

@@ -94,6 +94,34 @@ class TestParamsFlat:
         keys = {params.key_at(i) for i in range(params.n_params)}
         assert keys == set(params.keys())
 
+    def test_views_share_the_vector(self):
+        params = model.init_params(tiny_config(with_audio=True), seed=1)
+        for key, value in params.items():
+            assert np.shares_memory(value, params.vector), key
+        params["head.w"][...] = 3.0
+        assert np.all(params.vector[params.slices["head.w"]] == 3.0)
+        params.vector[params.slices["tcn.0.conv1.b"]] = -1.0
+        assert np.all(params["tcn.0.conv1.b"] == -1.0)
+
+    def test_copy_is_independent(self):
+        params = model.init_params(tiny_config(), seed=1)
+        dup = params.copy()
+        assert not np.shares_memory(dup.vector, params.vector)
+        for key, value in dup.items():
+            assert np.shares_memory(value, dup.vector), key
+            assert not np.shares_memory(value, params.vector), key
+        assert dup.vector.tobytes() == params.vector.tobytes()
+        dup.vector[:] = 0.0
+        assert params.vector.any()
+
+    def test_packs_in_key_order_without_aliasing(self):
+        cfg = tiny_config()
+        a, b = np.arange(6.0).reshape(2, 3), np.array([7.0, 8.0])
+        params = model.ModelParams(cfg, {"a": a, "b": b})
+        np.testing.assert_array_equal(params.vector, [0, 1, 2, 3, 4, 5, 7, 8])
+        assert params.layout == (("a", (2, 3)), ("b", (2,)))
+        assert not np.shares_memory(params["a"], a)
+
     def test_wrong_length_rejected(self):
         params = model.init_params(tiny_config())
         with pytest.raises(ValueError, match="length"):
