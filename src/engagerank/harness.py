@@ -610,8 +610,20 @@ def load_checkpoint(path: str) -> TrainState:
     mcfg = model_mod.ModelConfig(**mcfg_d)
     params = model_mod.ModelParams(
         mcfg, {k: loaded[f"param__{k}"] for k in meta["param_keys"]})
-    opt = {"m": loaded["opt__m"].copy(), "v": loaded["opt__v"].copy(),
-           "step": int(meta["opt_step"])}
+
+    def corrupt(field, problem):
+        return ValueError(f"corrupt checkpoint {path!r}: field {field!r}: {problem}")
+
+    missing = [k for k in meta["frozen_keys"] if k not in params]
+    if missing:
+        raise corrupt("frozen_keys", f"names {missing[0]!r}, which the model does not have")
+    for name in ("opt__m", "opt__v"):
+        if loaded[name].shape != (params.n_params,):
+            raise corrupt(name, f"shape {loaded[name].shape}, expected ({params.n_params},)")
+    step = meta["opt_step"]
+    if type(step) is not int or step < 0:
+        raise corrupt("opt_step", f"{step!r} is not an integer >= 0")
+    opt = {"m": loaded["opt__m"].copy(), "v": loaded["opt__v"].copy(), "step": step}
     rng = np.random.default_rng()
     rng.bit_generator.state = meta["rng_state"]
     state = TrainState(config=config, params=params, opt=opt, rng=rng,

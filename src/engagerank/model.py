@@ -9,9 +9,11 @@ branch projects a speech embedding, concatenates it with the visual feature
 and the acoustic metadata, and scores through a second cosine head.
 
 Everything is float64 numpy.  ``ModelParams`` keeps every weight in one
-contiguous vector with named views into it.  Forward passes record the
-intermediates needed for an exact backward pass, which accumulates into
+contiguous vector with named views into it.  Train-mode forward passes record
+the intermediates needed for an exact backward pass, which accumulates into
 named views of one zeroed gradient vector laid out like that buffer.
+Eval-mode forward passes keep no such caches, only their inputs: ``backward``
+on an eval trace re-runs the forward with caches first.
 """
 
 from __future__ import annotations
@@ -194,24 +196,25 @@ def _causal_cols(x: np.ndarray, kernel: int, dilation: int) -> np.ndarray:
     """Stack the kernel taps of a left-padded sequence: (B,C,T) -> (B,C,K,T).
 
     Tap j of output column t reads input column t - (kernel-1-j)*dilation, so
-    no output column ever sees a later input column.
+    no output column ever sees a later input column; columns that would read
+    before the start are zero.
     """
     b, ch, t = x.shape
-    pad = (kernel - 1) * dilation
-    xp = np.concatenate([np.zeros((b, ch, pad)), x], axis=2)
     cols = np.empty((b, ch, kernel, t))
     for j in range(kernel):
-        cols[:, :, j, :] = xp[:, :, j * dilation:j * dilation + t]
+        shift = min((kernel - 1 - j) * dilation, t)
+        cols[:, :, j, :shift] = 0.0
+        cols[:, :, j, shift:] = x[:, :, :t - shift]
     return cols
 
 
 def _causal_cols_backward(dcols: np.ndarray, dilation: int, t: int) -> np.ndarray:
     b, ch, kernel, _ = dcols.shape
-    pad = (kernel - 1) * dilation
-    dxp = np.zeros((b, ch, t + pad))
+    dx = np.zeros((b, ch, t))
     for j in range(kernel):
-        dxp[:, :, j * dilation:j * dilation + t] += dcols[:, :, j, :]
-    return dxp[:, :, pad:]
+        shift = min((kernel - 1 - j) * dilation, t)
+        dx[:, :, :t - shift] += dcols[:, :, j, shift:]
+    return dx
 
 
 def _dropout_mask(shape, rate: float, train: bool, rng) -> Optional[np.ndarray]:
@@ -247,31 +250,42 @@ def _conv_cols_grad(w: np.ndarray, dout: np.ndarray, shape4) -> np.ndarray:
     return np.matmul(w.reshape(o, i * k).T, dout).reshape(shape4)
 
 
-def _tcn_block_forward(x, params, prefix, dilation, kernel, train, rng, dropout):
-    cache = {"x": x, "dilation": dilation}
+def _tcn_block_forward(x, params, prefix, dilation, kernel, train, rng, dropout, keep):
+    """One residual block; with ``keep`` also the cache its backward needs.
+
+    Bias, ReLU and residual add in place into each conv's fresh output.
+    """
     cols1 = _causal_cols(x, kernel, dilation)
-    pre1 = _conv_apply(params[f"{prefix}.conv1.w"], cols1) \
-        + params[f"{prefix}.conv1.b"][:, None]
-    m1 = _dropout_mask(pre1.shape, dropout, train, rng)
-    h1 = _apply_mask(np.maximum(pre1, 0.0), m1)
+    h1 = _conv_apply(params[f"{prefix}.conv1.w"], cols1)
+    h1 += params[f"{prefix}.conv1.b"][:, None]
+    s1 = h1 > 0 if keep else None
+    np.maximum(h1, 0.0, out=h1)
+    m1 = _dropout_mask(h1.shape, dropout, train, rng)
+    h1 = _apply_mask(h1, m1)
     cols2 = _causal_cols(h1, kernel, dilation)
-    pre2 = _conv_apply(params[f"{prefix}.conv2.w"], cols2) \
-        + params[f"{prefix}.conv2.b"][:, None]
-    m2 = _dropout_mask(pre2.shape, dropout, train, rng)
-    h2 = _apply_mask(np.maximum(pre2, 0.0), m2)
+    out = _conv_apply(params[f"{prefix}.conv2.w"], cols2)
+    out += params[f"{prefix}.conv2.b"][:, None]
+    s2 = out > 0 if keep else None
+    np.maximum(out, 0.0, out=out)
+    m2 = _dropout_mask(out.shape, dropout, train, rng)
+    out = _apply_mask(out, m2)
     if f"{prefix}.down.w" in params:
-        res = np.matmul(params[f"{prefix}.down.w"], x) \
-            + params[f"{prefix}.down.b"][:, None]
+        res = np.matmul(params[f"{prefix}.down.w"], x)
+        res += params[f"{prefix}.down.b"][:, None]
+        out += res
     else:
-        res = x
-    pre_out = h2 + res
-    out = np.maximum(pre_out, 0.0)
-    cache.update(cols1=cols1, s1=pre1 > 0, m1=m1, cols2=cols2, s2=pre2 > 0, m2=m2,
-                 s_out=pre_out > 0)
-    return out, cache
+        out += x
+    s_out = out > 0 if keep else None
+    np.maximum(out, 0.0, out=out)
+    if not keep:
+        return out, None
+    return out, {"x": x, "dilation": dilation, "cols1": cols1, "s1": s1, "m1": m1,
+                 "cols2": cols2, "s2": s2, "m2": m2, "s_out": s_out}
 
 
-def _tcn_block_backward(dout, cache, params, prefix, grads):
+def _tcn_block_backward(dout, cache, params, prefix, grads, need_dx=True):
+    """Accumulate the block's parameter gradients; return its input gradient,
+    or None without ``need_dx`` (the network input takes no gradient)."""
     dilation = cache["dilation"]
     t = dout.shape[2]
     dpre_out = dout * cache["s_out"]
@@ -285,15 +299,19 @@ def _tcn_block_backward(dout, cache, params, prefix, grads):
     dpre1 = _apply_mask(dh1, cache["m1"]) * cache["s1"]
     grads[f"{prefix}.conv1.w"] += _conv_weight_grad(dpre1, cache["cols1"])
     grads[f"{prefix}.conv1.b"] += dpre1.sum(axis=(0, 2))
-    dcols1 = _conv_cols_grad(params[f"{prefix}.conv1.w"], dpre1,
-                             cache["cols1"].shape)
-    dx = _causal_cols_backward(dcols1, dilation, t)
-    if f"{prefix}.down.w" in params:
+    has_down = f"{prefix}.down.w" in params
+    if has_down:
         o = dpre_out.shape[1]
         dp2 = dpre_out.transpose(1, 0, 2).reshape(o, -1)
         x2 = cache["x"].transpose(1, 0, 2).reshape(cache["x"].shape[1], -1)
         grads[f"{prefix}.down.w"] += dp2 @ x2.T
         grads[f"{prefix}.down.b"] += dpre_out.sum(axis=(0, 2))
+    if not need_dx:
+        return None
+    dcols1 = _conv_cols_grad(params[f"{prefix}.conv1.w"], dpre1,
+                             cache["cols1"].shape)
+    dx = _causal_cols_backward(dcols1, dilation, t)
+    if has_down:
         dx += np.matmul(params[f"{prefix}.down.w"].T, dpre_out)
     else:
         dx += dpre_out
@@ -352,11 +370,11 @@ def temporal_encoder(chunks, params: ModelParams, train: bool = False, rng=None)
     single = values.ndim == 2
     if single:
         values = values[None]
-    out, _ = _tcn_forward(values, params, train, rng)
+    out, _ = _tcn_forward(values, params, train, rng, keep=False)
     return out[0] if single else out
 
 
-def _tcn_forward(x, params: ModelParams, train, rng):
+def _tcn_forward(x, params: ModelParams, train, rng, keep):
     cfg = params.config
     if x.shape[1] != cfg.chunk_rows:
         raise ValueError(
@@ -364,15 +382,15 @@ def _tcn_forward(x, params: ModelParams, train, rng):
     caches = []
     for i, dil in enumerate(cfg.dilations):
         x, cache = _tcn_block_forward(x, params, f"tcn.{i}", dil, cfg.kernel_size,
-                                      train, rng, cfg.dropout)
+                                      train, rng, cfg.dropout, keep)
         caches.append(cache)
     return x, caches
 
 
-def _tcn_backward(dout, caches, params: ModelParams, grads):
+def _tcn_backward(dout, caches, params: ModelParams, grads) -> None:
     for i in reversed(range(len(params.config.dilations))):
-        dout = _tcn_block_backward(dout, caches[i], params, f"tcn.{i}", grads)
-    return dout
+        dout = _tcn_block_backward(dout, caches[i], params, f"tcn.{i}", grads,
+                                   need_dx=i > 0)
 
 
 def attention_fuse(encoded, global_feat, params: ModelParams, train: bool = False, rng=None):
@@ -539,7 +557,15 @@ def _audio_backward(ds, dxprime_extra, cache, params: ModelParams, grads):
 
 @dataclass
 class Trace:
-    """Everything one forward pass produced, plus caches for backward."""
+    """Everything one forward pass produced.
+
+    A train-mode trace carries the caches its backward pass reads.  An
+    eval-mode trace carries none (``cache`` is None); ``backward`` re-runs
+    the forward from ``inputs`` with caches instead.  ``inputs`` holds the
+    caller's arrays by reference, so an eval trace is differentiated at the
+    params and inputs as they are when ``backward`` runs, not as they were
+    when it was traced.
+    """
 
     config: ModelConfig
     mode: str
@@ -551,7 +577,8 @@ class Trace:
     embedding: Optional[np.ndarray]  # (B, E) pre-head feature the score used
     logits: Optional[np.ndarray]   # (B, 4) when the categorical head is active
     audio_used: np.ndarray         # (B,) bool
-    cache: dict
+    cache: Optional[dict]
+    inputs: tuple                  # (chunks, global_feat, use_audio, speech, meta, has_speech)
 
     @property
     def batch_size(self) -> int:
@@ -568,14 +595,20 @@ def forward_batch(chunks: np.ndarray, global_feat: np.ndarray, params: ModelPara
     ``use_audio`` is set, records flagged in ``has_speech`` are scored through
     the audio branch and the rest fall back to the visual score.  A mixed
     batch is fine for evaluation but has no single pre-head embedding, so its
-    trace cannot be used for backward.
+    trace cannot be used for backward.  Only train mode keeps backward caches.
     """
     if mode not in ("train", "eval"):
         raise ValueError("mode must be 'train' or 'eval'")
+    inputs = (np.asarray(chunks, dtype=np.float64), np.asarray(global_feat, dtype=np.float64),
+              use_audio, speech, meta, has_speech)
+    return _forward(inputs, params, mode, rng, keep=mode == "train")
+
+
+def _forward(inputs: tuple, params: ModelParams, mode: str, rng, keep: bool) -> Trace:
+    chunks, global_feat, use_audio, speech, meta, has_speech = inputs
     train = mode == "train"
     cfg = params.config
-    encoded, tcn_caches = _tcn_forward(np.asarray(chunks, dtype=np.float64), params, train, rng)
-    global_feat = np.asarray(global_feat, dtype=np.float64)
+    encoded, tcn_caches = _tcn_forward(chunks, params, train, rng, keep)
     pooled, attn, attn_cache = _attention_forward(encoded, global_feat, params, train, rng)
     fused, concat_cache = _concat_forward(global_feat, pooled, params)
 
@@ -604,20 +637,24 @@ def forward_batch(chunks: np.ndarray, global_feat: np.ndarray, params: ModelPara
             score[idx] = a_score
             audio_used[idx] = True
             cache["audio"] = a_cache
-            cache["audio_idx"] = idx
             embedding = xprime if has_speech.all() else None
 
     return Trace(config=cfg, mode=mode, encoded=encoded, attn=attn, pooled=pooled,
                  fused=fused, score=score, embedding=embedding, logits=logits,
-                 audio_used=audio_used, cache=cache)
+                 audio_used=audio_used, cache=cache if keep else None, inputs=inputs)
 
 
 def prepare_batch(records: list[SampleRecord], config: ModelConfig):
-    """Chunk-summarize records into stacked arrays the batched forward takes."""
-    chunks = np.stack([
-        featurepipe.prepare_record(r, config.n_chunks, config.min_frames,
-                                   config.strict_pad).values
-        for r in records])
+    """Chunk-summarize records into stacked arrays the batched forward takes.
+
+    A record object listed more than once is chunk-summarized once.
+    """
+    summaries: dict[int, np.ndarray] = {}
+    for r in records:
+        if id(r) not in summaries:
+            summaries[id(r)] = featurepipe.prepare_record(
+                r, config.n_chunks, config.min_frames, config.strict_pad).values
+    chunks = np.stack([summaries[id(r)] for r in records])
     gfeat = np.stack([r.global_feature for r in records])
     speech = meta = None
     has_speech = np.array([r.has_speech for r in records])
@@ -642,12 +679,17 @@ def forward(record: SampleRecord, params: ModelParams, mode: str = "eval",
 
 def backward(trace: Trace, params: ModelParams, d_score=None, d_embed=None,
              d_logits=None) -> np.ndarray:
-    """Exact reverse-mode gradients for the cached forward pass.
+    """Exact reverse-mode gradients for the traced forward pass.
 
     ``d_score`` is dLoss/dscore per record, ``d_embed`` dLoss/dembedding
     (the pre-head feature the score used), and ``d_logits`` dLoss/dlogits for
     the categorical head.  Returns one gradient vector laid out like
     ``params.vector``; each tensor's gradient accumulates into its named view.
+    An eval trace keeps no caches, so its forward is first re-run with them
+    from the trace's inputs under ``params``: the gradient is taken at
+    ``params`` and those inputs as they are now.  Changing either in place
+    between the forward and this call (as ``adamw_step`` does to params)
+    changes the result; a train trace uses its forward-time activations.
     """
     if trace.config is not params.config:
         if trace.config != params.config:
@@ -655,6 +697,8 @@ def backward(trace: Trace, params: ModelParams, d_score=None, d_embed=None,
     b = trace.batch_size
     if trace.audio_used.any() and not trace.audio_used.all():
         raise ValueError("cannot backpropagate a mixed visual/audio batch")
+    if trace.cache is None:
+        trace = _forward(trace.inputs, params, trace.mode, rng=None, keep=True)
     audio = bool(trace.audio_used.all()) and "audio" in trace.cache
 
     g = np.zeros(params.n_params)
@@ -690,8 +734,12 @@ def relu_signature(trace: Trace) -> np.ndarray:
 
     Finite-difference checks compare signatures at perturbed points against
     the center; a changed mask means the perturbation crossed a kink and the
-    coordinate cannot be checked at that step size.
+    coordinate cannot be checked at that step size.  Only a train-mode trace
+    keeps the masks.
     """
+    if trace.cache is None:
+        raise ValueError("relu_signature needs a train-mode trace; an eval trace "
+                         "keeps no ReLU masks")
     parts = []
     for c in trace.cache["tcn"]:
         parts.extend([c["s1"].ravel(), c["s2"].ravel(), c["s_out"].ravel()])

@@ -4,7 +4,9 @@ Everything here is deliberately written with plain loops, sharing no code
 with the package, so agreement is evidence rather than tautology.  The
 optimizer and momentum references are the per-tensor numpy loops the package
 ran before its parameters moved into one vector; the whole-vector updates
-must match them bit for bit.
+must match them bit for bit.  The causal-tap references build the taps from a
+zero-padded copy of the sequence, as the package did before it wrote them
+straight from the input; the two must agree bit for bit too.
 """
 import math
 
@@ -89,3 +91,24 @@ def momentum_per_key(enc_params, params, m):
     for key, wm in enc_params.items():
         wm *= m
         wm += (1.0 - m) * params[key]
+
+
+def causal_cols_padded(x, kernel, dilation):
+    """(B,C,T) -> (B,C,K,T) kernel taps, read from a left zero-padded copy."""
+    b, ch, t = x.shape
+    pad = (kernel - 1) * dilation
+    xp = np.concatenate([np.zeros((b, ch, pad)), x], axis=2)
+    cols = np.empty((b, ch, kernel, t))
+    for j in range(kernel):
+        cols[:, :, j, :] = xp[:, :, j * dilation:j * dilation + t]
+    return cols
+
+
+def causal_cols_padded_backward(dcols, dilation, t):
+    """Adjoint of causal_cols_padded: scatter-add the taps, drop the padding."""
+    b, ch, kernel, _ = dcols.shape
+    pad = (kernel - 1) * dilation
+    dxp = np.zeros((b, ch, t + pad))
+    for j in range(kernel):
+        dxp[:, :, j * dilation:j * dilation + t] += dcols[:, :, j, :]
+    return dxp[:, :, pad:]

@@ -167,6 +167,26 @@ class TestChunkSummarizeMatchesLoop:
 
         check()
 
+    def test_signed_zero_extremes(self):
+        """Which of +0 and -0 a min or max returns depends on the reduction
+        order, so clips full of both zeros must still match the loop."""
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=200, deadline=None, database=None)
+        @hyp.given(st.integers(1, 20), st.integers(1, 120), st.integers(1, 12),
+                   st.sampled_from("CF"), st.integers(0, 2 ** 32 - 1))
+        def check(d, f, n_chunks, order, seed):
+            hyp.assume(n_chunks <= f)
+            rng = np.random.default_rng(seed)
+            vals = np.asarray(rng.choice([0.0, -0.0, 0.0, -0.0, 1.5, -2.0], (d, f)),
+                              order=order)
+            frames = make_frames(vals)
+            assert_bitwise(fp.chunk_summarize(frames, n_chunks).values,
+                           chunk_summarize_loop(frames, n_chunks))
+
+        check()
+
     def test_prepare_batch_on_jsonl_set(self, tmp_path):
         """JSONL-loaded frames are Fortran-ordered; clips vary in length."""
         path = tmp_path / "data.jsonl"

@@ -432,6 +432,50 @@ class TestCheckpointing:
             harness.load_checkpoint(str(path))
         assert "ckpt.npz" in str(err.value)
 
+    @staticmethod
+    def _edited_checkpoint(tmp_path, meta_edits=None, array_edits=None):
+        """Save a fresh pool-loss state, then rewrite fields of the file."""
+        state = harness.init_train_state(tiny_train_config(loss="mocorank"),
+                                         tiny_data(n=32))
+        path = tmp_path / "ckpt.npz"
+        harness.save_checkpoint(state, str(path))
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"][()]))
+            arrays = {k: data[k] for k in data.files if k != "meta"}
+        meta.update(meta_edits or {})
+        arrays.update(array_edits or {})
+        with open(path, "wb") as fh:
+            np.savez(fh, meta=json.dumps(meta), **arrays)
+        return path
+
+    def test_unknown_frozen_key_names_path_and_field(self, tmp_path):
+        path = self._edited_checkpoint(
+            tmp_path, meta_edits={"frozen_keys": ["tcn.0.conv1.w", "tcn.9.conv1.w"]})
+        with pytest.raises(ValueError, match="'frozen_keys'.*'tcn.9.conv1.w'") as err:
+            harness.load_checkpoint(str(path))
+        assert "ckpt.npz" in str(err.value)
+
+    @pytest.mark.parametrize("name", ["opt__m", "opt__v"])
+    def test_moment_length_names_path_and_field(self, tmp_path, name):
+        path = self._edited_checkpoint(tmp_path, array_edits={name: np.zeros(3)})
+        with pytest.raises(ValueError, match=f"'{name}'.*expected") as err:
+            harness.load_checkpoint(str(path))
+        assert "ckpt.npz" in str(err.value)
+
+    @pytest.mark.parametrize("step", [-1, 2.5, "3", True, None])
+    def test_opt_step_names_path_and_field(self, tmp_path, step):
+        path = self._edited_checkpoint(tmp_path, meta_edits={"opt_step": step})
+        with pytest.raises(ValueError, match="'opt_step'.*integer") as err:
+            harness.load_checkpoint(str(path))
+        assert "ckpt.npz" in str(err.value)
+
+    def test_valid_frozen_keys_still_load(self, tmp_path):
+        path = self._edited_checkpoint(
+            tmp_path, meta_edits={"frozen_keys": ["tcn.0.conv1.w"], "opt_step": 0})
+        loaded = harness.load_checkpoint(str(path))
+        assert loaded.frozen_keys == ("tcn.0.conv1.w",)
+        assert loaded.opt["step"] == 0
+
     def test_future_version_refused(self, tmp_path):
         path = tmp_path / "future.npz"
         with open(path, "wb") as fh:

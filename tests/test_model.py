@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from engagerank import featurepipe as fp
-from engagerank import model
+from engagerank import harness, model
+
+from _oracles import causal_cols_padded, causal_cols_padded_backward
 
 
 def tiny_config(**overrides):
@@ -156,6 +160,50 @@ class TestTemporalEncoder:
         params = model.init_params(tiny_config())
         with pytest.raises(ValueError, match="input channels"):
             model.temporal_encoder(np.zeros((5, 4)), params)
+
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 8, 33])
+    def test_encoding_does_not_depend_on_batch_size(self, b):
+        """Each record's conv GEMMs run on their own, so its encoding is
+        bitwise the same alone or in a batch of any size."""
+        cfg = harness.TrainConfig.desk().model_config()
+        params = model.init_params(cfg, seed=2)
+        x = np.random.default_rng(b).standard_normal((b, cfg.chunk_rows, cfg.n_chunks))
+        batched = model.temporal_encoder(x, params)
+        for i in range(b):
+            assert batched[i].tobytes() == model.temporal_encoder(x[i], params).tobytes()
+
+
+class TestCausalTaps:
+    """Taps written straight from the input equal the padded-copy reference."""
+
+    def test_matches_padded_reference(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=300, deadline=None, database=None)
+        @hyp.given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 12),
+                   st.integers(1, 5), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+        def check(b, ch, t, kernel, dilation, seed):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((b, ch, t))
+            x[rng.random(x.shape) < 0.2] = -0.0
+            assert (model._causal_cols(x, kernel, dilation).tobytes()
+                    == causal_cols_padded(x, kernel, dilation).tobytes())
+            dcols = rng.standard_normal((b, ch, kernel, t))
+            dcols[rng.random(dcols.shape) < 0.2] = -0.0
+            assert (model._causal_cols_backward(dcols, dilation, t).tobytes()
+                    == causal_cols_padded_backward(dcols, dilation, t).tobytes())
+
+        check()
+
+    def test_reach_past_the_start(self):
+        """(K-1)*dilation >= T: the early taps read only padding."""
+        x = np.arange(1.0, 9.0).reshape(1, 2, 4)
+        cols = model._causal_cols(x, 3, 4)
+        assert not cols[:, :, :2].any()
+        np.testing.assert_array_equal(cols[:, :, 2], x)
+        assert cols.tobytes() == causal_cols_padded(x, 3, 4).tobytes()
 
 
 class TestAttentionFuse:
@@ -376,3 +424,87 @@ class TestMixedBatches:
         flat = model.backward(trace, params, d_score=np.ones(4))
         assert flat.shape == (params.n_params,)
         assert np.isfinite(flat).all()
+
+
+class TestEvalTraces:
+    """Eval forwards keep no backward caches; backward re-runs them."""
+
+    @staticmethod
+    def _batch(kind):
+        cfg = tiny_config(with_audio=kind == "audio",
+                          head="categorical" if kind == "categorical" else "scalar")
+        speech_fraction = 1.0 if kind == "audio" else 0.0
+        chunks, gfeat, speech, meta, has_speech = tiny_batch(
+            cfg, n=5, seed=2, speech_fraction=speech_fraction)
+        kwargs = dict(use_audio=kind == "audio", speech=speech, meta=meta,
+                      has_speech=has_speech)
+        return cfg, chunks, gfeat, kwargs
+
+    def test_eval_trace_holds_no_caches(self):
+        cfg, chunks, gfeat, kwargs = self._batch("visual")
+        params = model.init_params(cfg, seed=1)
+        trace = model.forward_batch(chunks, gfeat, params, **kwargs)
+        assert trace.cache is None
+        train = model.forward_batch(chunks, gfeat, params, mode="train",
+                                    rng=np.random.default_rng(0), **kwargs)
+        assert [sorted(c) for c in train.cache["tcn"]] == [
+            ["cols1", "cols2", "dilation", "m1", "m2", "s1", "s2", "s_out", "x"]
+        ] * len(cfg.dilations)
+
+    def test_relu_signature_refuses_eval_trace(self):
+        cfg, chunks, gfeat, kwargs = self._batch("visual")
+        params = model.init_params(cfg, seed=1)
+        trace = model.forward_batch(chunks, gfeat, params, **kwargs)
+        with pytest.raises(ValueError, match="train-mode trace"):
+            model.relu_signature(trace)
+
+    @pytest.mark.parametrize("kind", ["visual", "audio", "categorical"])
+    def test_backward_equals_dropout_free_train_trace(self, kind):
+        cfg, chunks, gfeat, kwargs = self._batch(kind)
+        params = model.init_params(cfg, seed=7)
+        no_dropout = model.ModelParams(replace(cfg, dropout=0.0), dict(params.items()))
+        eval_trace = model.forward_batch(chunks, gfeat, params, **kwargs)
+        train_trace = model.forward_batch(chunks, gfeat, no_dropout, mode="train",
+                                          rng=np.random.default_rng(0), **kwargs)
+        assert eval_trace.score.tobytes() == train_trace.score.tobytes()
+        rng = np.random.default_rng(3)
+        grads = {"d_embed": rng.standard_normal(eval_trace.embedding.shape)}
+        if kind == "categorical":
+            grads["d_logits"] = rng.standard_normal(eval_trace.logits.shape)
+        else:
+            grads["d_score"] = rng.standard_normal(eval_trace.batch_size)
+        from_eval = model.backward(eval_trace, params, **grads)
+        from_train = model.backward(train_trace, no_dropout, **grads)
+        assert from_eval.tobytes() == from_train.tobytes()
+        assert np.any(from_eval)
+
+    def test_block_zero_input_gradient_not_computed(self, monkeypatch):
+        """Every block but the first passes a gradient to its input."""
+        cfg, chunks, gfeat, kwargs = self._batch("visual")
+        params = model.init_params(cfg, seed=1)
+        trace = model.forward_batch(chunks, gfeat, params, mode="train",
+                                    rng=np.random.default_rng(0), **kwargs)
+        calls = []
+        real = model._causal_cols_backward
+        monkeypatch.setattr(model, "_causal_cols_backward",
+                            lambda *a: calls.append(1) or real(*a))
+        model.backward(trace, params, d_score=np.ones(trace.batch_size))
+        assert len(calls) == 2 * len(cfg.dilations) - 1
+
+
+class TestPrepareBatch:
+    def test_each_distinct_record_chunked_once(self, monkeypatch):
+        cfg = tiny_config()
+        records = tiny_records(4, seed=1)
+        listed = [records[i] for i in (0, 1, 0, 2, 1, 0, 3, 3)]
+        expected = np.stack([
+            fp.prepare_record(r, cfg.n_chunks, cfg.min_frames, cfg.strict_pad).values
+            for r in listed])
+        seen = []
+        real = fp.prepare_record
+        monkeypatch.setattr(fp, "prepare_record",
+                            lambda r, *a: seen.append(r.id) or real(r, *a))
+        chunks, gfeat, *_ = model.prepare_batch(listed, cfg)
+        assert sorted(seen) == sorted(r.id for r in records)
+        assert chunks.tobytes() == expected.tobytes()
+        assert gfeat.tobytes() == np.stack([r.global_feature for r in listed]).tobytes()
