@@ -9,6 +9,9 @@ per channel.  This script walks one tiny record through each step and then
 round-trips a synthetic dataset through the JSONL store.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from engagerank import featurepipe as fp
@@ -48,9 +51,10 @@ dataset = fp.synth_dataset(n=40, n_channels=3, global_dim=6, n_frames=20,
                            seed=7)
 print("\nclass counts at reference imbalance:", dataset.class_counts())
 
-path = "/tmp/demo_records.jsonl"
-fp.save_records(dataset, path)
-loaded = fp.load_records(path)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "demo_records.jsonl")
+    fp.save_records(dataset, path)
+    loaded = fp.load_records(path)
 assert len(loaded.records) == len(dataset.records)
 np.testing.assert_array_equal(loaded.records[5].global_feature,
                               dataset.records[5].global_feature)

@@ -120,7 +120,8 @@ assert (counts == 2).all()
 # with the momentum encoder's view of it, keeping pool scores consistent
 # with each other even while the model moves quickly.
 records = data.records[:4]
-enc_scores, enc_embeds = enc.score_records(records)
+enc_scores, enc_embeds, _ = model.score_batch(
+    enc.params, model.prepare_batch(records, enc.params.config))
 entries = [mocorank.ScorePoolEntry(r.label, s, e)
            for r, s, e in zip(records, enc_scores, enc_embeds)]
 pool = mocorank.pool_push(pool, entries)

@@ -74,6 +74,7 @@ from .mocorank import (
     pool_push,
 )
 from .model import (
+    Batch,
     ModelConfig,
     ModelParams,
     Trace,
@@ -86,6 +87,7 @@ from .model import (
     forward_batch,
     init_params,
     prepare_batch,
+    score_batch,
     score_head,
     temporal_encoder,
 )

@@ -189,7 +189,10 @@ def chunk_summarize(frames: FrameSequence, n_chunks: int = DEFAULT_CHUNKS) -> Ch
     block and reduced along the last axis.  Every chunk is thus reduced along
     its own frame axis, with the same strides as a lone chunk slice, so the
     sums behind the variance run in the same order and the result is bitwise
-    that of summarizing chunk by chunk.
+    that of summarizing chunk by chunk.  The minima and maxima are reduced
+    into fresh arrays, not into slices of the output: for Fortran-ordered
+    frames an ``out=`` slice changes numpy's loop order, and with it which of
+    +0 and -0 a tied extreme returns.
     """
     if n_chunks <= 0:
         raise ValueError("chunk count must be positive")
@@ -205,8 +208,8 @@ def chunk_summarize(frames: FrameSequence, n_chunks: int = DEFAULT_CHUNKS) -> Ch
         if block.size == 0:
             continue
         block = block.reshape(d, -1, size)
-        block.min(axis=-1, out=out[0, :, chunks])
-        block.max(axis=-1, out=out[1, :, chunks])
+        out[0, :, chunks] = block.min(axis=-1)
+        out[1, :, chunks] = block.max(axis=-1)
         out[2, :, chunks] = block.var(axis=-1)
     return ChunkedFeatures(out.reshape(3 * d, n_chunks))
 

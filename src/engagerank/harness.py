@@ -30,6 +30,7 @@ logger = logging.getLogger("engagerank")
 
 SAMPLERS = ("sequential", "class_balanced")
 CHECKPOINT_VERSION = "1"
+EVAL_BATCH_SIZE = 256       # rows per eval-mode forward in evaluation
 
 
 # ---------------------------------------------------------------------------
@@ -267,31 +268,6 @@ class TrainState:
     val_report: Optional[MetricsReport] = None   # of the latest epoch
 
 
-@dataclass
-class _BatchArrays:
-    """Whole-dataset tensors prepared once so epochs only slice."""
-
-    chunks: np.ndarray
-    gfeat: np.ndarray
-    speech: Optional[np.ndarray]
-    meta: Optional[np.ndarray]
-    has_speech: np.ndarray
-    labels: np.ndarray
-
-    @classmethod
-    def prepare(cls, dataset: Dataset, mcfg: model_mod.ModelConfig) -> "_BatchArrays":
-        chunks, gfeat, speech, meta, has_speech = model_mod.prepare_batch(
-            dataset.records, mcfg)
-        return cls(chunks=chunks, gfeat=gfeat, speech=speech, meta=meta,
-                   has_speech=has_speech, labels=dataset.labels())
-
-    def take(self, idx: np.ndarray):
-        return (self.chunks[idx], self.gfeat[idx],
-                None if self.speech is None else self.speech[idx],
-                None if self.meta is None else self.meta[idx],
-                self.has_speech[idx], self.labels[idx])
-
-
 def _load_dataset(path: Optional[str], name: str) -> Dataset:
     if path is None:
         raise ValueError(f"no {name} data: pass a dataset or set {name}_path")
@@ -303,7 +279,7 @@ def init_train_state(config: TrainConfig, train_set: Dataset,
                      frozen_keys: tuple = ()) -> TrainState:
     if config.use_audio:
         n_speech = train_set.speech_indices().size
-        if 0 < n_speech < len(train_set):
+        if n_speech < len(train_set):
             raise ValueError(
                 f"use_audio needs speech on every training record, but {n_speech} "
                 f"of {len(train_set)} have it; train mixed sets with train-two-stage")
@@ -334,16 +310,6 @@ def _init_loss_state(state: TrainState, train_set: Dataset) -> None:
         state.centers = ClassCenters.zeros(embed_dim)
 
 
-def _score_with_encoder(enc: MomentumEncoder, data, use_audio: bool):
-    chunks, gfeat, speech, meta, has_speech, _ = data
-    trace = model_mod.forward_batch(chunks, gfeat, enc.params, mode="eval",
-                                    use_audio=use_audio, speech=speech, meta=meta,
-                                    has_speech=has_speech)
-    if trace.embedding is None:
-        raise ValueError("cannot pool a mixed visual/audio batch")
-    return trace.score, trace.embedding
-
-
 def steps_per_epoch(n_records: int, batch_size: int) -> int:
     return math.ceil(n_records / batch_size)
 
@@ -358,16 +324,18 @@ def train_epochs(state: TrainState, train_set: Dataset,
     total_steps = config.epochs * per_epoch
     target = config.epochs if n_epochs is None else min(config.epochs,
                                                         state.epoch + n_epochs)
-    arrays = _BatchArrays.prepare(train_set, state.params.config)
-    val_arrays = None
+    batch = model_mod.prepare_batch(train_set.records, state.params.config)
+    train_labels = train_set.labels()
+    val_batch = None
     if val_set is not None and len(val_set.records):
-        val_arrays = _BatchArrays.prepare(val_set, state.params.config)
+        val_batch = model_mod.prepare_batch(val_set.records, state.params.config)
+        val_labels = val_set.labels()
     class_counts = train_set.class_counts()
     loss_fn = LOSS_TABLE[config.loss].fn
 
     cb_gen = None
     if config.resolved_sampler == "class_balanced":
-        cb_gen = featurepipe.class_balanced_sampler(arrays.labels, config.batch_size,
+        cb_gen = featurepipe.class_balanced_sampler(train_labels, config.batch_size,
                                                     rng=state.rng)
     while state.epoch < target:
         if cb_gen is not None:
@@ -377,12 +345,11 @@ def train_epochs(state: TrainState, train_set: Dataset,
         epoch_loss = 0.0
         n_seen = 0
         for idx in batches:
-            data = arrays.take(idx)
-            chunks, gfeat, speech, meta, has_speech, labels = data
+            data, labels = batch.take(idx), train_labels[idx]
             trace = model_mod.forward_batch(
-                chunks, gfeat, state.params, mode="train",
-                use_audio=config.use_audio, speech=speech, meta=meta,
-                has_speech=has_speech, rng=state.rng)
+                data.chunks, data.gfeat, state.params, mode="train",
+                use_audio=config.use_audio, speech=data.speech, meta=data.meta,
+                has_speech=data.has_speech, rng=state.rng)
             loss, d_score, d_embed, d_logits, state.centers = loss_fn(
                 config, trace, labels, state.pool, state.centers, class_counts)
             grads = model_mod.backward(trace, state.params, d_score=d_score,
@@ -390,16 +357,16 @@ def train_epochs(state: TrainState, train_set: Dataset,
             lr = cosine_lr(state.opt["step"], total_steps, config.lr_start,
                            config.lr_end)
             if config.needs_pool and config.score_before_step:
-                m_scores, m_embeds = _score_with_encoder(state.enc, data,
-                                                         config.use_audio)
+                m_scores, m_embeds, _ = model_mod.score_batch(state.enc.params, data,
+                                                              config.use_audio)
             adamw_step(state.params, grads, state.opt, lr,
                        weight_decay=config.weight_decay,
                        frozen_keys=state.frozen_keys)
             if config.needs_pool:
                 mocorank.momentum_update(state.enc, state.params, config.momentum)
                 if not config.score_before_step:
-                    m_scores, m_embeds = _score_with_encoder(state.enc, data,
-                                                             config.use_audio)
+                    m_scores, m_embeds, _ = model_mod.score_batch(
+                        state.enc.params, data, config.use_audio)
                 state.pool.push(labels, m_scores, m_embeds)
             epoch_loss += loss * labels.size
             n_seen += labels.size
@@ -408,9 +375,10 @@ def train_epochs(state: TrainState, train_set: Dataset,
                "train_loss": epoch_loss / n_seen,
                "lr": cosine_lr(state.opt["step"], total_steps, config.lr_start,
                                config.lr_end)}
-        if val_arrays is not None:
-            report = state.val_report = _evaluate_arrays(state.params, val_arrays,
-                                                         config.use_audio)
+        if val_batch is not None:
+            scores, _, logits = model_mod.score_batch(state.params, val_batch,
+                                                      config.use_audio, EVAL_BATCH_SIZE)
+            report = state.val_report = _report(scores, logits, val_labels)
             row["val_acc"] = report.acc
             row["val_avg_acc"] = report.avg_acc
         state.history.append(row)
@@ -476,28 +444,17 @@ def train_two_stage(config: TrainConfig, train_set: Optional[Dataset] = None,
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _evaluate_arrays(params: model_mod.ModelParams, arrays: _BatchArrays,
-                     use_audio: bool, batch_size: int = 256) -> MetricsReport:
-    preds = []
-    n = arrays.labels.size
-    for start in range(0, n, batch_size):
-        sl = slice(start, start + batch_size)
-        trace = model_mod.forward_batch(
-            arrays.chunks[sl], arrays.gfeat[sl], params, mode="eval",
-            use_audio=use_audio,
-            speech=None if arrays.speech is None else arrays.speech[sl],
-            meta=None if arrays.meta is None else arrays.meta[sl],
-            has_speech=arrays.has_speech[sl])
-        if params.config.head == "categorical":
-            preds.append(np.argmax(trace.logits, axis=1))
-        else:
-            preds.append(model_mod.classify(trace.score))
-    confusion = metrics.confusion_matrix(np.concatenate(preds), arrays.labels)
-    return metrics.accuracy_metrics(confusion)
+def _report(scores: np.ndarray, logits: Optional[np.ndarray],
+            labels: np.ndarray) -> MetricsReport:
+    """Metrics of eval-mode outputs: classes are the argmax of the categorical
+    logits, or else the scores cut at the fixed class thresholds."""
+    preds = model_mod.classify(scores) if logits is None else np.argmax(logits, axis=1)
+    return metrics.accuracy_metrics(metrics.confusion_matrix(preds, labels))
 
 
 def evaluate(source, dataset: Dataset, subset: str = "all",
-             use_audio: Optional[bool] = None, batch_size: int = 256) -> MetricsReport:
+             use_audio: Optional[bool] = None,
+             batch_size: int = EVAL_BATCH_SIZE) -> MetricsReport:
     """Deterministic eval-mode scoring of a dataset into a MetricsReport.
 
     ``source`` is a TrainState or ModelParams.  ``subset`` may be "all" or
@@ -518,11 +475,9 @@ def evaluate(source, dataset: Dataset, subset: str = "all",
         records = [r for r in records if r.has_speech]
     if not records:
         raise ValueError(f"subset {subset!r} selected no records")
-    subset_ds = Dataset(records=records, split=dataset.split,
-                        n_channels=dataset.n_channels,
-                        global_dim=dataset.global_dim)
-    arrays = _BatchArrays.prepare(subset_ds, params.config)
-    return _evaluate_arrays(params, arrays, use_audio, batch_size=batch_size)
+    batch = model_mod.prepare_batch(records, params.config)
+    scores, _, logits = model_mod.score_batch(params, batch, use_audio, batch_size)
+    return _report(scores, logits, np.array([r.label for r in records]))
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +543,12 @@ def save_checkpoint(state: TrainState, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> TrainState:
-    """Read a checkpoint written by save_checkpoint; bit-exact restore."""
+    """Read a checkpoint written by save_checkpoint; bit-exact restore.
+
+    Parameters and momentum parameters are read in the layout ``init_params``
+    gives the recorded model config, and every other field is checked on
+    load: a bad one raises a ValueError naming the path and the field.
+    """
     try:
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"][()]))
@@ -603,51 +563,83 @@ def load_checkpoint(path: str) -> TrainState:
             f"unsupported checkpoint version {meta.get('version')!r}; "
             f"this reader handles version {CHECKPOINT_VERSION!r}")
 
-    config_d = dict(meta["config"])
-    config = TrainConfig(**config_d)
-    mcfg_d = dict(meta["model_config"])
-    mcfg_d["dilations"] = tuple(mcfg_d["dilations"])
-    mcfg = model_mod.ModelConfig(**mcfg_d)
-    params = model_mod.ModelParams(
-        mcfg, {k: loaded[f"param__{k}"] for k in meta["param_keys"]})
-
     def corrupt(field, problem):
         return ValueError(f"corrupt checkpoint {path!r}: field {field!r}: {problem}")
 
-    missing = [k for k in meta["frozen_keys"] if k not in params]
+    def need(source, name, prefix=""):
+        if name not in source:
+            raise corrupt(prefix + name, "missing")
+        return source[name]
+
+    def count(name):
+        value = need(meta, name)
+        if type(value) is not int or value < 0:
+            raise corrupt(name, f"{value!r} is not an integer >= 0")
+        return value
+
+    config_d, mcfg_d = need(meta, "config"), need(meta, "model_config")
+    try:
+        config = TrainConfig(**config_d)
+    except (TypeError, ValueError) as err:
+        raise corrupt("config", err) from err
+    dilations = need(mcfg_d, "dilations", "model_config.")
+    try:
+        mcfg = model_mod.ModelConfig(**dict(mcfg_d, dilations=tuple(dilations)))
+        layout = model_mod.init_params(mcfg).layout
+    except (TypeError, ValueError) as err:
+        raise corrupt("model_config", err) from err
+
+    def load_params(prefix):
+        arrays = {}
+        for key, shape in layout:
+            name = f"{prefix}__{key}"
+            arrays[key] = need(loaded, name)
+            if arrays[key].shape != shape:
+                raise corrupt(name, f"shape {arrays[key].shape}, but model_config "
+                                    f"gives {shape}")
+        return model_mod.ModelParams(mcfg, arrays)
+
+    params = load_params("param")
+    frozen_keys = tuple(need(meta, "frozen_keys"))
+    missing = [k for k in frozen_keys if k not in params]
     if missing:
         raise corrupt("frozen_keys", f"names {missing[0]!r}, which the model does not have")
     for name in ("opt__m", "opt__v"):
-        if loaded[name].shape != (params.n_params,):
+        if need(loaded, name).shape != (params.n_params,):
             raise corrupt(name, f"shape {loaded[name].shape}, expected ({params.n_params},)")
-    step = meta["opt_step"]
-    if type(step) is not int or step < 0:
-        raise corrupt("opt_step", f"{step!r} is not an integer >= 0")
-    opt = {"m": loaded["opt__m"].copy(), "v": loaded["opt__v"].copy(), "step": step}
+    opt = {"m": loaded["opt__m"].copy(), "v": loaded["opt__v"].copy(),
+           "step": count("opt_step")}
+    rng_state = need(meta, "rng_state")
     rng = np.random.default_rng()
-    rng.bit_generator.state = meta["rng_state"]
+    try:
+        rng.bit_generator.state = rng_state
+    except (TypeError, ValueError, KeyError, OverflowError) as err:
+        raise corrupt("rng_state", f"not a PCG64 state ({err!r})") from err
     state = TrainState(config=config, params=params, opt=opt, rng=rng,
-                       epoch=int(meta["epoch"]),
-                       frozen_keys=tuple(meta["frozen_keys"]))
-    if meta["has_enc"]:
-        enc_params = model_mod.ModelParams(
-            mcfg, {k: loaded[f"momentum__{k}"] for k in meta["param_keys"]})
-        state.enc = MomentumEncoder(params=enc_params,
-                                    momentum=float(meta["enc_momentum"]))
-    if meta["has_pool"]:
+                       epoch=count("epoch"), frozen_keys=frozen_keys)
+    width = mcfg.audio_embed_dim if config.use_audio else mcfg.embed_dim
+    if need(meta, "has_enc"):
+        state.enc = MomentumEncoder(params=load_params("momentum"),
+                                    momentum=float(need(meta, "enc_momentum")))
+    if need(meta, "has_pool"):
+        pool_meta = need(meta, "pool")
+        ring = {k: need(loaded, f"pool__{k}") for k in ("labels", "scores", "embeddings")}
+        ring.update({k: need(pool_meta, k, "pool.") for k in ("count", "next", "capacity")})
+        emb = ring["embeddings"]
+        if emb.ndim == 2 and emb.size and emb.shape[1] != width:
+            raise corrupt("pool__embeddings", f"width {emb.shape[1]}, but the model's "
+                                              f"embeddings have width {width}")
         try:
-            state.pool = ScorePool.from_state({
-                "labels": loaded["pool__labels"],
-                "scores": loaded["pool__scores"],
-                "embeddings": loaded["pool__embeddings"],
-                "count": meta["pool"]["count"],
-                "next": meta["pool"]["next"],
-                "capacity": meta["pool"]["capacity"]})
+            state.pool = ScorePool.from_state(ring)
         except ValueError as err:
             raise ValueError(f"corrupt checkpoint {path!r}: {err}") from err
-    if meta["has_centers"]:
-        state.centers = ClassCenters(values=loaded["centers__values"].copy(),
-                                     alpha=float(meta["centers_alpha"]))
+    if need(meta, "has_centers"):
+        values = need(loaded, "centers__values")
+        if values.shape != (N_CLASSES, width):
+            raise corrupt("centers__values", f"shape {values.shape}, expected "
+                                             f"{(N_CLASSES, width)}")
+        state.centers = ClassCenters(values=values.copy(),
+                                     alpha=float(need(meta, "centers_alpha")))
     return state
 
 
@@ -678,8 +670,9 @@ def grad_check_loss(config: TrainConfig, n_params_max: int = 1000,
         raise ValueError(
             f"model has {params.n_params} parameters, over the {n_params_max} cap")
     ds = _tiny_dataset(config, seed)
-    chunks, gfeat, speech, meta, has_speech, labels = _BatchArrays.prepare(
-        ds, params.config).take(np.arange(config.batch_size))
+    chunks, gfeat, speech, meta, has_speech = model_mod.prepare_batch(
+        ds.records[:config.batch_size], params.config)
+    labels = ds.labels()[:config.batch_size]
     class_counts = ds.class_counts()
 
     pool = None

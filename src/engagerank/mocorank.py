@@ -78,7 +78,13 @@ class ScorePool:
         return self._embeddings[:self._count] if not self.full else self._embeddings
 
     def push(self, labels, scores, embeddings) -> "ScorePool":
-        """Append a batch, evicting the same number of oldest entries if full."""
+        """Append a batch, evicting the same number of oldest entries if full.
+
+        ``embeddings`` of None, which ``model.score_batch`` returns for a batch
+        scored partly through the audio branch, is refused.
+        """
+        if embeddings is None:
+            raise ValueError("cannot pool a mixed visual/audio batch")
         labels = np.asarray(labels, dtype=np.int64).reshape(-1)
         scores = np.asarray(scores, dtype=np.float64).reshape(-1)
         embeddings = np.asarray(embeddings, dtype=np.float64)
@@ -196,17 +202,6 @@ class MomentumEncoder:
     def from_model(cls, params: model_mod.ModelParams, momentum: float = 0.999):
         return cls(params=params.copy(), momentum=momentum)
 
-    def score_records(self, records, use_audio: bool = False):
-        """Eval-mode scores and pre-head embeddings for a list of records."""
-        chunks, gfeat, speech, meta, has_speech = model_mod.prepare_batch(
-            records, self.params.config)
-        trace = model_mod.forward_batch(chunks, gfeat, self.params, mode="eval",
-                                        use_audio=use_audio, speech=speech,
-                                        meta=meta, has_speech=has_speech)
-        if trace.embedding is None:
-            raise ValueError("cannot pool a mixed visual/audio batch")
-        return trace.score, trace.embedding
-
 
 def momentum_update(enc: MomentumEncoder, model_params: model_mod.ModelParams,
                     m: float = 0.999) -> MomentumEncoder:
@@ -239,7 +234,8 @@ def pool_init(dataset: Dataset, enc: MomentumEncoder, capacity: int, seed: int,
     picked = picked[:capacity]
     order = rng.permutation(len(picked))
     records = [dataset.records[picked[i]] for i in order]
-    scores, embeddings = enc.score_records(records, use_audio=use_audio)
+    batch = model_mod.prepare_batch(records, enc.params.config)
+    scores, embeddings, _ = model_mod.score_batch(enc.params, batch, use_audio)
     pool = ScorePool(capacity)
     pool.push(np.array([r.label for r in records]), scores, embeddings)
     return pool

@@ -9,11 +9,12 @@ branch projects a speech embedding, concatenates it with the visual feature
 and the acoustic metadata, and scores through a second cosine head.
 
 Everything is float64 numpy.  ``ModelParams`` keeps every weight in one
-contiguous vector with named views into it.  Train-mode forward passes record
-the intermediates needed for an exact backward pass, which accumulates into
-named views of one zeroed gradient vector laid out like that buffer.
-Eval-mode forward passes keep no such caches, only their inputs: ``backward``
-on an eval trace re-runs the forward with caches first.
+contiguous vector with named views into it.  ``prepare_batch`` turns records
+into a ``Batch`` of stacked arrays.  Train-mode forward passes record the
+intermediates needed for an exact backward pass, which accumulates into named
+views of one zeroed gradient vector laid out like that buffer.  Eval-mode
+forward passes keep no such caches and cannot be differentiated;
+``score_batch`` is the one eval-mode scoring path over a prepared batch.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import warnings
 from copy import copy as shallow_copy
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -560,11 +561,8 @@ class Trace:
     """Everything one forward pass produced.
 
     A train-mode trace carries the caches its backward pass reads.  An
-    eval-mode trace carries none (``cache`` is None); ``backward`` re-runs
-    the forward from ``inputs`` with caches instead.  ``inputs`` holds the
-    caller's arrays by reference, so an eval trace is differentiated at the
-    params and inputs as they are when ``backward`` runs, not as they were
-    when it was traced.
+    eval-mode trace carries none (``cache`` is None), so ``backward`` and
+    ``relu_signature`` refuse it.
     """
 
     config: ModelConfig
@@ -578,7 +576,6 @@ class Trace:
     logits: Optional[np.ndarray]   # (B, 4) when the categorical head is active
     audio_used: np.ndarray         # (B,) bool
     cache: Optional[dict]
-    inputs: tuple                  # (chunks, global_feat, use_audio, speech, meta, has_speech)
 
     @property
     def batch_size(self) -> int:
@@ -599,16 +596,11 @@ def forward_batch(chunks: np.ndarray, global_feat: np.ndarray, params: ModelPara
     """
     if mode not in ("train", "eval"):
         raise ValueError("mode must be 'train' or 'eval'")
-    inputs = (np.asarray(chunks, dtype=np.float64), np.asarray(global_feat, dtype=np.float64),
-              use_audio, speech, meta, has_speech)
-    return _forward(inputs, params, mode, rng, keep=mode == "train")
-
-
-def _forward(inputs: tuple, params: ModelParams, mode: str, rng, keep: bool) -> Trace:
-    chunks, global_feat, use_audio, speech, meta, has_speech = inputs
+    chunks = np.asarray(chunks, dtype=np.float64)
+    global_feat = np.asarray(global_feat, dtype=np.float64)
     train = mode == "train"
     cfg = params.config
-    encoded, tcn_caches = _tcn_forward(chunks, params, train, rng, keep)
+    encoded, tcn_caches = _tcn_forward(chunks, params, train, rng, keep=train)
     pooled, attn, attn_cache = _attention_forward(encoded, global_feat, params, train, rng)
     fused, concat_cache = _concat_forward(global_feat, pooled, params)
 
@@ -641,11 +633,29 @@ def _forward(inputs: tuple, params: ModelParams, mode: str, rng, keep: bool) -> 
 
     return Trace(config=cfg, mode=mode, encoded=encoded, attn=attn, pooled=pooled,
                  fused=fused, score=score, embedding=embedding, logits=logits,
-                 audio_used=audio_used, cache=cache if keep else None, inputs=inputs)
+                 audio_used=audio_used, cache=cache if train else None)
 
 
-def prepare_batch(records: list[SampleRecord], config: ModelConfig):
-    """Chunk-summarize records into stacked arrays the batched forward takes.
+class Batch(NamedTuple):
+    """Records prepared for the batched forward: one row per record.
+
+    ``speech`` and ``meta`` are None when no record carries speech; rows of
+    records without speech are zero.
+    """
+
+    chunks: np.ndarray             # (B, 3D, T) chunk summaries
+    gfeat: np.ndarray              # (B, d) global features
+    speech: Optional[np.ndarray]   # (B, speech_dim)
+    meta: Optional[np.ndarray]     # (B, AUDIO_META_DIM)
+    has_speech: np.ndarray         # (B,) bool
+
+    def take(self, idx) -> "Batch":
+        """The rows ``idx`` (an index array or a slice) of every field."""
+        return Batch(*(None if a is None else a[idx] for a in self))
+
+
+def prepare_batch(records: list[SampleRecord], config: ModelConfig) -> Batch:
+    """Chunk-summarize records into the stacked arrays of a ``Batch``.
 
     A record object listed more than once is chunk-summarized once.
     """
@@ -666,7 +676,7 @@ def prepare_batch(records: list[SampleRecord], config: ModelConfig):
             if r.has_speech:
                 speech[i] = r.speech_embedding
                 meta[i] = r.audio_meta
-    return chunks, gfeat, speech, meta, has_speech
+    return Batch(chunks, gfeat, speech, meta, has_speech)
 
 
 def forward(record: SampleRecord, params: ModelParams, mode: str = "eval",
@@ -677,6 +687,30 @@ def forward(record: SampleRecord, params: ModelParams, mode: str = "eval",
                          speech=speech, meta=meta, has_speech=has_speech, rng=rng)
 
 
+def score_batch(params: ModelParams, batch: Batch, use_audio: bool = False,
+                batch_size: Optional[int] = None):
+    """Eval-mode (scores, embeddings, logits) of a prepared batch.
+
+    Runs one forward over every row, or one per ``batch_size`` rows.  Scores
+    are per record; logits are None without the categorical head; embeddings
+    are the pre-head features the scores used, and None when ``use_audio``
+    scores some records of the batch through the audio branch and not others.
+    """
+    n = len(batch.chunks)
+    step = n if batch_size is None else batch_size
+    traces = [forward_batch(part.chunks, part.gfeat, params, mode="eval",
+                            use_audio=use_audio, speech=part.speech, meta=part.meta,
+                            has_speech=part.has_speech)
+              for part in (batch.take(slice(i, i + step)) for i in range(0, n, step))]
+    scores = np.concatenate([t.score for t in traces])
+    audio_used = np.concatenate([t.audio_used for t in traces])
+    embeddings = (None if audio_used.any() and not audio_used.all()
+                  else np.concatenate([t.embedding for t in traces]))
+    logits = (None if params.config.head != "categorical"
+              else np.concatenate([t.logits for t in traces]))
+    return scores, embeddings, logits
+
+
 def backward(trace: Trace, params: ModelParams, d_score=None, d_embed=None,
              d_logits=None) -> np.ndarray:
     """Exact reverse-mode gradients for the traced forward pass.
@@ -685,11 +719,9 @@ def backward(trace: Trace, params: ModelParams, d_score=None, d_embed=None,
     (the pre-head feature the score used), and ``d_logits`` dLoss/dlogits for
     the categorical head.  Returns one gradient vector laid out like
     ``params.vector``; each tensor's gradient accumulates into its named view.
-    An eval trace keeps no caches, so its forward is first re-run with them
-    from the trace's inputs under ``params``: the gradient is taken at
-    ``params`` and those inputs as they are now.  Changing either in place
-    between the forward and this call (as ``adamw_step`` does to params)
-    changes the result; a train trace uses its forward-time activations.
+    The trace must come from a train-mode forward, whose caches hold the
+    activations the gradient is taken at; an eval trace keeps none and is
+    refused.
     """
     if trace.config is not params.config:
         if trace.config != params.config:
@@ -698,7 +730,8 @@ def backward(trace: Trace, params: ModelParams, d_score=None, d_embed=None,
     if trace.audio_used.any() and not trace.audio_used.all():
         raise ValueError("cannot backpropagate a mixed visual/audio batch")
     if trace.cache is None:
-        trace = _forward(trace.inputs, params, trace.mode, rng=None, keep=True)
+        raise ValueError("backward needs a train-mode trace; an eval trace keeps "
+                         "no backward caches")
     audio = bool(trace.audio_used.all()) and "audio" in trace.cache
 
     g = np.zeros(params.n_params)

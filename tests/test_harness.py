@@ -242,6 +242,13 @@ class TestInitTrainState:
         with pytest.raises(ValueError, match="train-two-stage"):
             harness.init_train_state(cfg, data)
 
+    def test_audio_without_speech_refused(self):
+        """Not one record to score through the audio branch: the pool would
+        hold visual embeddings and the centers audio-width ones."""
+        cfg = tiny_train_config(loss="mocorank+center", use_audio=True)
+        with pytest.raises(ValueError, match="0 of 48 have it"):
+            harness.init_train_state(cfg, tiny_data())
+
     def test_center_variant_gets_centers(self):
         cfg = tiny_train_config(loss="mocorank+center")
         state = harness.init_train_state(cfg, tiny_data())
@@ -433,9 +440,11 @@ class TestCheckpointing:
         assert "ckpt.npz" in str(err.value)
 
     @staticmethod
-    def _edited_checkpoint(tmp_path, meta_edits=None, array_edits=None):
-        """Save a fresh pool-loss state, then rewrite fields of the file."""
-        state = harness.init_train_state(tiny_train_config(loss="mocorank"),
+    def _edited_checkpoint(tmp_path, meta_edits=None, array_edits=None, drop=(),
+                           loss="mocorank"):
+        """Save a fresh state of the given loss, then rewrite fields of the
+        file; ``drop`` names meta keys and arrays to delete."""
+        state = harness.init_train_state(tiny_train_config(loss=loss),
                                          tiny_data(n=32))
         path = tmp_path / "ckpt.npz"
         harness.save_checkpoint(state, str(path))
@@ -444,6 +453,9 @@ class TestCheckpointing:
             arrays = {k: data[k] for k in data.files if k != "meta"}
         meta.update(meta_edits or {})
         arrays.update(array_edits or {})
+        for name in drop:
+            meta.pop(name, None)
+            arrays.pop(name, None)
         with open(path, "wb") as fh:
             np.savez(fh, meta=json.dumps(meta), **arrays)
         return path
@@ -468,6 +480,90 @@ class TestCheckpointing:
         with pytest.raises(ValueError, match="'opt_step'.*integer") as err:
             harness.load_checkpoint(str(path))
         assert "ckpt.npz" in str(err.value)
+
+    def _saved(self, tmp_path, field):
+        """A field of a freshly saved pool-loss checkpoint."""
+        with np.load(self._edited_checkpoint(tmp_path), allow_pickle=False) as data:
+            if field in data.files:
+                return data[field]
+            return json.loads(str(data["meta"][()]))[field]
+
+    @staticmethod
+    def _refused(path, field, problem=""):
+        with pytest.raises(ValueError, match=f"field '{field}': {problem}") as err:
+            harness.load_checkpoint(str(path))
+        assert f"corrupt checkpoint '{path}'" in str(err.value)
+
+    def test_params_against_model_config(self, tmp_path):
+        """A model_config wider than its params is refused, not trained."""
+        mcfg = self._saved(tmp_path, "model_config")
+        path = self._edited_checkpoint(tmp_path, meta_edits={
+            "model_config": dict(mcfg, width=mcfg["width"] + 1)})
+        self._refused(path, "param__tcn.0.conv1.w", "shape .*model_config gives")
+
+    def test_momentum_params_against_model_config(self, tmp_path):
+        path = self._edited_checkpoint(
+            tmp_path, array_edits={"momentum__head.w": np.zeros(3)})
+        self._refused(path, "momentum__head.w", "shape")
+
+    @pytest.mark.parametrize("name", ["param__head.w", "momentum__tcn.1.conv2.b",
+                                      "opt__v", "pool__scores", "centers__values"])
+    def test_missing_array(self, tmp_path, name):
+        path = self._edited_checkpoint(tmp_path, drop=[name], loss="mocorank+center")
+        self._refused(path, name, "missing")
+
+    @pytest.mark.parametrize("name", ["config", "epoch", "rng_state", "has_pool",
+                                      "enc_momentum", "centers_alpha", "pool"])
+    def test_missing_meta_key(self, tmp_path, name):
+        path = self._edited_checkpoint(tmp_path, drop=[name], loss="mocorank+center")
+        self._refused(path, name, "missing")
+
+    def test_missing_pool_meta_key(self, tmp_path):
+        pool = self._saved(tmp_path, "pool")
+        del pool["next"]
+        path = self._edited_checkpoint(tmp_path, meta_edits={"pool": pool})
+        self._refused(path, "pool.next", "missing")
+
+    def test_pool_embedding_width(self, tmp_path):
+        """A pool of another width would fail inside the loss's matmul."""
+        emb = self._saved(tmp_path, "pool__embeddings")
+        path = self._edited_checkpoint(
+            tmp_path, array_edits={"pool__embeddings": emb[:, 1:]})
+        self._refused(path, "pool__embeddings", "width")
+
+    def test_centers_shape(self, tmp_path):
+        path = self._edited_checkpoint(tmp_path, loss="mocorank+center",
+                                       array_edits={"centers__values": np.zeros((4, 3))})
+        self._refused(path, "centers__values", "shape")
+
+    @pytest.mark.parametrize("epoch", [-1, 1.5, "2", None])
+    def test_epoch(self, tmp_path, epoch):
+        path = self._edited_checkpoint(tmp_path, meta_edits={"epoch": epoch})
+        self._refused(path, "epoch", ".*integer")
+
+    @pytest.mark.parametrize("rng_state", [
+        5, {"bit_generator": "MT19937"}, {"bit_generator": "PCG64"},
+        {"bit_generator": "PCG64", "state": {"state": -1, "inc": 1},
+         "has_uint32": 0, "uinteger": 0}])
+    def test_rng_state(self, tmp_path, rng_state):
+        path = self._edited_checkpoint(tmp_path, meta_edits={"rng_state": rng_state})
+        self._refused(path, "rng_state", "not a PCG64 state")
+
+    @pytest.mark.parametrize("config", [{"bogus": 1}, {"loss": "hinge"},
+                                        {"momentum": 1.5}, 7])
+    def test_config(self, tmp_path, config):
+        """An unknown field, an invalid value, or no mapping at all."""
+        base = self._saved(tmp_path, "config")
+        edited = dict(base, **config) if isinstance(config, dict) else config
+        path = self._edited_checkpoint(tmp_path, meta_edits={"config": edited})
+        self._refused(path, "config")
+
+    @pytest.mark.parametrize("edit", [{"fusion": "late"}, {"bogus": 1}, {"width": -2}])
+    def test_model_config(self, tmp_path, edit):
+        base = self._saved(tmp_path, "model_config")
+        path = self._edited_checkpoint(tmp_path,
+                                       meta_edits={"model_config": dict(base, **edit)})
+        self._refused(path, "model_config")
 
     def test_valid_frozen_keys_still_load(self, tmp_path):
         path = self._edited_checkpoint(

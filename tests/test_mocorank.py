@@ -140,6 +140,40 @@ class TestScorePool:
         with pytest.raises(ValueError, match=f"'{field}'"):
             mr.ScorePool.from_state(state)
 
+    def test_ring_matches_a_list_model(self):
+        """Any run of pushes leaves the last ``capacity`` items, oldest first,
+        and ``state()`` round-trips the ring bit for bit."""
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        runs = st.integers(1, 16).flatmap(
+            lambda cap: st.tuples(st.just(cap), st.lists(st.integers(0, cap), max_size=10)))
+
+        @hyp.settings(max_examples=200, deadline=None, database=None)
+        @hyp.given(runs, st.integers(0, 2 ** 32 - 1))
+        def check(run, seed):
+            cap, sizes = run
+            rng = np.random.default_rng(seed)
+            pool, pushed = mr.ScorePool(cap), []
+            for b in sizes:
+                labels = rng.integers(0, 4, size=b)
+                scores = rng.uniform(-1.0, 1.0, size=b)
+                embeddings = rng.standard_normal((b, 3))
+                pool.push(labels, scores, embeddings)
+                pushed += zip(labels.tolist(), scores.tolist(), embeddings)
+                kept = pushed[-cap:]
+                got = pool.entries()
+                assert len(pool) == len(kept)
+                assert [(e.label, e.score) for e in got] == [(l, s) for l, s, _ in kept]
+                for e, (_, _, emb) in zip(got, kept):
+                    assert e.embedding.tobytes() == emb.tobytes()
+            state = pool.state()
+            back = mr.ScorePool.from_state(state).state()
+            for key, value in state.items():
+                value, other = np.asarray(value), np.asarray(back[key])
+                assert (value.shape, value.tobytes()) == (other.shape, other.tobytes()), key
+
+        check()
+
     def test_state_dead_slots_unchecked(self):
         """Slots past count are never read, so their contents do not matter."""
         pool = mr.ScorePool(4)
@@ -229,11 +263,14 @@ class TestMomentumEncoder:
 
 
 class TestPoolInit:
-    def tiny_setup(self, n=16, seed=0, proportions=(1.0, 1.0, 1.0, 1.0)):
+    def tiny_setup(self, n=16, seed=0, proportions=(1.0, 1.0, 1.0, 1.0),
+                   speech_fraction=0.0):
         data = fp.synth_dataset(n, n_channels=2, global_dim=5, n_frames=12,
-                                seed=seed, proportions=proportions)
+                                seed=seed, proportions=proportions,
+                                speech_fraction=speech_fraction, speech_dim=6)
         cfg = model.ModelConfig(n_channels=2, n_chunks=4, width=4, global_dim=5,
-                                speech_dim=6, min_frames=8)
+                                speech_dim=6, min_frames=8,
+                                with_audio=speech_fraction > 0)
         enc = mr.MomentumEncoder.from_model(model.init_params(cfg, seed=1))
         return data, enc
 
@@ -268,15 +305,28 @@ class TestPoolInit:
         with pytest.raises(ValueError, match="missing"):
             mr.pool_init(culled, enc, capacity=8, seed=0)
 
-    def test_scores_come_from_the_encoder(self):
+    def test_scores_come_from_the_encoder(self, monkeypatch):
+        """The ring holds the encoder's eval-mode forward over the picked
+        records, in one batch, bit for bit."""
         data, enc = self.tiny_setup()
+        picked = []
+        real = model.prepare_batch
+        monkeypatch.setattr(model, "prepare_batch",
+                            lambda records, cfg: picked.append(records) or real(records, cfg))
         pool = mr.pool_init(data, enc, capacity=8, seed=3)
-        by_id = {r.id: r for r in data.records}
-        # every pooled score must be reproducible by scoring some record
-        all_scores, _ = enc.score_records(data.records)
-        for s in pool.scores:
-            assert np.isclose(all_scores, s, rtol=1e-12, atol=0).any()
-        assert by_id  # the dataset itself is non-empty
+        [records] = picked
+        assert {id(r) for r in records} <= {id(r) for r in data.records}
+        chunks, gfeat, *_ = real(records, enc.params.config)
+        trace = model.forward_batch(chunks, gfeat, enc.params)
+        assert pool.labels.tolist() == [r.label for r in records]
+        assert pool.scores.tobytes() == trace.score.tobytes()
+        assert pool.embeddings.tobytes() == trace.embedding.tobytes()
+
+    def test_mixed_speech_audio_fill_refused(self):
+        data, enc = self.tiny_setup(speech_fraction=0.5)
+        assert 0 < data.speech_indices().size < len(data)
+        with pytest.raises(ValueError, match="cannot pool a mixed"):
+            mr.pool_init(data, enc, capacity=8, seed=0, use_audio=True)
 
 
 class TestMargin:

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -418,8 +416,9 @@ class TestMixedBatches:
         params = model.init_params(cfg, seed=4)
         records = tiny_records(4, seed=6, speech_fraction=1.0)
         chunks, gfeat, speech, meta, has_speech = model.prepare_batch(records, cfg)
-        trace = model.forward_batch(chunks, gfeat, params, use_audio=True,
-                                    speech=speech, meta=meta, has_speech=has_speech)
+        trace = model.forward_batch(chunks, gfeat, params, mode="train",
+                                    use_audio=True, speech=speech, meta=meta,
+                                    has_speech=has_speech, rng=np.random.default_rng(0))
         assert trace.embedding.shape == (4, cfg.audio_embed_dim)
         flat = model.backward(trace, params, d_score=np.ones(4))
         assert flat.shape == (params.n_params,)
@@ -427,7 +426,7 @@ class TestMixedBatches:
 
 
 class TestEvalTraces:
-    """Eval forwards keep no backward caches; backward re-runs them."""
+    """Eval forwards keep no backward caches, so only train traces backpropagate."""
 
     @staticmethod
     def _batch(kind):
@@ -459,24 +458,15 @@ class TestEvalTraces:
             model.relu_signature(trace)
 
     @pytest.mark.parametrize("kind", ["visual", "audio", "categorical"])
-    def test_backward_equals_dropout_free_train_trace(self, kind):
+    def test_backward_refuses_eval_trace(self, kind):
         cfg, chunks, gfeat, kwargs = self._batch(kind)
         params = model.init_params(cfg, seed=7)
-        no_dropout = model.ModelParams(replace(cfg, dropout=0.0), dict(params.items()))
-        eval_trace = model.forward_batch(chunks, gfeat, params, **kwargs)
-        train_trace = model.forward_batch(chunks, gfeat, no_dropout, mode="train",
-                                          rng=np.random.default_rng(0), **kwargs)
-        assert eval_trace.score.tobytes() == train_trace.score.tobytes()
-        rng = np.random.default_rng(3)
-        grads = {"d_embed": rng.standard_normal(eval_trace.embedding.shape)}
+        trace = model.forward_batch(chunks, gfeat, params, **kwargs)
+        grads = {"d_embed": np.ones_like(trace.embedding)}
         if kind == "categorical":
-            grads["d_logits"] = rng.standard_normal(eval_trace.logits.shape)
-        else:
-            grads["d_score"] = rng.standard_normal(eval_trace.batch_size)
-        from_eval = model.backward(eval_trace, params, **grads)
-        from_train = model.backward(train_trace, no_dropout, **grads)
-        assert from_eval.tobytes() == from_train.tobytes()
-        assert np.any(from_eval)
+            grads["d_logits"] = np.ones_like(trace.logits)
+        with pytest.raises(ValueError, match="train-mode trace"):
+            model.backward(trace, params, **grads)
 
     def test_block_zero_input_gradient_not_computed(self, monkeypatch):
         """Every block but the first passes a gradient to its input."""
@@ -490,6 +480,39 @@ class TestEvalTraces:
                             lambda *a: calls.append(1) or real(*a))
         model.backward(trace, params, d_score=np.ones(trace.batch_size))
         assert len(calls) == 2 * len(cfg.dilations) - 1
+
+
+class TestScoreBatch:
+    @pytest.mark.parametrize("kind", ["visual", "audio", "mixed", "categorical"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 9, None])
+    def test_equals_slice_by_slice_forward(self, kind, k):
+        cfg = tiny_config(with_audio=kind in ("audio", "mixed"),
+                          head="categorical" if kind == "categorical" else "scalar")
+        fraction = {"audio": 1.0, "mixed": 0.5}.get(kind, 0.0)
+        batch = model.prepare_batch(tiny_records(8, seed=3, speech_fraction=fraction), cfg)
+        params = model.init_params(cfg, seed=7)
+        use_audio = kind in ("audio", "mixed")
+        scores, embeddings, logits = model.score_batch(params, batch, use_audio,
+                                                       batch_size=k)
+        step = k or 8
+        ref = [model.forward_batch(
+                   batch.chunks[i:i + step], batch.gfeat[i:i + step], params,
+                   use_audio=use_audio, has_speech=batch.has_speech[i:i + step],
+                   speech=None if batch.speech is None else batch.speech[i:i + step],
+                   meta=None if batch.meta is None else batch.meta[i:i + step])
+               for i in range(0, 8, step)]
+        assert scores.tobytes() == np.concatenate([t.score for t in ref]).tobytes()
+        if kind == "mixed":
+            # no single embedding width, even when each slice is uniform
+            assert batch.has_speech.any() and not batch.has_speech.all()
+            assert embeddings is None
+        else:
+            assert embeddings.tobytes() == \
+                np.concatenate([t.embedding for t in ref]).tobytes()
+        if kind == "categorical":
+            assert logits.tobytes() == np.concatenate([t.logits for t in ref]).tobytes()
+        else:
+            assert logits is None
 
 
 class TestPrepareBatch:
