@@ -166,13 +166,12 @@ class TrainConfig:
             return self.sampler
         return "class_balanced" if self.head == "categorical" else "sequential"
 
-    def model_config(self, with_audio: Optional[bool] = None) -> model_mod.ModelConfig:
+    def model_config(self) -> model_mod.ModelConfig:
         return model_mod.ModelConfig(
             n_channels=self.n_channels, n_chunks=self.n_chunks, width=self.width,
             global_dim=self.global_dim, speech_dim=self.speech_dim,
             dropout=self.dropout, fusion=self.ablation, head=self.head,
-            with_audio=self.use_audio if with_audio is None else with_audio,
-            min_frames=self.min_frames)
+            with_audio=self.use_audio, min_frames=self.min_frames)
 
     @classmethod
     def desk(cls, **overrides) -> "TrainConfig":
@@ -274,9 +273,7 @@ def _load_dataset(path: Optional[str], name: str) -> Dataset:
     return featurepipe.load_records(path)
 
 
-def init_train_state(config: TrainConfig, train_set: Dataset,
-                     model_config: Optional[model_mod.ModelConfig] = None,
-                     frozen_keys: tuple = ()) -> TrainState:
+def init_train_state(config: TrainConfig, train_set: Dataset) -> TrainState:
     if config.use_audio:
         n_speech = train_set.speech_indices().size
         if n_speech < len(train_set):
@@ -284,30 +281,28 @@ def init_train_state(config: TrainConfig, train_set: Dataset,
                 f"use_audio needs speech on every training record, but {n_speech} "
                 f"of {len(train_set)} have it; train mixed sets with train-two-stage")
     rng = np.random.default_rng(config.seed)
-    mcfg = model_config or config.model_config()
-    params = model_mod.init_params(mcfg, seed=config.seed)
+    params = model_mod.init_params(config.model_config(), seed=config.seed)
     if config.init_from is not None:
         donor = load_checkpoint(config.init_from).params
         if donor.layout != params.layout:
-            raise ValueError("init_from checkpoint does not match the model shape")
+            raise ValueError(f"init_from checkpoint {config.init_from!r} does not "
+                             f"match the model shape")
         params.set_flat(donor.vector)
-    state = TrainState(config=config, params=params, opt=init_opt_state(params),
-                       rng=rng, frozen_keys=tuple(frozen_keys))
+    state = TrainState(config=config, params=params, opt=init_opt_state(params), rng=rng)
     _init_loss_state(state, train_set)
     return state
 
 
 def _init_loss_state(state: TrainState, train_set: Dataset) -> None:
     """A fresh momentum encoder and pool, and zero centers, where the loss uses them."""
-    config, mcfg = state.config, state.params.config
+    config = state.config
     if config.needs_pool:
         state.enc = MomentumEncoder.from_model(state.params, config.momentum)
         pool_seed = int(state.rng.integers(2 ** 31))
         state.pool = mocorank.pool_init(train_set, state.enc, config.pool_size,
-                                        seed=pool_seed, use_audio=config.use_audio)
+                                        seed=pool_seed)
     if config.needs_centers:
-        embed_dim = (mcfg.audio_embed_dim if config.use_audio else mcfg.embed_dim)
-        state.centers = ClassCenters.zeros(embed_dim)
+        state.centers = ClassCenters.zeros(state.params.config.score_embed_dim)
 
 
 def steps_per_epoch(n_records: int, batch_size: int) -> int:
@@ -348,8 +343,8 @@ def train_epochs(state: TrainState, train_set: Dataset,
             data, labels = batch.take(idx), train_labels[idx]
             trace = model_mod.forward_batch(
                 data.chunks, data.gfeat, state.params, mode="train",
-                use_audio=config.use_audio, speech=data.speech, meta=data.meta,
-                has_speech=data.has_speech, rng=state.rng)
+                speech=data.speech, meta=data.meta, has_speech=data.has_speech,
+                rng=state.rng)
             loss, d_score, d_embed, d_logits, state.centers = loss_fn(
                 config, trace, labels, state.pool, state.centers, class_counts)
             grads = model_mod.backward(trace, state.params, d_score=d_score,
@@ -357,16 +352,14 @@ def train_epochs(state: TrainState, train_set: Dataset,
             lr = cosine_lr(state.opt["step"], total_steps, config.lr_start,
                            config.lr_end)
             if config.needs_pool and config.score_before_step:
-                m_scores, m_embeds, _ = model_mod.score_batch(state.enc.params, data,
-                                                              config.use_audio)
+                m_scores, m_embeds, _ = model_mod.score_batch(state.enc.params, data)
             adamw_step(state.params, grads, state.opt, lr,
                        weight_decay=config.weight_decay,
                        frozen_keys=state.frozen_keys)
             if config.needs_pool:
                 mocorank.momentum_update(state.enc, state.params, config.momentum)
                 if not config.score_before_step:
-                    m_scores, m_embeds, _ = model_mod.score_batch(
-                        state.enc.params, data, config.use_audio)
+                    m_scores, m_embeds, _ = model_mod.score_batch(state.enc.params, data)
                 state.pool.push(labels, m_scores, m_embeds)
             epoch_loss += loss * labels.size
             n_seen += labels.size
@@ -377,7 +370,7 @@ def train_epochs(state: TrainState, train_set: Dataset,
                                config.lr_end)}
         if val_batch is not None:
             scores, _, logits = model_mod.score_batch(state.params, val_batch,
-                                                      config.use_audio, EVAL_BATCH_SIZE)
+                                                      EVAL_BATCH_SIZE)
             report = state.val_report = _report(scores, logits, val_labels)
             row["val_acc"] = report.acc
             row["val_avg_acc"] = report.avg_acc
@@ -404,9 +397,10 @@ def train_two_stage(config: TrainConfig, train_set: Optional[Dataset] = None,
                     val_set: Optional[Dataset] = None) -> tuple[TrainState, list]:
     """Visual stage on all records, then audio stage on the speech subset.
 
-    Stage 1 never updates audio parameters; stage 2 freezes every visual
-    parameter bit-for-bit and trains only the speech projection and the
-    multimodal head, with the pool rebuilt from speech records.
+    Stage 1 is a plain visual run of ``config``; stage 2 adds the audio branch,
+    freezes every visual parameter at its stage-1 value bit for bit and trains
+    only the speech projection and the multimodal head, with the pool rebuilt
+    from speech records.
     """
     if train_set is None:
         train_set = _load_dataset(config.train_path, "train")
@@ -415,10 +409,7 @@ def train_two_stage(config: TrainConfig, train_set: Optional[Dataset] = None,
     speech_records = [r for r in train_set.records if r.has_speech]
     if not speech_records:
         raise ValueError("no speech records")
-    stage1_cfg = replace(config, use_audio=False)
-    state = init_train_state(stage1_cfg, train_set,
-                             model_config=config.model_config(with_audio=True))
-    state.frozen_keys = tuple(state.params.audio_keys())
+    state = init_train_state(replace(config, use_audio=False), train_set)
     train_epochs(state, train_set, val_set)
     for row in state.history:
         row["stage"] = 1
@@ -428,10 +419,14 @@ def train_two_stage(config: TrainConfig, train_set: Optional[Dataset] = None,
                          global_dim=train_set.global_dim)
     stage2_cfg = replace(config, use_audio=True,
                          epochs=config.stage2_epochs or config.epochs)
-    visual_keys = tuple(state.params.visual_keys())
-    stage2 = TrainState(config=stage2_cfg, params=state.params,
-                        opt=init_opt_state(state.params), rng=state.rng,
-                        frozen_keys=visual_keys, history=state.history)
+    visual = state.params
+    params = model_mod.init_params(stage2_cfg.model_config(), seed=config.seed)
+    if params.layout[:len(visual.layout)] != visual.layout:   # audio tensors last
+        raise ValueError("visual parameter layout is not a prefix of the multimodal one")
+    params.vector[:visual.n_params] = visual.vector
+    stage2 = TrainState(config=stage2_cfg, params=params, opt=init_opt_state(params),
+                        rng=state.rng, frozen_keys=tuple(params.visual_keys()),
+                        history=state.history)
     _init_loss_state(stage2, speech_set)
     n_before = len(stage2.history)
     train_epochs(stage2, speech_set, val_set)
@@ -453,21 +448,14 @@ def _report(scores: np.ndarray, logits: Optional[np.ndarray],
 
 
 def evaluate(source, dataset: Dataset, subset: str = "all",
-             use_audio: Optional[bool] = None,
              batch_size: int = EVAL_BATCH_SIZE) -> MetricsReport:
     """Deterministic eval-mode scoring of a dataset into a MetricsReport.
 
     ``source`` is a TrainState or ModelParams.  ``subset`` may be "all" or
-    "speech_only".  With audio enabled, speech-bearing records go through the
-    audio head and the rest use the visual score.
+    "speech_only".  A model with the audio branch scores speech-bearing
+    records through the audio head and the rest visually.
     """
-    if isinstance(source, TrainState):
-        params = source.params
-        if use_audio is None:
-            use_audio = source.config.use_audio
-    else:
-        params = source
-        use_audio = bool(use_audio)
+    params = source.params if isinstance(source, TrainState) else source
     if subset not in ("all", "speech_only"):
         raise ValueError("subset must be 'all' or 'speech_only'")
     records = dataset.records
@@ -476,7 +464,7 @@ def evaluate(source, dataset: Dataset, subset: str = "all",
     if not records:
         raise ValueError(f"subset {subset!r} selected no records")
     batch = model_mod.prepare_batch(records, params.config)
-    scores, _, logits = model_mod.score_batch(params, batch, use_audio, batch_size)
+    scores, _, logits = model_mod.score_batch(params, batch, batch_size)
     return _report(scores, logits, np.array([r.label for r in records]))
 
 
@@ -600,6 +588,11 @@ def load_checkpoint(path: str) -> TrainState:
         return model_mod.ModelParams(mcfg, arrays)
 
     params = load_params("param")
+    have, want = dataclasses.asdict(mcfg), dataclasses.asdict(config.model_config())
+    key = next((k for k in have if have[k] != want[k]), None)
+    if key is not None:
+        raise corrupt("model_config", f"{key} is {have[key]!r}, but config gives "
+                                      f"{want[key]!r}")
     frozen_keys = tuple(need(meta, "frozen_keys"))
     missing = [k for k in frozen_keys if k not in params]
     if missing:
@@ -617,7 +610,7 @@ def load_checkpoint(path: str) -> TrainState:
         raise corrupt("rng_state", f"not a PCG64 state ({err!r})") from err
     state = TrainState(config=config, params=params, opt=opt, rng=rng,
                        epoch=count("epoch"), frozen_keys=frozen_keys)
-    width = mcfg.audio_embed_dim if config.use_audio else mcfg.embed_dim
+    width = mcfg.score_embed_dim
     if need(meta, "has_enc"):
         state.enc = MomentumEncoder(params=load_params("momentum"),
                                     momentum=float(need(meta, "enc_momentum")))
@@ -680,22 +673,18 @@ def grad_check_loss(config: TrainConfig, n_params_max: int = 1000,
     if config.needs_pool:
         enc = MomentumEncoder.from_model(
             model_mod.init_params(params.config, seed=seed + 1), config.momentum)
-        pool = mocorank.pool_init(ds, enc, config.pool_size, seed=seed,
-                                  use_audio=config.use_audio)
+        pool = mocorank.pool_init(ds, enc, config.pool_size, seed=seed)
     if config.needs_centers:
-        embed_dim = (params.config.audio_embed_dim if config.use_audio
-                     else params.config.embed_dim)
         centers = ClassCenters(
             values=0.1 * np.random.default_rng(seed + 2).standard_normal(
-                (N_CLASSES, embed_dim)))
+                (N_CLASSES, params.config.score_embed_dim)))
 
     loss_fn = LOSS_TABLE[config.loss].fn
 
     def loss_and_signature():
         # kinks: ReLU masks; for the pool loss, live hinges and same-label orders
         trace = model_mod.forward_batch(chunks, gfeat, params, mode="train",
-                                        use_audio=config.use_audio, speech=speech,
-                                        meta=meta, has_speech=has_speech)
+                                        speech=speech, meta=meta, has_speech=has_speech)
         out = loss_fn(config, trace, labels, pool, centers, class_counts)
         sig = [model_mod.relu_signature(trace).astype(np.float64)]
         if pool is not None:

@@ -214,8 +214,8 @@ def momentum_update(enc: MomentumEncoder, model_params: model_mod.ModelParams,
     return enc
 
 
-def pool_init(dataset: Dataset, enc: MomentumEncoder, capacity: int, seed: int,
-              use_audio: bool = False) -> ScorePool:
+def pool_init(dataset: Dataset, enc: MomentumEncoder, capacity: int,
+              seed: int) -> ScorePool:
     """Fill a fresh pool with ceil(capacity/4) records per class, shuffled.
 
     Classes short on records are sampled with replacement.  Scores and
@@ -235,7 +235,7 @@ def pool_init(dataset: Dataset, enc: MomentumEncoder, capacity: int, seed: int,
     order = rng.permutation(len(picked))
     records = [dataset.records[picked[i]] for i in order]
     batch = model_mod.prepare_batch(records, enc.params.config)
-    scores, embeddings, _ = model_mod.score_batch(enc.params, batch, use_audio)
+    scores, embeddings, _ = model_mod.score_batch(enc.params, batch)
     pool = ScorePool(capacity)
     pool.push(np.array([r.label for r in records]), scores, embeddings)
     return pool

@@ -6,7 +6,10 @@ global video feature, concatenates a projection of that global feature, and
 scores the result with a cosine head (normalized feature against a normalized
 weight vector, no bias), so every score lands in [-1, 1].  An optional audio
 branch projects a speech embedding, concatenates it with the visual feature
-and the acoustic metadata, and scores through a second cosine head.
+and the acoustic metadata, and scores through a second cosine head.  The
+parameters decide whether it runs: a model built with ``with_audio`` scores
+every record that carries speech through the branch, and any other model
+scores every record visually.
 
 Everything is float64 numpy.  ``ModelParams`` keeps every weight in one
 contiguous vector with named views into it.  ``prepare_batch`` turns records
@@ -80,6 +83,11 @@ class ModelConfig:
     @property
     def audio_embed_dim(self) -> int:
         return self.embed_dim + self.speech_dim + AUDIO_META_DIM
+
+    @property
+    def score_embed_dim(self) -> int:
+        """Width of the embeddings the scores use: multimodal with the audio branch."""
+        return self.audio_embed_dim if self.with_audio else self.embed_dim
 
 
 class ModelParams:
@@ -583,13 +591,13 @@ class Trace:
 
 
 def forward_batch(chunks: np.ndarray, global_feat: np.ndarray, params: ModelParams,
-                  mode: str = "eval", use_audio: bool = False, speech: np.ndarray = None,
-                  meta: np.ndarray = None, has_speech: np.ndarray = None,
-                  rng=None) -> Trace:
+                  mode: str = "eval", speech: np.ndarray = None, meta: np.ndarray = None,
+                  has_speech: np.ndarray = None, rng=None) -> Trace:
     """Run the network on a prepared batch.
 
-    ``chunks`` is (B, 3D, T) and ``global_feat`` is (B, d).  When
-    ``use_audio`` is set, records flagged in ``has_speech`` are scored through
+    ``chunks`` is (B, 3D, T) and ``global_feat`` is (B, d).  The audio branch
+    follows the params: when their config has ``with_audio`` and the batch
+    carries ``speech``, records flagged in ``has_speech`` are scored through
     the audio branch and the rest fall back to the visual score.  A mixed
     batch is fine for evaluation but has no single pre-head embedding, so its
     trace cannot be used for backward.  Only train mode keeps backward caches.
@@ -618,7 +626,7 @@ def forward_batch(chunks: np.ndarray, global_feat: np.ndarray, params: ModelPara
         score, head_cache = _cosine_score(fused, params["head.w"])
         cache["head"] = head_cache
 
-    if use_audio and speech is not None:
+    if cfg.with_audio and speech is not None:
         if has_speech is None:
             has_speech = np.ones(b, dtype=bool)
         has_speech = np.asarray(has_speech, dtype=bool)
@@ -680,27 +688,27 @@ def prepare_batch(records: list[SampleRecord], config: ModelConfig) -> Batch:
 
 
 def forward(record: SampleRecord, params: ModelParams, mode: str = "eval",
-            use_audio: bool = False, rng=None) -> Trace:
+            rng=None) -> Trace:
     """Score a single record (batch of one); see forward_batch."""
     chunks, gfeat, speech, meta, has_speech = prepare_batch([record], params.config)
-    return forward_batch(chunks, gfeat, params, mode=mode, use_audio=use_audio,
-                         speech=speech, meta=meta, has_speech=has_speech, rng=rng)
+    return forward_batch(chunks, gfeat, params, mode=mode, speech=speech, meta=meta,
+                         has_speech=has_speech, rng=rng)
 
 
-def score_batch(params: ModelParams, batch: Batch, use_audio: bool = False,
-                batch_size: Optional[int] = None):
+def score_batch(params: ModelParams, batch: Batch, batch_size: Optional[int] = None):
     """Eval-mode (scores, embeddings, logits) of a prepared batch.
 
-    Runs one forward over every row, or one per ``batch_size`` rows.  Scores
-    are per record; logits are None without the categorical head; embeddings
-    are the pre-head features the scores used, and None when ``use_audio``
-    scores some records of the batch through the audio branch and not others.
+    Runs one forward over every row, or one per ``batch_size`` rows.  As in
+    ``forward_batch``, the params decide the audio branch: a model with it
+    scores the batch's speech rows through it.  Scores are per record; logits
+    are None without the categorical head; embeddings are the pre-head
+    features the scores used, and None when some records of the batch went
+    through the audio branch and others did not.
     """
     n = len(batch.chunks)
     step = n if batch_size is None else batch_size
     traces = [forward_batch(part.chunks, part.gfeat, params, mode="eval",
-                            use_audio=use_audio, speech=part.speech, meta=part.meta,
-                            has_speech=part.has_speech)
+                            speech=part.speech, meta=part.meta, has_speech=part.has_speech)
               for part in (batch.take(slice(i, i + step)) for i in range(0, n, step))]
     scores = np.concatenate([t.score for t in traces])
     audio_used = np.concatenate([t.audio_used for t in traces])

@@ -565,6 +565,16 @@ class TestCheckpointing:
                                        meta_edits={"model_config": dict(base, **edit)})
         self._refused(path, "model_config")
 
+    @pytest.mark.parametrize("edit, key", [
+        ({"width": 8}, "width"), ({"ablation": "concat_only"}, "fusion"),
+        ({"use_audio": True}, "with_audio"), ({"dropout": 0.3}, "dropout")])
+    def test_config_against_model_config(self, tmp_path, edit, key):
+        """A config that builds another model than the one saved is refused,
+        naming the first model_config key that differs."""
+        config = dict(self._saved(tmp_path, "config"), loss="mse", **edit)
+        path = self._edited_checkpoint(tmp_path, meta_edits={"config": config}, loss="mse")
+        self._refused(path, "model_config", f"{key} is .*, but config gives")
+
     def test_valid_frozen_keys_still_load(self, tmp_path):
         path = self._edited_checkpoint(
             tmp_path, meta_edits={"frozen_keys": ["tcn.0.conv1.w"], "opt_step": 0})
@@ -652,10 +662,78 @@ class TestTwoStage:
         data = tiny_data(n=40, speech_fraction=0.5)
         cfg = tiny_train_config(loss="mocorank", epochs=2, stage2_epochs=2)
         state, _ = harness.train_two_stage(cfg, data)
-        init = model.init_params(cfg.model_config(with_audio=True), seed=cfg.seed)
+        init = model.init_params(replace_cfg(cfg, use_audio=True).model_config(),
+                                 seed=cfg.seed)
         moved = [k for k in state.params.audio_keys()
                  if np.any(state.params[k] != init[k])]
         assert "audio.fc.w" in moved and "audio.head.w" in moved
+
+    def test_stage_one_is_a_plain_visual_run(self):
+        """The visual prefix of the end state, and the stage-1 history, are
+        those of train() without audio, bit for bit."""
+        data, val = tiny_data(n=40, speech_fraction=0.5), tiny_data(n=16, seed=3,
+                                                                    speech_fraction=0.5)
+        cfg = tiny_train_config(loss="mocorank+center", epochs=3, stage2_epochs=2,
+                                dropout=0.1, seed=4)
+        state, history = harness.train_two_stage(cfg, data, val)
+        plain, plain_history = harness.train(replace_cfg(cfg, use_audio=False), data, val)
+        prefix = state.params.vector[:plain.params.n_params]
+        assert prefix.tobytes() == plain.params.vector.tobytes()
+        assert state.params.layout[:len(plain.params.layout)] == plain.params.layout
+        assert [dict(row, stage=1) for row in plain_history] == history[:3]
+
+    def test_layout_prefix_is_checked(self, monkeypatch):
+        """Stage 2 copies stage 1 into the leading tensors only when init_params
+        really puts the visual tensors first."""
+        real = model.init_params
+
+        def audio_first(config, seed=0):
+            params = real(config, seed)
+            items = sorted(params.items(), key=lambda kv: not kv[0].startswith("audio."))
+            return model.ModelParams(config, dict(items))
+
+        monkeypatch.setattr(model, "init_params", audio_first)
+        cfg = tiny_train_config(loss="mse", epochs=1, stage2_epochs=1)
+        with pytest.raises(ValueError, match="not a prefix"):
+            harness.train_two_stage(cfg, tiny_data(n=16, speech_fraction=0.5))
+
+    @pytest.mark.parametrize("subset", ["all", "speech_only"])
+    def test_state_and_params_evaluate_alike(self, subset):
+        """The params decide the audio branch, so a state and its params give
+        one report."""
+        data = tiny_data(n=40, speech_fraction=0.5)
+        test = tiny_data(n=40, seed=2, speech_fraction=0.5)
+        cfg = tiny_train_config(loss="mocorank", epochs=2, stage2_epochs=2)
+        state, _ = harness.train_two_stage(cfg, data)
+        by_state = harness.evaluate(state, test, subset=subset)
+        by_params = harness.evaluate(state.params, test, subset=subset)
+        np.testing.assert_array_equal(by_state.confusion, by_params.confusion)
+        assert by_state.to_json() == by_params.to_json()
+
+    def test_init_from_visual_donor(self, tmp_path, monkeypatch):
+        """Stage 1 starts from the donor's vector, bit for bit."""
+        data = tiny_data(n=40, speech_fraction=0.5)
+        cfg = tiny_train_config(loss="mocorank", epochs=2, stage2_epochs=1)
+        donor, _ = harness.train(replace_cfg(cfg, seed=9), data)
+        path = tmp_path / "donor.npz"
+        harness.save_checkpoint(donor, str(path))
+        starts = []
+        real = harness.train_epochs
+        monkeypatch.setattr(harness, "train_epochs", lambda state, *a, **kw: (
+            starts.append(state.params.flat()) or real(state, *a, **kw)))
+        harness.train_two_stage(replace_cfg(cfg, init_from=str(path)), data)
+        assert len(starts) == 2
+        assert starts[0].tobytes() == donor.params.vector.tobytes()
+
+    def test_init_from_multimodal_donor_refused(self, tmp_path):
+        data = tiny_data(n=40, speech_fraction=0.5)
+        cfg = tiny_train_config(loss="mocorank", epochs=1, stage2_epochs=1)
+        donor, _ = harness.train_two_stage(cfg, data)
+        path = tmp_path / "donor.npz"
+        harness.save_checkpoint(donor, str(path))
+        with pytest.raises(ValueError, match="does not match the model shape") as err:
+            harness.train_two_stage(replace_cfg(cfg, init_from=str(path)), data)
+        assert f"init_from checkpoint '{path}'" in str(err.value)
 
 
 class TestBenchLosses:

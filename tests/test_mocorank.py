@@ -326,7 +326,7 @@ class TestPoolInit:
         data, enc = self.tiny_setup(speech_fraction=0.5)
         assert 0 < data.speech_indices().size < len(data)
         with pytest.raises(ValueError, match="cannot pool a mixed"):
-            mr.pool_init(data, enc, capacity=8, seed=0, use_audio=True)
+            mr.pool_init(data, enc, capacity=8, seed=0)
 
 
 class TestMargin:

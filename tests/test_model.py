@@ -48,6 +48,10 @@ class TestModelConfig:
         # visual embedding + transformed speech + 7 metadata entries
         assert cfg.audio_embed_dim == 8 + 6 + 7
 
+    def test_score_embed_dim_follows_the_audio_branch(self):
+        assert tiny_config().score_embed_dim == tiny_config().embed_dim == 8
+        assert tiny_config(with_audio=True).score_embed_dim == 8 + 6 + 7
+
 
 class TestInitParams:
     def test_biases_start_at_zero(self):
@@ -391,8 +395,8 @@ class TestMixedBatches:
         records = tiny_records(8, seed=3, speech_fraction=0.5)
         chunks, gfeat, speech, meta, has_speech = model.prepare_batch(records, cfg)
         assert has_speech.any() and not has_speech.all()
-        trace = model.forward_batch(chunks, gfeat, params, use_audio=True,
-                                    speech=speech, meta=meta, has_speech=has_speech)
+        trace = model.forward_batch(chunks, gfeat, params, speech=speech, meta=meta,
+                                    has_speech=has_speech)
         np.testing.assert_array_equal(trace.audio_used, has_speech)
         assert trace.embedding is None
         visual = model.forward_batch(chunks, gfeat, params)
@@ -401,13 +405,26 @@ class TestMixedBatches:
                                       visual.score[~has_speech])
         assert np.all(trace.score[has_speech] != visual.score[has_speech])
 
+    def test_visual_model_scores_speech_records_visually(self):
+        """The params decide the branch: speech on the batch does not turn
+        it on for a model without one."""
+        params = model.init_params(tiny_config(), seed=4)
+        chunks, gfeat, speech, meta, has_speech = model.prepare_batch(
+            tiny_records(8, seed=3, speech_fraction=1.0), params.config)
+        trace = model.forward_batch(chunks, gfeat, params, speech=speech, meta=meta,
+                                    has_speech=has_speech)
+        assert not trace.audio_used.any()
+        visual = model.forward_batch(chunks, gfeat, params)
+        assert trace.score.tobytes() == visual.score.tobytes()
+        assert trace.embedding.tobytes() == visual.embedding.tobytes()
+
     def test_mixed_backward_refused(self):
         cfg = tiny_config(with_audio=True)
         params = model.init_params(cfg, seed=4)
         records = tiny_records(8, seed=3, speech_fraction=0.5)
         chunks, gfeat, speech, meta, has_speech = model.prepare_batch(records, cfg)
-        trace = model.forward_batch(chunks, gfeat, params, use_audio=True,
-                                    speech=speech, meta=meta, has_speech=has_speech)
+        trace = model.forward_batch(chunks, gfeat, params, speech=speech, meta=meta,
+                                    has_speech=has_speech)
         with pytest.raises(ValueError, match="mixed"):
             model.backward(trace, params, d_score=np.ones(trace.batch_size))
 
@@ -417,8 +434,8 @@ class TestMixedBatches:
         records = tiny_records(4, seed=6, speech_fraction=1.0)
         chunks, gfeat, speech, meta, has_speech = model.prepare_batch(records, cfg)
         trace = model.forward_batch(chunks, gfeat, params, mode="train",
-                                    use_audio=True, speech=speech, meta=meta,
-                                    has_speech=has_speech, rng=np.random.default_rng(0))
+                                    speech=speech, meta=meta, has_speech=has_speech,
+                                    rng=np.random.default_rng(0))
         assert trace.embedding.shape == (4, cfg.audio_embed_dim)
         flat = model.backward(trace, params, d_score=np.ones(4))
         assert flat.shape == (params.n_params,)
@@ -435,8 +452,7 @@ class TestEvalTraces:
         speech_fraction = 1.0 if kind == "audio" else 0.0
         chunks, gfeat, speech, meta, has_speech = tiny_batch(
             cfg, n=5, seed=2, speech_fraction=speech_fraction)
-        kwargs = dict(use_audio=kind == "audio", speech=speech, meta=meta,
-                      has_speech=has_speech)
+        kwargs = dict(speech=speech, meta=meta, has_speech=has_speech)
         return cfg, chunks, gfeat, kwargs
 
     def test_eval_trace_holds_no_caches(self):
@@ -491,13 +507,11 @@ class TestScoreBatch:
         fraction = {"audio": 1.0, "mixed": 0.5}.get(kind, 0.0)
         batch = model.prepare_batch(tiny_records(8, seed=3, speech_fraction=fraction), cfg)
         params = model.init_params(cfg, seed=7)
-        use_audio = kind in ("audio", "mixed")
-        scores, embeddings, logits = model.score_batch(params, batch, use_audio,
-                                                       batch_size=k)
+        scores, embeddings, logits = model.score_batch(params, batch, batch_size=k)
         step = k or 8
         ref = [model.forward_batch(
                    batch.chunks[i:i + step], batch.gfeat[i:i + step], params,
-                   use_audio=use_audio, has_speech=batch.has_speech[i:i + step],
+                   has_speech=batch.has_speech[i:i + step],
                    speech=None if batch.speech is None else batch.speech[i:i + step],
                    meta=None if batch.meta is None else batch.meta[i:i + step])
                for i in range(0, 8, step)]
