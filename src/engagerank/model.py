@@ -13,7 +13,11 @@ scores every record visually.
 
 Everything is float64 numpy.  ``ModelParams`` keeps every weight in one
 contiguous vector with named views into it.  ``prepare_batch`` turns records
-into a ``Batch`` of stacked arrays.  Train-mode forward passes record the
+into a ``Batch`` of stacked arrays.  The temporal encoder runs channel-major:
+it moves the (B, 3D, T) batch to (C, B*T) on entry, runs each conv as one
+product over the whole batch, and hands back (B, C, T).  So a record's
+encoding depends on the batch it runs in, in the last bits, while the same
+batch always gives the same bits.  Train-mode forward passes record the
 intermediates needed for an exact backward pass, which accumulates into named
 views of one zeroed gradient vector laid out like that buffer.  Eval-mode
 forward passes keep no such caches and cannot be differentiated;
@@ -152,9 +156,6 @@ class ModelParams:
     def visual_keys(self) -> list[str]:
         return [k for k in self.slices if not k.startswith("audio.")]
 
-    def audio_keys(self) -> list[str]:
-        return [k for k in self.slices if k.startswith("audio.")]
-
 
 def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     """Seeded initialization: N(0, 1/fan_in) weights, zero biases."""
@@ -201,28 +202,43 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
 # Primitive layers (batched, with caches for backward)
 # ---------------------------------------------------------------------------
 
-def _causal_cols(x: np.ndarray, kernel: int, dilation: int) -> np.ndarray:
-    """Stack the kernel taps of a left-padded sequence: (B,C,T) -> (B,C,K,T).
+def _causal_taps(x: np.ndarray, kernel: int, dilation: int, t: int) -> np.ndarray:
+    """Stack the kernel taps of channel-major sequences: (C, B*T) -> (C*K, B*T).
 
-    Tap j of output column t reads input column t - (kernel-1-j)*dilation, so
-    no output column ever sees a later input column; columns that would read
-    before the start are zero.
+    ``x`` holds B records of T steps side by side along its columns.  Tap j
+    is ``x`` shifted right by ``(kernel-1-j)*dilation`` columns along all of
+    B*T at once; the first ``shift`` columns of each record, which read the
+    previous record's tail (or nothing), are then zeroed.  So no output
+    column ever sees a later input column or another record.  Row
+    ``c*K + j`` holds tap j of channel c, matching a (O, C, K) kernel
+    reshaped to (O, C*K).
     """
-    b, ch, t = x.shape
-    cols = np.empty((b, ch, kernel, t))
+    ch, n = x.shape
+    cols = np.empty((ch, kernel, n // t, t))
+    flat = cols.reshape(ch, kernel, n)
     for j in range(kernel):
         shift = min((kernel - 1 - j) * dilation, t)
-        cols[:, :, j, :shift] = 0.0
-        cols[:, :, j, shift:] = x[:, :, :t - shift]
-    return cols
+        flat[:, j, shift:] = x[:, :n - shift]
+        cols[:, j, :, :shift] = 0.0
+    return flat.reshape(ch * kernel, n)
 
 
-def _causal_cols_backward(dcols: np.ndarray, dilation: int, t: int) -> np.ndarray:
-    b, ch, kernel, _ = dcols.shape
-    dx = np.zeros((b, ch, t))
+def _causal_taps_backward(dcols: np.ndarray, kernel: int, dilation: int,
+                          t: int) -> np.ndarray:
+    """Adjoint of ``_causal_taps``: (C*K, B*T) -> (C, B*T).
+
+    Zeroes, in place, the entries of ``dcols`` whose taps were zeroed, then
+    shift-adds each tap back along B*T.
+    """
+    n = dcols.shape[1]
+    ch = dcols.shape[0] // kernel
+    per_record = dcols.reshape(ch, kernel, n // t, t)
+    flat = per_record.reshape(ch, kernel, n)
+    dx = np.zeros((ch, n))
     for j in range(kernel):
         shift = min((kernel - 1 - j) * dilation, t)
-        dx[:, :, :t - shift] += dcols[:, :, j, shift:]
+        per_record[:, j, :, :shift] = 0.0
+        dx[:, :n - shift] += flat[:, j, shift:]
     return dx
 
 
@@ -238,48 +254,40 @@ def _apply_mask(x, mask):
     return x if mask is None else x * mask
 
 
-def _conv_apply(w: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(O,I,K) kernel applied to (B,I,K,T) taps -> (B,O,T), via one matmul."""
-    b, i, k, t = cols.shape
-    o = w.shape[0]
-    return np.matmul(w.reshape(o, i * k), cols.reshape(b, i * k, t))
+def _channel_major_mask(rate: float, train: bool, rng, b: int, ch: int,
+                        t: int) -> Optional[np.ndarray]:
+    """A dropout mask drawn as (B, C, T), as a batch-major layer draws it,
+    then moved to the channel-major (C, B*T) layout."""
+    mask = _dropout_mask((b, ch, t), rate, train, rng)
+    return None if mask is None else mask.transpose(1, 0, 2).reshape(ch, b * t)
 
 
-def _conv_weight_grad(dout: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Gradient of _conv_apply w.r.t. its kernel, folded into one matmul."""
-    b, i, k, t = cols.shape
-    o = dout.shape[1]
-    dout2 = dout.transpose(1, 0, 2).reshape(o, b * t)
-    cols2 = cols.transpose(1, 2, 0, 3).reshape(i * k, b * t)
-    return (dout2 @ cols2.T).reshape(o, i, k)
+def _tcn_block_forward(x, params, prefix, dilation, t, train, rng, dropout, keep):
+    """One residual block on channel-major (C, B*T) activations; with
+    ``keep`` also the cache its backward needs.
 
-
-def _conv_cols_grad(w: np.ndarray, dout: np.ndarray, shape4) -> np.ndarray:
-    o, i, k = w.shape
-    return np.matmul(w.reshape(o, i * k).T, dout).reshape(shape4)
-
-
-def _tcn_block_forward(x, params, prefix, dilation, kernel, train, rng, dropout, keep):
-    """One residual block; with ``keep`` also the cache its backward needs.
-
+    Each conv is one (O, C*K) @ (C*K, B*T) product over the whole batch.
     Bias, ReLU and residual add in place into each conv's fresh output.
     """
-    cols1 = _causal_cols(x, kernel, dilation)
-    h1 = _conv_apply(params[f"{prefix}.conv1.w"], cols1)
+    w1, w2 = params[f"{prefix}.conv1.w"], params[f"{prefix}.conv2.w"]
+    o, _, kernel = w1.shape
+    b = x.shape[1] // t
+    cols1 = _causal_taps(x, kernel, dilation, t)
+    h1 = w1.reshape(o, -1) @ cols1
     h1 += params[f"{prefix}.conv1.b"][:, None]
     s1 = h1 > 0 if keep else None
     np.maximum(h1, 0.0, out=h1)
-    m1 = _dropout_mask(h1.shape, dropout, train, rng)
+    m1 = _channel_major_mask(dropout, train, rng, b, o, t)
     h1 = _apply_mask(h1, m1)
-    cols2 = _causal_cols(h1, kernel, dilation)
-    out = _conv_apply(params[f"{prefix}.conv2.w"], cols2)
+    cols2 = _causal_taps(h1, kernel, dilation, t)
+    out = w2.reshape(o, -1) @ cols2
     out += params[f"{prefix}.conv2.b"][:, None]
     s2 = out > 0 if keep else None
     np.maximum(out, 0.0, out=out)
-    m2 = _dropout_mask(out.shape, dropout, train, rng)
+    m2 = _channel_major_mask(dropout, train, rng, b, o, t)
     out = _apply_mask(out, m2)
     if f"{prefix}.down.w" in params:
-        res = np.matmul(params[f"{prefix}.down.w"], x)
+        res = params[f"{prefix}.down.w"] @ x
         res += params[f"{prefix}.down.b"][:, None]
         out += res
     else:
@@ -292,36 +300,30 @@ def _tcn_block_forward(x, params, prefix, dilation, kernel, train, rng, dropout,
                  "cols2": cols2, "s2": s2, "m2": m2, "s_out": s_out}
 
 
-def _tcn_block_backward(dout, cache, params, prefix, grads, need_dx=True):
-    """Accumulate the block's parameter gradients; return its input gradient,
-    or None without ``need_dx`` (the network input takes no gradient)."""
+def _tcn_block_backward(dout, cache, params, prefix, t, grads, need_dx=True):
+    """Accumulate the block's parameter gradients; return its input gradient
+    (channel-major, like ``dout``), or None without ``need_dx`` (the network
+    input takes no gradient)."""
     dilation = cache["dilation"]
-    t = dout.shape[2]
+    w1, w2 = params[f"{prefix}.conv1.w"], params[f"{prefix}.conv2.w"]
+    o, _, kernel = w1.shape
     dpre_out = dout * cache["s_out"]
-    dh2 = dpre_out
-    dpre2 = _apply_mask(dh2, cache["m2"]) * cache["s2"]
-    grads[f"{prefix}.conv2.w"] += _conv_weight_grad(dpre2, cache["cols2"])
-    grads[f"{prefix}.conv2.b"] += dpre2.sum(axis=(0, 2))
-    dcols2 = _conv_cols_grad(params[f"{prefix}.conv2.w"], dpre2,
-                             cache["cols2"].shape)
-    dh1 = _causal_cols_backward(dcols2, dilation, t)
+    dpre2 = _apply_mask(dpre_out, cache["m2"]) * cache["s2"]
+    grads[f"{prefix}.conv2.w"] += (dpre2 @ cache["cols2"].T).reshape(w2.shape)
+    grads[f"{prefix}.conv2.b"] += dpre2.sum(axis=1)
+    dh1 = _causal_taps_backward(w2.reshape(o, -1).T @ dpre2, kernel, dilation, t)
     dpre1 = _apply_mask(dh1, cache["m1"]) * cache["s1"]
-    grads[f"{prefix}.conv1.w"] += _conv_weight_grad(dpre1, cache["cols1"])
-    grads[f"{prefix}.conv1.b"] += dpre1.sum(axis=(0, 2))
+    grads[f"{prefix}.conv1.w"] += (dpre1 @ cache["cols1"].T).reshape(w1.shape)
+    grads[f"{prefix}.conv1.b"] += dpre1.sum(axis=1)
     has_down = f"{prefix}.down.w" in params
     if has_down:
-        o = dpre_out.shape[1]
-        dp2 = dpre_out.transpose(1, 0, 2).reshape(o, -1)
-        x2 = cache["x"].transpose(1, 0, 2).reshape(cache["x"].shape[1], -1)
-        grads[f"{prefix}.down.w"] += dp2 @ x2.T
-        grads[f"{prefix}.down.b"] += dpre_out.sum(axis=(0, 2))
+        grads[f"{prefix}.down.w"] += dpre_out @ cache["x"].T
+        grads[f"{prefix}.down.b"] += dpre_out.sum(axis=1)
     if not need_dx:
         return None
-    dcols1 = _conv_cols_grad(params[f"{prefix}.conv1.w"], dpre1,
-                             cache["cols1"].shape)
-    dx = _causal_cols_backward(dcols1, dilation, t)
+    dx = _causal_taps_backward(w1.reshape(o, -1).T @ dpre1, kernel, dilation, t)
     if has_down:
-        dx += np.matmul(params[f"{prefix}.down.w"].T, dpre_out)
+        dx += params[f"{prefix}.down.w"].T @ dpre_out
     else:
         dx += dpre_out
     return dx
@@ -374,7 +376,12 @@ def _cosine_score_backward(ds, cache, dw_out):
 # ---------------------------------------------------------------------------
 
 def temporal_encoder(chunks, params: ModelParams, train: bool = False, rng=None) -> np.ndarray:
-    """Encode chunk summaries (3D x T, or batched B x 3D x T) to width x T."""
+    """Encode chunk summaries (3D x T, or batched B x 3D x T) to width x T.
+
+    The batch runs channel-major, so each conv is one product over all its
+    records: a record's encoding matches its lone encoding in all but the
+    last bits, and the same batch always gives the same bits.
+    """
     values = chunks.values if isinstance(chunks, featurepipe.ChunkedFeatures) else np.asarray(chunks)
     single = values.ndim == 2
     if single:
@@ -384,21 +391,28 @@ def temporal_encoder(chunks, params: ModelParams, train: bool = False, rng=None)
 
 
 def _tcn_forward(x, params: ModelParams, train, rng, keep):
+    """(B, 3D, T) chunks -> (B, C, T) encoding, run as (C, B*T) in between."""
     cfg = params.config
-    if x.shape[1] != cfg.chunk_rows:
+    b, rows, t = x.shape
+    if rows != cfg.chunk_rows:
         raise ValueError(
-            f"temporal encoder expects {cfg.chunk_rows} input channels, got {x.shape[1]}")
+            f"temporal encoder expects {cfg.chunk_rows} input channels, got {rows}")
+    x = x.transpose(1, 0, 2).reshape(rows, b * t)
     caches = []
     for i, dil in enumerate(cfg.dilations):
-        x, cache = _tcn_block_forward(x, params, f"tcn.{i}", dil, cfg.kernel_size,
-                                      train, rng, cfg.dropout, keep)
+        x, cache = _tcn_block_forward(x, params, f"tcn.{i}", dil, t, train, rng,
+                                      cfg.dropout, keep)
         caches.append(cache)
-    return x, caches
+    return x.reshape(-1, b, t).transpose(1, 0, 2), caches
 
 
 def _tcn_backward(dout, caches, params: ModelParams, grads) -> None:
-    for i in reversed(range(len(params.config.dilations))):
-        dout = _tcn_block_backward(dout, caches[i], params, f"tcn.{i}", grads,
+    """Accumulate the encoder's gradients from dLoss/d(B, C, T) encoding."""
+    cfg = params.config
+    b, ch, t = dout.shape
+    dout = dout.transpose(1, 0, 2).reshape(ch, b * t)
+    for i in reversed(range(len(cfg.dilations))):
+        dout = _tcn_block_backward(dout, caches[i], params, f"tcn.{i}", t, grads,
                                    need_dx=i > 0)
 
 
@@ -568,9 +582,12 @@ def _audio_backward(ds, dxprime_extra, cache, params: ModelParams, grads):
 class Trace:
     """Everything one forward pass produced.
 
-    A train-mode trace carries the caches its backward pass reads.  An
-    eval-mode trace carries none (``cache`` is None), so ``backward`` and
-    ``relu_signature`` refuse it.
+    A train-mode trace carries the caches its backward pass reads; the
+    temporal encoder's hold channel-major (C, B*T) activations and (C*K, B*T)
+    taps.  An eval-mode trace carries none (``cache`` is None), so
+    ``backward`` and ``relu_signature`` refuse it.  ``encoded`` is a
+    (B, C, T) view of the encoder's channel-major output; it matches each
+    record's lone encoding up to rounding.
     """
 
     config: ModelConfig

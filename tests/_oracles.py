@@ -5,8 +5,11 @@ with the package, so agreement is evidence rather than tautology.  The
 optimizer and momentum references are the per-tensor numpy loops the package
 ran before its parameters moved into one vector; the whole-vector updates
 must match them bit for bit.  The causal-tap references build the taps from a
-zero-padded copy of the sequence, as the package did before it wrote them
-straight from the input; the two must agree bit for bit too.
+zero-padded copy of the sequence, batch-major; the package's channel-major
+taps are the same copies and must agree bit for bit too.  The per-record
+temporal encoder is the batch-major one the package ran before it went
+channel-major, with one conv product per record; the package's encoder
+differs from it only by rounding.
 """
 import math
 
@@ -112,3 +115,110 @@ def causal_cols_padded_backward(dcols, dilation, t):
     for j in range(kernel):
         dxp[:, :, j * dilation:j * dilation + t] += dcols[:, :, j, :]
     return dxp[:, :, pad:]
+
+
+def _dropout_mask(shape, rate, train, rng):
+    if not train or rate <= 0.0:
+        return None
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def _masked(x, mask):
+    return x if mask is None else x * mask
+
+
+def _tcn_block_per_record(x, params, prefix, dilation, kernel, train, rng, dropout):
+    """One batch-major residual block, (B,C,T) -> (B,O,T), and its cache."""
+    w1, w2 = params[f"{prefix}.conv1.w"], params[f"{prefix}.conv2.w"]
+    o = w1.shape[0]
+    b, ch, t = x.shape
+    cols1 = causal_cols_padded(x, kernel, dilation)
+    h1 = np.matmul(w1.reshape(o, ch * kernel), cols1.reshape(b, ch * kernel, t))
+    h1 += params[f"{prefix}.conv1.b"][:, None]
+    s1 = h1 > 0
+    np.maximum(h1, 0.0, out=h1)
+    m1 = _dropout_mask(h1.shape, dropout, train, rng)
+    h1 = _masked(h1, m1)
+    cols2 = causal_cols_padded(h1, kernel, dilation)
+    out = np.matmul(w2.reshape(o, o * kernel), cols2.reshape(b, o * kernel, t))
+    out += params[f"{prefix}.conv2.b"][:, None]
+    s2 = out > 0
+    np.maximum(out, 0.0, out=out)
+    m2 = _dropout_mask(out.shape, dropout, train, rng)
+    out = _masked(out, m2)
+    if f"{prefix}.down.w" in params:
+        res = np.matmul(params[f"{prefix}.down.w"], x)
+        res += params[f"{prefix}.down.b"][:, None]
+        out += res
+    else:
+        out += x
+    s_out = out > 0
+    np.maximum(out, 0.0, out=out)
+    return out, {"x": x, "dilation": dilation, "cols1": cols1, "s1": s1, "m1": m1,
+                 "cols2": cols2, "s2": s2, "m2": m2, "s_out": s_out}
+
+
+def _weight_grad_per_record(dout, cols):
+    b, ch, kernel, t = cols.shape
+    o = dout.shape[1]
+    dout2 = dout.transpose(1, 0, 2).reshape(o, b * t)
+    cols2 = cols.transpose(1, 2, 0, 3).reshape(ch * kernel, b * t)
+    return (dout2 @ cols2.T).reshape(o, ch, kernel)
+
+
+def _taps_grad_per_record(w, dout, dilation, t):
+    o, ch, kernel = w.shape
+    dcols = np.matmul(w.reshape(o, ch * kernel).T, dout)
+    return causal_cols_padded_backward(dcols.reshape(-1, ch, kernel, t), dilation, t)
+
+
+def _tcn_block_per_record_backward(dout, cache, params, prefix, grads, need_dx):
+    dilation = cache["dilation"]
+    t = dout.shape[2]
+    w1, w2 = params[f"{prefix}.conv1.w"], params[f"{prefix}.conv2.w"]
+    dpre_out = dout * cache["s_out"]
+    dpre2 = _masked(dpre_out, cache["m2"]) * cache["s2"]
+    grads[f"{prefix}.conv2.w"] += _weight_grad_per_record(dpre2, cache["cols2"])
+    grads[f"{prefix}.conv2.b"] += dpre2.sum(axis=(0, 2))
+    dh1 = _taps_grad_per_record(w2, dpre2, dilation, t)
+    dpre1 = _masked(dh1, cache["m1"]) * cache["s1"]
+    grads[f"{prefix}.conv1.w"] += _weight_grad_per_record(dpre1, cache["cols1"])
+    grads[f"{prefix}.conv1.b"] += dpre1.sum(axis=(0, 2))
+    has_down = f"{prefix}.down.w" in params
+    if has_down:
+        o, x = dpre_out.shape[1], cache["x"]
+        dp2 = dpre_out.transpose(1, 0, 2).reshape(o, -1)
+        x2 = x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+        grads[f"{prefix}.down.w"] += dp2 @ x2.T
+        grads[f"{prefix}.down.b"] += dpre_out.sum(axis=(0, 2))
+    if not need_dx:
+        return None
+    dx = _taps_grad_per_record(w1, dpre1, dilation, t)
+    if has_down:
+        dx += np.matmul(params[f"{prefix}.down.w"].T, dpre_out)
+    else:
+        dx += dpre_out
+    return dx
+
+
+def tcn_forward_per_record(x, params, train, rng, keep):
+    """Batch-major temporal encoder: (B,3D,T) -> ((B,C,T), per-block caches).
+
+    Takes the arguments of the package's ``model._tcn_forward`` so it can
+    stand in for it; caches are kept whatever ``keep`` says.
+    """
+    cfg = params.config
+    caches = []
+    for i, dilation in enumerate(cfg.dilations):
+        x, cache = _tcn_block_per_record(x, params, f"tcn.{i}", dilation,
+                                         cfg.kernel_size, train, rng, cfg.dropout)
+        caches.append(cache)
+    return x, caches
+
+
+def tcn_backward_per_record(dout, caches, params, grads):
+    """Adjoint of ``tcn_forward_per_record``, accumulating into ``grads``;
+    a stand-in for ``model._tcn_backward``."""
+    for i in reversed(range(len(params.config.dilations))):
+        dout = _tcn_block_per_record_backward(dout, caches[i], params, f"tcn.{i}",
+                                              grads, need_dx=i > 0)

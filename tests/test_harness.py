@@ -664,8 +664,8 @@ class TestTwoStage:
         state, _ = harness.train_two_stage(cfg, data)
         init = model.init_params(replace_cfg(cfg, use_audio=True).model_config(),
                                  seed=cfg.seed)
-        moved = [k for k in state.params.audio_keys()
-                 if np.any(state.params[k] != init[k])]
+        audio = set(state.params.keys()) - set(state.params.visual_keys())
+        moved = [k for k in audio if np.any(state.params[k] != init[k])]
         assert "audio.fc.w" in moved and "audio.head.w" in moved
 
     def test_stage_one_is_a_plain_visual_run(self):

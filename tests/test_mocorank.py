@@ -407,6 +407,41 @@ class TestMultiMarginLoss:
                                      pool.embeddings.tolist())
             assert got == pytest.approx(want, abs=1e-10)
 
+    def test_brute_force_oracle_over_shapes_and_label_mixes(self):
+        """Random B, P and width; batch and pool labels each drawn from a
+        random class subset (single-class ones included); some embeddings
+        zero-norm, in the batch and in the pool."""
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        classes = st.sets(st.integers(0, 3), min_size=1).map(sorted)
+
+        @hyp.settings(max_examples=200, deadline=None, database=None)
+        @hyp.given(st.integers(1, 12), st.integers(1, 40), st.integers(1, 12),
+                   classes, classes, st.floats(0.0, 0.5), st.integers(0, 2 ** 32 - 1))
+        def check(b, p, dim, batch_classes, pool_classes, zero_fraction, seed):
+            rng = np.random.default_rng(seed)
+            pool = mr.ScorePool(p)
+            pool_embeddings = rng.standard_normal((p, dim))
+            pool_embeddings[rng.random(p) < zero_fraction] = 0.0
+            pool.push(rng.choice(pool_classes, size=p), rng.uniform(-1.0, 1.0, size=p),
+                      pool_embeddings)
+            scores = rng.uniform(-1.0, 1.0, size=b)
+            labels = rng.choice(batch_classes, size=b)
+            embeddings = rng.standard_normal((b, dim))
+            embeddings[rng.random(b) < zero_fraction] = 0.0
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got, _, _ = mr.multi_margin_loss(scores, labels, embeddings, pool)
+            dead = not embeddings.any(axis=1).all() or not pool_embeddings.any(axis=1).all()
+            assert [str(w.message) for w in caught] == (
+                ["zero-norm embedding; cosine taken as 0"] if dead else [])
+            want = margin_loss_brute(scores.tolist(), labels.tolist(),
+                                     embeddings.tolist(), pool.labels.tolist(),
+                                     pool.scores.tolist(), pool.embeddings.tolist())
+            assert abs(got - want) <= 1e-10
+
+        check()
+
     def test_duplicating_the_pool_changes_nothing(self):
         rng = np.random.default_rng(1)
         scores, labels, embeddings, pool = random_instance(rng, b=4, p=8, dim=3)
