@@ -124,5 +124,5 @@ enc_scores, enc_embeds, _ = model.score_batch(
     enc.params, model.prepare_batch(records, enc.params.config))
 entries = [mocorank.ScorePoolEntry(r.label, s, e)
            for r, s, e in zip(records, enc_scores, enc_embeds)]
-pool = mocorank.pool_push(pool, entries)
+pool = pool.push_entries(entries)
 print("pool ages after one training push: 4 fresh entries, 4 survivors")

@@ -71,7 +71,6 @@ from .mocorank import (
     pairwise_matrix,
     pairwise_term,
     pool_init,
-    pool_push,
 )
 from .model import (
     Batch,

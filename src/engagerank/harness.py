@@ -381,13 +381,20 @@ def train_epochs(state: TrainState, train_set: Dataset,
     return state
 
 
-def train(config: TrainConfig, train_set: Optional[Dataset] = None,
-          val_set: Optional[Dataset] = None) -> tuple[TrainState, list]:
-    """Full training run; returns the final state and the per-epoch log."""
+def _datasets(config: TrainConfig, train_set: Optional[Dataset],
+              val_set: Optional[Dataset]) -> tuple[Dataset, Optional[Dataset]]:
+    """The given train and val sets, each read from its config path when not given."""
     if train_set is None:
         train_set = _load_dataset(config.train_path, "train")
     if val_set is None and config.val_path is not None:
         val_set = _load_dataset(config.val_path, "val")
+    return train_set, val_set
+
+
+def train(config: TrainConfig, train_set: Optional[Dataset] = None,
+          val_set: Optional[Dataset] = None) -> tuple[TrainState, list]:
+    """Full training run; returns the final state and the per-epoch log."""
+    train_set, val_set = _datasets(config, train_set, val_set)
     state = init_train_state(config, train_set)
     train_epochs(state, train_set, val_set)
     return state, state.history
@@ -402,10 +409,7 @@ def train_two_stage(config: TrainConfig, train_set: Optional[Dataset] = None,
     only the speech projection and the multimodal head, with the pool rebuilt
     from speech records.
     """
-    if train_set is None:
-        train_set = _load_dataset(config.train_path, "train")
-    if val_set is None and config.val_path is not None:
-        val_set = _load_dataset(config.val_path, "val")
+    train_set, val_set = _datasets(config, train_set, val_set)
     speech_records = [r for r in train_set.records if r.has_speech]
     if not speech_records:
         raise ValueError("no speech records")
@@ -482,12 +486,10 @@ def _config_to_jsonable(config) -> dict:
 
 def save_checkpoint(state: TrainState, path: str) -> None:
     """Write the whole TrainState to a versioned npz container."""
-    mcfg = dataclasses.asdict(state.params.config)
-    mcfg["dilations"] = list(mcfg["dilations"])
     meta = {
         "version": CHECKPOINT_VERSION,
         "config": _config_to_jsonable(state.config),
-        "model_config": mcfg,
+        "model_config": _config_to_jsonable(state.params.config),
         "epoch": state.epoch,
         "opt_step": state.opt["step"],
         "rng_state": state.rng.bit_generator.state,
@@ -610,11 +612,14 @@ def load_checkpoint(path: str) -> TrainState:
         raise corrupt("rng_state", f"not a PCG64 state ({err!r})") from err
     state = TrainState(config=config, params=params, opt=opt, rng=rng,
                        epoch=count("epoch"), frozen_keys=frozen_keys)
+    for name, want in (("has_enc", config.needs_pool), ("has_pool", config.needs_pool),
+                       ("has_centers", config.needs_centers)):
+        if need(meta, name) is not want:
+            raise corrupt(name, f"{meta[name]!r}, but loss {config.loss!r} gives {want}")
     width = mcfg.score_embed_dim
-    if need(meta, "has_enc"):
+    if config.needs_pool:
         state.enc = MomentumEncoder(params=load_params("momentum"),
                                     momentum=float(need(meta, "enc_momentum")))
-    if need(meta, "has_pool"):
         pool_meta = need(meta, "pool")
         ring = {k: need(loaded, f"pool__{k}") for k in ("labels", "scores", "embeddings")}
         ring.update({k: need(pool_meta, k, "pool.") for k in ("count", "next", "capacity")})
@@ -626,7 +631,7 @@ def load_checkpoint(path: str) -> TrainState:
             state.pool = ScorePool.from_state(ring)
         except ValueError as err:
             raise ValueError(f"corrupt checkpoint {path!r}: {err}") from err
-    if need(meta, "has_centers"):
+    if config.needs_centers:
         values = need(loaded, "centers__values")
         if values.shape != (N_CLASSES, width):
             raise corrupt("centers__values", f"shape {values.shape}, expected "

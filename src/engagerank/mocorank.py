@@ -241,11 +241,6 @@ def pool_init(dataset: Dataset, enc: MomentumEncoder, capacity: int,
     return pool
 
 
-def pool_push(pool: ScorePool, entries: list[ScorePoolEntry]) -> ScorePool:
-    """FIFO batch insert; the oldest len(entries) items leave a full pool."""
-    return pool.push_entries(entries)
-
-
 # ---------------------------------------------------------------------------
 # Ranking loss
 # ---------------------------------------------------------------------------

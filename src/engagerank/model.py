@@ -13,14 +13,14 @@ scores every record visually.
 
 Everything is float64 numpy.  ``ModelParams`` keeps every weight in one
 contiguous vector with named views into it.  ``prepare_batch`` turns records
-into a ``Batch`` of stacked arrays.  The temporal encoder runs channel-major:
-it moves the (B, 3D, T) batch to (C, B*T) on entry, runs each conv as one
-product over the whole batch, and hands back (B, C, T).  So a record's
-encoding depends on the batch it runs in, in the last bits, while the same
-batch always gives the same bits.  Train-mode forward passes record the
-intermediates needed for an exact backward pass, which accumulates into named
-views of one zeroed gradient vector laid out like that buffer.  Eval-mode
-forward passes keep no such caches and cannot be differentiated;
+into a ``Batch`` of stacked arrays.  The temporal encoder runs time-major:
+it moves the (B, 3D, T) batch to (C, T*B) on entry, runs each conv as K
+shifted products over the whole batch, and hands back (B, C, T).  So a
+record's encoding depends on the batch it runs in, in the last bits, while
+the same batch always gives the same bits.  Train-mode forward passes record
+the intermediates needed for an exact backward pass, which accumulates into
+named views of one zeroed gradient vector laid out like that buffer.
+Eval-mode forward passes keep no such caches and cannot be differentiated;
 ``score_batch`` is the one eval-mode scoring path over a prepared batch.
 """
 
@@ -202,43 +202,46 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
 # Primitive layers (batched, with caches for backward)
 # ---------------------------------------------------------------------------
 
-def _causal_taps(x: np.ndarray, kernel: int, dilation: int, t: int) -> np.ndarray:
-    """Stack the kernel taps of channel-major sequences: (C, B*T) -> (C*K, B*T).
+def _causal_conv(x: np.ndarray, w: np.ndarray, dilation: int, b: int) -> np.ndarray:
+    """Causal dilated conv of time-major sequences: (C, T*B) -> (O, T*B).
 
-    ``x`` holds B records of T steps side by side along its columns.  Tap j
-    is ``x`` shifted right by ``(kernel-1-j)*dilation`` columns along all of
-    B*T at once; the first ``shift`` columns of each record, which read the
-    previous record's tail (or nothing), are then zeroed.  So no output
-    column ever sees a later input column or another record.  Row
-    ``c*K + j`` holds tap j of channel c, matching a (O, C, K) kernel
-    reshaped to (O, C*K).
+    Column ``t*B + r`` of ``x`` holds step t of record r, so tap j, which
+    reads ``(K-1-j)*dilation`` steps back, is one product on ``x`` shifted
+    right by that many blocks of B columns.  A shift by whole steps never
+    crosses records; the output's first shifted steps get no term from the
+    tap, which is the zero padding of a causal conv.  A tap that reaches
+    past the last step is skipped.
     """
-    ch, n = x.shape
-    cols = np.empty((ch, kernel, n // t, t))
-    flat = cols.reshape(ch, kernel, n)
+    kernel = w.shape[2]
+    n = x.shape[1]
+    out = w[:, :, kernel - 1] @ x
+    for j in range(kernel - 1):
+        shift = (kernel - 1 - j) * dilation * b
+        if shift < n:
+            out[:, shift:] += w[:, :, j] @ x[:, :n - shift]
+    return out
+
+
+def _conv_weight_grad(dout: np.ndarray, x: np.ndarray, dw: np.ndarray, dilation: int,
+                      b: int) -> None:
+    """Accumulate dLoss/dw of ``_causal_conv`` into ``dw`` (O, C, K)."""
+    kernel = dw.shape[2]
+    n = x.shape[1]
     for j in range(kernel):
-        shift = min((kernel - 1 - j) * dilation, t)
-        flat[:, j, shift:] = x[:, :n - shift]
-        cols[:, j, :, :shift] = 0.0
-    return flat.reshape(ch * kernel, n)
+        shift = (kernel - 1 - j) * dilation * b
+        if shift < n:
+            dw[:, :, j] += dout[:, shift:] @ x[:, :n - shift].T
 
 
-def _causal_taps_backward(dcols: np.ndarray, kernel: int, dilation: int,
-                          t: int) -> np.ndarray:
-    """Adjoint of ``_causal_taps``: (C*K, B*T) -> (C, B*T).
-
-    Zeroes, in place, the entries of ``dcols`` whose taps were zeroed, then
-    shift-adds each tap back along B*T.
-    """
-    n = dcols.shape[1]
-    ch = dcols.shape[0] // kernel
-    per_record = dcols.reshape(ch, kernel, n // t, t)
-    flat = per_record.reshape(ch, kernel, n)
-    dx = np.zeros((ch, n))
-    for j in range(kernel):
-        shift = min((kernel - 1 - j) * dilation, t)
-        per_record[:, j, :, :shift] = 0.0
-        dx[:, :n - shift] += flat[:, j, shift:]
+def _conv_input_grad(dout: np.ndarray, w: np.ndarray, dilation: int, b: int) -> np.ndarray:
+    """dLoss/dx of ``_causal_conv``: (O, T*B) -> (C, T*B)."""
+    kernel = w.shape[2]
+    n = dout.shape[1]
+    dx = w[:, :, kernel - 1].T @ dout
+    for j in range(kernel - 1):
+        shift = (kernel - 1 - j) * dilation * b
+        if shift < n:
+            dx[:, :n - shift] += w[:, :, j].T @ dout[:, shift:]
     return dx
 
 
@@ -254,37 +257,34 @@ def _apply_mask(x, mask):
     return x if mask is None else x * mask
 
 
-def _channel_major_mask(rate: float, train: bool, rng, b: int, ch: int,
-                        t: int) -> Optional[np.ndarray]:
+def _time_major_mask(rate: float, train: bool, rng, b: int, ch: int,
+                     t: int) -> Optional[np.ndarray]:
     """A dropout mask drawn as (B, C, T), as a batch-major layer draws it,
-    then moved to the channel-major (C, B*T) layout."""
+    then moved to the time-major (C, T*B) layout."""
     mask = _dropout_mask((b, ch, t), rate, train, rng)
-    return None if mask is None else mask.transpose(1, 0, 2).reshape(ch, b * t)
+    return None if mask is None else mask.transpose(1, 2, 0).reshape(ch, t * b)
 
 
-def _tcn_block_forward(x, params, prefix, dilation, t, train, rng, dropout, keep):
-    """One residual block on channel-major (C, B*T) activations; with
-    ``keep`` also the cache its backward needs.
+def _tcn_block_forward(x, params, prefix, dilation, b, train, rng, dropout, keep):
+    """One residual block on time-major (C, T*B) activations; with ``keep``
+    also the cache its backward needs.
 
-    Each conv is one (O, C*K) @ (C*K, B*T) product over the whole batch.
     Bias, ReLU and residual add in place into each conv's fresh output.
     """
     w1, w2 = params[f"{prefix}.conv1.w"], params[f"{prefix}.conv2.w"]
-    o, _, kernel = w1.shape
-    b = x.shape[1] // t
-    cols1 = _causal_taps(x, kernel, dilation, t)
-    h1 = w1.reshape(o, -1) @ cols1
+    o = w1.shape[0]
+    t = x.shape[1] // b
+    h1 = _causal_conv(x, w1, dilation, b)
     h1 += params[f"{prefix}.conv1.b"][:, None]
     s1 = h1 > 0 if keep else None
     np.maximum(h1, 0.0, out=h1)
-    m1 = _channel_major_mask(dropout, train, rng, b, o, t)
+    m1 = _time_major_mask(dropout, train, rng, b, o, t)
     h1 = _apply_mask(h1, m1)
-    cols2 = _causal_taps(h1, kernel, dilation, t)
-    out = w2.reshape(o, -1) @ cols2
+    out = _causal_conv(h1, w2, dilation, b)
     out += params[f"{prefix}.conv2.b"][:, None]
     s2 = out > 0 if keep else None
     np.maximum(out, 0.0, out=out)
-    m2 = _channel_major_mask(dropout, train, rng, b, o, t)
+    m2 = _time_major_mask(dropout, train, rng, b, o, t)
     out = _apply_mask(out, m2)
     if f"{prefix}.down.w" in params:
         res = params[f"{prefix}.down.w"] @ x
@@ -296,24 +296,23 @@ def _tcn_block_forward(x, params, prefix, dilation, t, train, rng, dropout, keep
     np.maximum(out, 0.0, out=out)
     if not keep:
         return out, None
-    return out, {"x": x, "dilation": dilation, "cols1": cols1, "s1": s1, "m1": m1,
-                 "cols2": cols2, "s2": s2, "m2": m2, "s_out": s_out}
+    return out, {"x": x, "dilation": dilation, "s1": s1, "m1": m1, "h1": h1,
+                 "s2": s2, "m2": m2, "s_out": s_out}
 
 
-def _tcn_block_backward(dout, cache, params, prefix, t, grads, need_dx=True):
+def _tcn_block_backward(dout, cache, params, prefix, b, grads, need_dx=True):
     """Accumulate the block's parameter gradients; return its input gradient
-    (channel-major, like ``dout``), or None without ``need_dx`` (the network
+    (time-major, like ``dout``), or None without ``need_dx`` (the network
     input takes no gradient)."""
     dilation = cache["dilation"]
     w1, w2 = params[f"{prefix}.conv1.w"], params[f"{prefix}.conv2.w"]
-    o, _, kernel = w1.shape
     dpre_out = dout * cache["s_out"]
     dpre2 = _apply_mask(dpre_out, cache["m2"]) * cache["s2"]
-    grads[f"{prefix}.conv2.w"] += (dpre2 @ cache["cols2"].T).reshape(w2.shape)
+    _conv_weight_grad(dpre2, cache["h1"], grads[f"{prefix}.conv2.w"], dilation, b)
     grads[f"{prefix}.conv2.b"] += dpre2.sum(axis=1)
-    dh1 = _causal_taps_backward(w2.reshape(o, -1).T @ dpre2, kernel, dilation, t)
+    dh1 = _conv_input_grad(dpre2, w2, dilation, b)
     dpre1 = _apply_mask(dh1, cache["m1"]) * cache["s1"]
-    grads[f"{prefix}.conv1.w"] += (dpre1 @ cache["cols1"].T).reshape(w1.shape)
+    _conv_weight_grad(dpre1, cache["x"], grads[f"{prefix}.conv1.w"], dilation, b)
     grads[f"{prefix}.conv1.b"] += dpre1.sum(axis=1)
     has_down = f"{prefix}.down.w" in params
     if has_down:
@@ -321,7 +320,7 @@ def _tcn_block_backward(dout, cache, params, prefix, t, grads, need_dx=True):
         grads[f"{prefix}.down.b"] += dpre_out.sum(axis=1)
     if not need_dx:
         return None
-    dx = _causal_taps_backward(w1.reshape(o, -1).T @ dpre1, kernel, dilation, t)
+    dx = _conv_input_grad(dpre1, w1, dilation, b)
     if has_down:
         dx += params[f"{prefix}.down.w"].T @ dpre_out
     else:
@@ -378,7 +377,7 @@ def _cosine_score_backward(ds, cache, dw_out):
 def temporal_encoder(chunks, params: ModelParams, train: bool = False, rng=None) -> np.ndarray:
     """Encode chunk summaries (3D x T, or batched B x 3D x T) to width x T.
 
-    The batch runs channel-major, so each conv is one product over all its
+    The batch runs time-major, so each conv tap is one product over all its
     records: a record's encoding matches its lone encoding in all but the
     last bits, and the same batch always gives the same bits.
     """
@@ -391,28 +390,28 @@ def temporal_encoder(chunks, params: ModelParams, train: bool = False, rng=None)
 
 
 def _tcn_forward(x, params: ModelParams, train, rng, keep):
-    """(B, 3D, T) chunks -> (B, C, T) encoding, run as (C, B*T) in between."""
+    """(B, 3D, T) chunks -> (B, C, T) encoding, run as (C, T*B) in between."""
     cfg = params.config
     b, rows, t = x.shape
     if rows != cfg.chunk_rows:
         raise ValueError(
             f"temporal encoder expects {cfg.chunk_rows} input channels, got {rows}")
-    x = x.transpose(1, 0, 2).reshape(rows, b * t)
+    x = x.transpose(1, 2, 0).reshape(rows, t * b)
     caches = []
     for i, dil in enumerate(cfg.dilations):
-        x, cache = _tcn_block_forward(x, params, f"tcn.{i}", dil, t, train, rng,
+        x, cache = _tcn_block_forward(x, params, f"tcn.{i}", dil, b, train, rng,
                                       cfg.dropout, keep)
         caches.append(cache)
-    return x.reshape(-1, b, t).transpose(1, 0, 2), caches
+    return x.reshape(-1, t, b).transpose(2, 0, 1), caches
 
 
 def _tcn_backward(dout, caches, params: ModelParams, grads) -> None:
     """Accumulate the encoder's gradients from dLoss/d(B, C, T) encoding."""
     cfg = params.config
     b, ch, t = dout.shape
-    dout = dout.transpose(1, 0, 2).reshape(ch, b * t)
+    dout = dout.transpose(1, 2, 0).reshape(ch, t * b)
     for i in reversed(range(len(cfg.dilations))):
-        dout = _tcn_block_backward(dout, caches[i], params, f"tcn.{i}", t, grads,
+        dout = _tcn_block_backward(dout, caches[i], params, f"tcn.{i}", b, grads,
                                    need_dx=i > 0)
 
 
@@ -583,10 +582,10 @@ class Trace:
     """Everything one forward pass produced.
 
     A train-mode trace carries the caches its backward pass reads; the
-    temporal encoder's hold channel-major (C, B*T) activations and (C*K, B*T)
-    taps.  An eval-mode trace carries none (``cache`` is None), so
-    ``backward`` and ``relu_signature`` refuse it.  ``encoded`` is a
-    (B, C, T) view of the encoder's channel-major output; it matches each
+    temporal encoder's hold each block's time-major (C, T*B) conv inputs,
+    ReLU masks and dropout masks.  An eval-mode trace carries none (``cache``
+    is None), so ``backward`` and ``relu_signature`` refuse it.  ``encoded``
+    is a (B, C, T) view of the encoder's time-major output; it matches each
     record's lone encoding up to rounding.
     """
 

@@ -5,10 +5,11 @@ with the package, so agreement is evidence rather than tautology.  The
 optimizer and momentum references are the per-tensor numpy loops the package
 ran before its parameters moved into one vector; the whole-vector updates
 must match them bit for bit.  The causal-tap references build the taps from a
-zero-padded copy of the sequence, batch-major; the package's channel-major
-taps are the same copies and must agree bit for bit too.  The per-record
-temporal encoder is the batch-major one the package ran before it went
-channel-major, with one conv product per record; the package's encoder
+zero-padded copy of the sequence, batch-major; one product over them gives a
+causal conv, which the package's time-major conv (K shifted products, no tap
+matrix) matches up to rounding.  The per-record temporal encoder is the
+batch-major one the package ran before its encoder went to one layout over
+the whole batch, with one conv product per record; the package's encoder
 differs from it only by rounding.
 """
 import math

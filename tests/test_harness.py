@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -318,6 +319,41 @@ class TestTraining:
         got = np.array([e.label for e in state.pool.entries()])
         np.testing.assert_array_equal(got, expect)
 
+    @pytest.mark.parametrize("before", [True, False])
+    def test_score_before_step(self, monkeypatch, before):
+        """The pool's newest entries are the batch as the momentum encoder
+        scores it before its update with score_before_step, after without."""
+        data = tiny_data(n=8)
+        cfg = tiny_train_config(loss="mocorank", epochs=1, dropout=0.1,
+                                score_before_step=before)
+        state = harness.init_train_state(cfg, data)
+        encoders, batches = [], []
+        real_update, real_forward = harness.mocorank.momentum_update, model.forward_batch
+
+        def update(enc, params, momentum):
+            encoders.append(enc.params.copy())
+            real_update(enc, params, momentum)
+            encoders.append(enc.params.copy())
+
+        def forward(chunks, gfeat, params, mode="eval", **kw):
+            if mode == "train":
+                batches.append(model.Batch(chunks, gfeat, kw["speech"], kw["meta"],
+                                           kw["has_speech"]))
+            return real_forward(chunks, gfeat, params, mode=mode, **kw)
+
+        monkeypatch.setattr(harness.mocorank, "momentum_update", update)
+        monkeypatch.setattr(model, "forward_batch", forward)
+        harness.train_epochs(state, data)
+        assert len(encoders) == 2 and len(batches) == 1
+        newest = state.pool.entries()[-len(data):]
+        got_scores = np.array([e.score for e in newest])
+        got_embeds = np.stack([e.embedding for e in newest])
+        used, other = encoders if before else encoders[::-1]
+        scores, embeds, _ = model.score_batch(used, batches[0])
+        assert got_scores.tobytes() == scores.tobytes()
+        assert got_embeds.tobytes() == embeds.tobytes()
+        assert np.any(model.score_batch(other, batches[0])[0] != got_scores)
+
     def test_frozen_keys_stay_bitwise_identical(self):
         data = tiny_data(n=32)
         cfg = tiny_train_config(loss="mse", epochs=3)
@@ -574,6 +610,16 @@ class TestCheckpointing:
         config = dict(self._saved(tmp_path, "config"), loss="mse", **edit)
         path = self._edited_checkpoint(tmp_path, meta_edits={"config": config}, loss="mse")
         self._refused(path, "model_config", f"{key} is .*, but config gives")
+
+    @pytest.mark.parametrize("loss, name, value", [
+        ("mocorank", "has_enc", False), ("mocorank", "has_pool", False),
+        ("mocorank", "has_centers", True), ("mocorank+center", "has_centers", False),
+        ("mse", "has_enc", True), ("mse", "has_pool", True), ("mse", "has_centers", True)])
+    def test_state_flags_against_loss(self, tmp_path, loss, name, value):
+        """A flag that disagrees with what the loss uses is refused on load,
+        instead of failing later inside training."""
+        path = self._edited_checkpoint(tmp_path, meta_edits={name: value}, loss=loss)
+        self._refused(path, name, re.escape(f"{value}, but loss '{loss}' gives {not value}"))
 
     def test_valid_frozen_keys_still_load(self, tmp_path):
         path = self._edited_checkpoint(

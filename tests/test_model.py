@@ -221,44 +221,84 @@ class TestTemporalEncoder:
 
 
 class TestCausalTaps:
-    """Channel-major taps and their adjoint equal the padded-copy reference,
-    moved into (C*K, B*T) order, bit for bit."""
+    """Each causal conv, run as K shifted products on time-major (C, T*B)
+    columns, and its weight and input gradients agree with one product over
+    the padded-copy taps, batch-major."""
 
     @staticmethod
-    def _channel_major(a):
-        """(B, C, ..., T) -> (C*..., B*T)."""
-        return np.moveaxis(a, 0, -2).reshape(-1, a.shape[0] * a.shape[-1])
+    def _time_major(a):
+        """(B, C, T) -> (C, T*B)."""
+        return a.transpose(1, 2, 0).reshape(a.shape[1], -1)
+
+    @staticmethod
+    def _reference(x, w, dout, dilation):
+        """(output, weight gradient, input gradient) of the conv from the
+        padded-copy taps with one product each."""
+        b, ch, t = x.shape
+        o, _, kernel = w.shape
+        cols = causal_cols_padded(x, kernel, dilation).reshape(b, ch * kernel, t)
+        w2 = w.reshape(o, ch * kernel)
+        out = np.matmul(w2, cols)
+        dw = np.einsum("bot,bkt->ok", dout, cols).reshape(w.shape)
+        dcols = np.matmul(w2.T, dout).reshape(b, ch, kernel, t)
+        return out, dw, causal_cols_padded_backward(dcols, dilation, t)
+
+    def _conv_and_grads(self, x, w, dout, dilation):
+        tm = self._time_major
+        b = x.shape[0]
+        out = model._causal_conv(tm(x), w, dilation, b)
+        dw = np.zeros_like(w)
+        model._conv_weight_grad(tm(dout), tm(x), dw, dilation, b)
+        dx = model._conv_input_grad(tm(dout), w, dilation, b)
+        return out, dw, dx
 
     def test_matches_padded_reference(self):
+        """Within rtol 1e-12, plus 1e-14 of the summed term magnitudes for
+        entries that cancel (rounding stays below 48 * 2**-53 of them)."""
         hyp = pytest.importorskip("hypothesis")
         st = hyp.strategies
 
         @hyp.settings(max_examples=300, deadline=None, database=None)
-        @hyp.given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 12),
-                   st.integers(1, 5), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
-        def check(b, ch, t, kernel, dilation, seed):
-            cm = self._channel_major
+        @hyp.given(b=st.integers(1, 4), ch=st.integers(1, 5), o=st.integers(1, 5),
+                   t=st.integers(1, 12), kernel=st.integers(1, 5),
+                   dilation=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+        @hyp.example(b=1, ch=3, o=2, t=5, kernel=3, dilation=2, seed=0)
+        @hyp.example(b=3, ch=2, o=4, t=4, kernel=3, dilation=2, seed=1)
+        @hyp.example(b=1, ch=1, o=1, t=1, kernel=5, dilation=8, seed=2)
+        def check(b, ch, o, t, kernel, dilation, seed):
             rng = np.random.default_rng(seed)
             x = rng.standard_normal((b, ch, t))
+            w = rng.standard_normal((o, ch, kernel))
+            dout = rng.standard_normal((b, o, t))
             x[rng.random(x.shape) < 0.2] = -0.0
-            assert (model._causal_taps(cm(x), kernel, dilation, t).tobytes()
-                    == cm(causal_cols_padded(x, kernel, dilation)).tobytes())
-            dcols = rng.standard_normal((b, ch, kernel, t))
-            dcols[rng.random(dcols.shape) < 0.2] = -0.0
-            want = cm(causal_cols_padded_backward(dcols, dilation, t))
-            got = model._causal_taps_backward(cm(dcols), kernel, dilation, t)
-            assert got.tobytes() == want.tobytes()
+            dout[rng.random(dout.shape) < 0.2] = -0.0
+            tm = self._time_major
+            got = self._conv_and_grads(x, w, dout, dilation)
+            want = self._reference(x, w, dout, dilation)
+            scale = self._reference(np.abs(x), np.abs(w), np.abs(dout), dilation)
+            for g, wv, sc in zip(got, (tm(want[0]), want[1], tm(want[2])),
+                                 (tm(scale[0]), scale[1], tm(scale[2]))):
+                assert g.shape == wv.shape
+                assert np.all(np.abs(g - wv) <= 1e-12 * np.abs(wv) + 1e-14 * sc)
 
         check()
 
     def test_reach_past_the_start(self):
-        """(K-1)*dilation >= T: the early taps read only padding."""
+        """(K-1)*dilation >= T: the early taps read only padding, so they add
+        nothing to the output and take no gradient."""
         x = np.arange(1.0, 17.0).reshape(2, 2, 4)
-        cm = self._channel_major
-        cols = model._causal_taps(cm(x), 3, 4, 4).reshape(2, 3, 8)
-        assert not cols[:, :2].any()
-        np.testing.assert_array_equal(cols[:, 2], cm(x))
-        assert cols.tobytes() == cm(causal_cols_padded(x, 3, 4)).tobytes()
+        w = np.arange(1.0, 13.0).reshape(2, 2, 3)
+        dout = np.arange(-8.0, 8.0).reshape(2, 2, 4)
+        tm = self._time_major
+        out, dw, dx = self._conv_and_grads(x, w, dout, 4)
+        np.testing.assert_array_equal(out, w[:, :, 2] @ tm(x))
+        assert not dw[:, :, :2].any()
+        np.testing.assert_array_equal(dx, w[:, :, 2].T @ tm(dout))
+        # small integers: every sum is exact, so the reference agrees bitwise
+        want_out, want_dw, want_dx = self._reference(x, w, dout, 4)
+        assert out.tobytes() == tm(want_out).tobytes()
+        assert dw.tobytes() == want_dw.tobytes()
+        assert dx.tobytes() == tm(want_dx).tobytes()
 
 
 class TestAttentionFuse:
@@ -516,7 +556,7 @@ class TestEvalTraces:
         train = model.forward_batch(chunks, gfeat, params, mode="train",
                                     rng=np.random.default_rng(0), **kwargs)
         assert [sorted(c) for c in train.cache["tcn"]] == [
-            ["cols1", "cols2", "dilation", "m1", "m2", "s1", "s2", "s_out", "x"]
+            ["dilation", "h1", "m1", "m2", "s1", "s2", "s_out", "x"]
         ] * len(cfg.dilations)
 
     def test_relu_signature_refuses_eval_trace(self):
@@ -544,8 +584,8 @@ class TestEvalTraces:
         trace = model.forward_batch(chunks, gfeat, params, mode="train",
                                     rng=np.random.default_rng(0), **kwargs)
         calls = []
-        real = model._causal_taps_backward
-        monkeypatch.setattr(model, "_causal_taps_backward",
+        real = model._conv_input_grad
+        monkeypatch.setattr(model, "_conv_input_grad",
                             lambda *a: calls.append(1) or real(*a))
         model.backward(trace, params, d_score=np.ones(trace.batch_size))
         assert len(calls) == 2 * len(cfg.dilations) - 1
