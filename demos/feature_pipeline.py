@@ -31,13 +31,13 @@ assert np.array_equal(padded.values[:, 7], padded.values[:, 0])
 # Four chunks out of 14 frames: 14 = 4*3 + 2, so the first two chunks get an
 # extra frame (sizes 4, 4, 3, 3).
 summary = fp.chunk_summarize(padded, n_chunks=4)
-print("chunk summary shape (3 stats x channels, chunks):", summary.values.shape)
+print("chunk summary shape (3 stats x channels, chunks):", summary.shape)
 
 # Row layout: per-channel minima first, then maxima, then variances.
 first_chunk = padded.values[:, :4]
-np.testing.assert_allclose(summary.values[0, 0], first_chunk[0].min())
-np.testing.assert_allclose(summary.values[3, 0], first_chunk[0].max())
-np.testing.assert_allclose(summary.values[6, 0], first_chunk[0].var())
+np.testing.assert_allclose(summary[0, 0], first_chunk[0].min())
+np.testing.assert_allclose(summary[3, 0], first_chunk[0].max())
+np.testing.assert_allclose(summary[6, 0], first_chunk[0].var())
 print("row 0 = min of channel 0, row 3 = max, row 6 = variance")
 
 # prepare_record does pad + summarize in one call, straight from a record.

@@ -5,8 +5,8 @@ Anatomy of the scoring model
 One record flows through four stages: a causal dilated temporal encoder over
 the chunk summaries, attention pooling queried by the global feature, a
 concatenation path for the global feature itself, and a normalized scoring
-head whose output always lands in [-1, 1].  This script runs a single tiny
-record through each stage and prints what comes out.
+head whose output always lands in [-1, 1].  This script runs a tiny batch
+through the model and prints what each stage gives.
 """
 
 import numpy as np

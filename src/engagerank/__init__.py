@@ -15,7 +15,6 @@ from .featurepipe import (
     N_CLASSES,
     REFERENCE_PROPORTIONS,
     SPEECH_DIM,
-    ChunkedFeatures,
     Dataset,
     EngagementLevel,
     FrameSequence,
@@ -78,11 +77,9 @@ from .model import (
     ModelParams,
     Trace,
     attention_fuse,
-    audio_fuse,
     backward,
     classify,
     concat_fuse,
-    forward,
     forward_batch,
     init_params,
     prepare_batch,

@@ -47,7 +47,6 @@ class FrameSequence:
     """A matrix of D feature channels by F frames."""
 
     values: np.ndarray
-    frame_rate: float = 25.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -64,21 +63,6 @@ class FrameSequence:
 
     @property
     def n_frames(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass
-class ChunkedFeatures:
-    """Chunk summaries stacked as [min block; max block; variance block], 3D x T."""
-
-    values: np.ndarray
-
-    @property
-    def n_channels(self) -> int:
-        return self.values.shape[0] // 3
-
-    @property
-    def n_chunks(self) -> int:
         return self.values.shape[1]
 
 
@@ -174,16 +158,18 @@ def repeat_pad(frames: FrameSequence, min_frames: int = DEFAULT_MIN_FRAMES,
         copies = math.ceil(min_frames / f) if f < min_frames else 1
     if copies == 1:
         return frames
-    return FrameSequence(np.tile(frames.values, (1, copies)), frames.frame_rate)
+    return FrameSequence(np.tile(frames.values, (1, copies)))
 
 
-def chunk_summarize(frames: FrameSequence, n_chunks: int = DEFAULT_CHUNKS) -> ChunkedFeatures:
+def chunk_summarize(frames: FrameSequence, n_chunks: int = DEFAULT_CHUNKS) -> np.ndarray:
     """Split frames into contiguous chunks and emit per-chunk min/max/variance.
 
-    The F frames are partitioned into ``n_chunks`` contiguous chunks whose
-    lengths differ by at most one; the first ``F mod n_chunks`` chunks take the
-    extra frame.  Variance is the population variance (ddof=0), which is
-    defined even for single-frame chunks.
+    Returns a (3D, n_chunks) float64 array stacked as [min block; max block;
+    variance block].  The F frames are partitioned into ``n_chunks``
+    contiguous chunks whose lengths differ by at most one; the first
+    ``F mod n_chunks`` chunks take the extra frame.  Variance is the
+    population variance (ddof=0), which is defined even for single-frame
+    chunks.
 
     The long and the short chunks are each viewed as one (D, chunks, size)
     block and reduced along the last axis.  Every chunk is thus reduced along
@@ -211,12 +197,12 @@ def chunk_summarize(frames: FrameSequence, n_chunks: int = DEFAULT_CHUNKS) -> Ch
         out[0, :, chunks] = block.min(axis=-1)
         out[1, :, chunks] = block.max(axis=-1)
         out[2, :, chunks] = block.var(axis=-1)
-    return ChunkedFeatures(out.reshape(3 * d, n_chunks))
+    return out.reshape(3 * d, n_chunks)
 
 
 def prepare_record(record: SampleRecord, n_chunks: int = DEFAULT_CHUNKS,
-                   min_frames: int = DEFAULT_MIN_FRAMES, strict: bool = False) -> ChunkedFeatures:
-    """Pad then chunk-summarize one record's frame sequence."""
+                   min_frames: int = DEFAULT_MIN_FRAMES, strict: bool = False) -> np.ndarray:
+    """Pad then chunk-summarize one record's frame sequence: (3D, n_chunks)."""
     return chunk_summarize(repeat_pad(record.frames, min_frames, strict), n_chunks)
 
 
@@ -465,28 +451,19 @@ def synth_dataset(n: int, n_channels: int = DEFAULT_CHANNELS, global_dim: int = 
     records = []
     for i in range(n):
         u, v = latents[i], drivers[i]
-        if gains is None and fwarp is None:
-            frames = frame_map[:, None] * v + noise * rng.standard_normal((n_channels, n_frames))
-            gfeat = global_map * v + noise * rng.standard_normal(global_dim)
-            vg = v
-        else:
-            g = 1.0 if gains is None else gains[i]
-            vg = v * g
-            frames = (frame_map * response(v, g, n_channels, fwarp))[:, None] \
-                + noise * rng.standard_normal((n_channels, n_frames))
-            sig = global_map * response(v, g, global_dim, gwarp)
-            if n_ctx:
-                # gain report: the per-record gain rescaled to [-1, 1]
-                sig[-n_ctx:] = global_map[-n_ctx:] * (2.0 * (1.0 - g) / modulation - 1.0)
-            gfeat = sig + noise * rng.standard_normal(global_dim)
+        g = 1.0 if gains is None else gains[i]
+        vg = v * g
+        frames = (frame_map * response(v, g, n_channels, fwarp))[:, None] \
+            + noise * rng.standard_normal((n_channels, n_frames))
+        sig = global_map * response(v, g, global_dim, gwarp)
+        if n_ctx:
+            # gain report: the per-record gain rescaled to [-1, 1]
+            sig[-n_ctx:] = global_map[-n_ctx:] * (2.0 * (1.0 - g) / modulation - 1.0)
+        gfeat = sig + noise * rng.standard_normal(global_dim)
         speech = meta = None
         if has_speech[i]:
-            if gains is None and swarp is None:
-                speech = speech_map * v + noise * rng.standard_normal(speech_dim)
-            else:
-                g = 1.0 if gains is None else gains[i]
-                speech = speech_map * response(v, g, speech_dim, swarp) \
-                    + noise * rng.standard_normal(speech_dim)
+            speech = speech_map * response(v, g, speech_dim, swarp) \
+                + noise * rng.standard_normal(speech_dim)
             # Length, four rate fields in [0,1] centered on the driver, two stds.
             raw = 0.5 + 0.5 * vg + 0.1 * noise * rng.standard_normal(4)
             meta = np.concatenate((

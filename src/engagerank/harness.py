@@ -503,7 +503,6 @@ def save_checkpoint(state: TrainState, path: str) -> None:
     for k, v in state.params.items():
         arrays[f"param__{k}"] = v
     if state.enc is not None:
-        meta["enc_momentum"] = state.enc.momentum
         for k, v in state.enc.params.items():
             arrays[f"momentum__{k}"] = v
     if state.pool is not None:
@@ -514,7 +513,6 @@ def save_checkpoint(state: TrainState, path: str) -> None:
         arrays["pool__scores"] = ps["scores"]
         arrays["pool__embeddings"] = ps["embeddings"]
     if state.centers is not None:
-        meta["centers_alpha"] = state.centers.alpha
         arrays["centers__values"] = state.centers.values
     # Write a sibling temporary file and rename it over the target, so a
     # failed or interrupted save leaves any earlier checkpoint intact.  The
@@ -537,7 +535,10 @@ def load_checkpoint(path: str) -> TrainState:
 
     Parameters and momentum parameters are read in the layout ``init_params``
     gives the recorded model config, and every other field is checked on
-    load: a bad one raises a ValueError naming the path and the field.
+    load: a bad one raises a ValueError naming the path and the field.  The
+    momentum encoder runs at ``config.momentum`` and the centers move at the
+    ``ClassCenters`` default rate, as in a fresh run; older files that also
+    store ``enc_momentum`` and ``centers_alpha`` load with both ignored.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -619,7 +620,7 @@ def load_checkpoint(path: str) -> TrainState:
     width = mcfg.score_embed_dim
     if config.needs_pool:
         state.enc = MomentumEncoder(params=load_params("momentum"),
-                                    momentum=float(need(meta, "enc_momentum")))
+                                    momentum=config.momentum)
         pool_meta = need(meta, "pool")
         ring = {k: need(loaded, f"pool__{k}") for k in ("labels", "scores", "embeddings")}
         ring.update({k: need(pool_meta, k, "pool.") for k in ("count", "next", "capacity")})
@@ -636,8 +637,7 @@ def load_checkpoint(path: str) -> TrainState:
         if values.shape != (N_CLASSES, width):
             raise corrupt("centers__values", f"shape {values.shape}, expected "
                                              f"{(N_CLASSES, width)}")
-        state.centers = ClassCenters(values=values.copy(),
-                                     alpha=float(need(meta, "centers_alpha")))
+        state.centers = ClassCenters(values=values.copy())
     return state
 
 

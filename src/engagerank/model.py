@@ -332,10 +332,11 @@ def _affine_forward(x, w, b):
     return x @ w.T + b
 
 
-def _affine_backward(dout, x, w, grads, wkey, bkey):
-    grads[wkey] += dout.T @ x
-    grads[bkey] += dout.sum(axis=0)
-    return dout @ w
+def _affine_backward(dout, x, grads, prefix):
+    """Accumulate the weight and bias gradients of ``_affine_forward``; a
+    caller that needs the input gradient takes ``dout @ w`` itself."""
+    grads[f"{prefix}.w"] += dout.T @ x
+    grads[f"{prefix}.b"] += dout.sum(axis=0)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -371,22 +372,19 @@ def _cosine_score_backward(ds, cache, dw_out):
 
 
 # ---------------------------------------------------------------------------
-# Spec surface: individual operations
+# Forward stages, one by one, in eval mode.  ``forward_batch`` runs the same
+# private functions; these four exist for perfbench's per-stage timing
+# (``stage_split``) and go when it does.
 # ---------------------------------------------------------------------------
 
-def temporal_encoder(chunks, params: ModelParams, train: bool = False, rng=None) -> np.ndarray:
-    """Encode chunk summaries (3D x T, or batched B x 3D x T) to width x T.
+def temporal_encoder(chunks, params: ModelParams) -> np.ndarray:
+    """Encode (B, 3D, T) chunk summaries to (B, width, T).
 
     The batch runs time-major, so each conv tap is one product over all its
     records: a record's encoding matches its lone encoding in all but the
     last bits, and the same batch always gives the same bits.
     """
-    values = chunks.values if isinstance(chunks, featurepipe.ChunkedFeatures) else np.asarray(chunks)
-    single = values.ndim == 2
-    if single:
-        values = values[None]
-    out, _ = _tcn_forward(values, params, train, rng, keep=False)
-    return out[0] if single else out
+    return _tcn_forward(chunks, params, False, None, keep=False)[0]
 
 
 def _tcn_forward(x, params: ModelParams, train, rng, keep):
@@ -415,20 +413,10 @@ def _tcn_backward(dout, caches, params: ModelParams, grads) -> None:
                                    need_dx=i > 0)
 
 
-def attention_fuse(encoded, global_feat, params: ModelParams, train: bool = False, rng=None):
-    """Pool the encoding with softmax attention driven by the global feature.
-
-    Returns (pooled, attention weights).  Accepts single (C x T, d) or batched
-    (B x C x T, B x d) inputs.
-    """
-    encoded = np.asarray(encoded, dtype=np.float64)
-    global_feat = np.asarray(global_feat, dtype=np.float64)
-    single = encoded.ndim == 2
-    if single:
-        encoded, global_feat = encoded[None], global_feat[None]
-    pooled, attn, _ = _attention_forward(encoded, global_feat, params, train, rng)
-    if single:
-        return pooled[0], attn[0]
+def attention_fuse(encoded, global_feat, params: ModelParams):
+    """Pool the (B, C, T) encoding with softmax attention driven by the
+    (B, d) global feature; returns (pooled, attention weights)."""
+    pooled, attn, _ = _attention_forward(encoded, global_feat, params, False, None)
     return pooled, attn
 
 
@@ -442,7 +430,7 @@ def _attention_forward(encoded, global_feat, params: ModelParams, train, rng):
         q = _affine_forward(hd, params["mlp1.fc2.w"], params["mlp1.fc2.b"])
         logits = np.einsum("bc,bct->bt", q, encoded)
         attn = _softmax(logits)
-        cache.update(h=h, m=m, hd=hd, q=q, attn=attn, global_feat=global_feat)
+        cache.update(m=m, hd=hd, q=q, global_feat=global_feat)
     else:
         t = encoded.shape[2]
         attn = np.full((encoded.shape[0], t), 1.0 / t)
@@ -456,67 +444,51 @@ def _attention_backward(dpooled, cache, params: ModelParams, grads):
     encoded, attn = cache["encoded"], cache["attn_out"]
     denc = np.einsum("bc,bt->bct", dpooled, attn)
     if not cfg.uses_attention:
-        return denc, None, None
+        return denc
     dattn = np.einsum("bct,bc->bt", encoded, dpooled)
     dlogits = attn * (dattn - (attn * dattn).sum(axis=1, keepdims=True))
     dq = np.einsum("bct,bt->bc", encoded, dlogits)
     denc += np.einsum("bc,bt->bct", cache["q"], dlogits)
-    dhd = _affine_backward(dq, cache["hd"], params["mlp1.fc2.w"], grads,
-                           "mlp1.fc2.w", "mlp1.fc2.b")
-    dh = _apply_mask(dhd, cache["m"])
-    dglobal = _affine_backward(dh, cache["global_feat"], params["mlp1.fc1.w"], grads,
-                               "mlp1.fc1.w", "mlp1.fc1.b")
-    return denc, dglobal, None
+    _affine_backward(dq, cache["hd"], grads, "mlp1.fc2")
+    dh = _apply_mask(dq @ params["mlp1.fc2.w"], cache["m"])
+    _affine_backward(dh, cache["global_feat"], grads, "mlp1.fc1")
+    return denc
 
 
 def concat_fuse(global_feat, pooled, params: ModelParams):
-    """Concatenate the projected global feature with the pooled encoding."""
-    global_feat = np.asarray(global_feat, dtype=np.float64)
-    pooled = np.asarray(pooled, dtype=np.float64)
-    single = pooled.ndim == 1
-    if single:
-        global_feat, pooled = global_feat[None], pooled[None]
-    fused, _ = _concat_forward(global_feat, pooled, params)
-    return fused[0] if single else fused
+    """Concatenate the projected (B, d) global feature with the (B, C) pooled
+    encoding."""
+    return _concat_forward(global_feat, pooled, params)[0]
 
 
 def _concat_forward(global_feat, pooled, params: ModelParams):
     cfg = params.config
-    cache = {"pooled_dim": pooled.shape[1]}
-    if cfg.uses_concat:
-        if global_feat.shape[1] != cfg.global_dim:
-            raise ValueError(
-                f"global feature must have length {cfg.global_dim}, got {global_feat.shape[1]}")
-        pre = _affine_forward(global_feat, params["mlp2.fc1.w"], params["mlp2.fc1.b"])
-        h = np.maximum(pre, 0.0)
-        z = _affine_forward(h, params["mlp2.fc2.w"], params["mlp2.fc2.b"])
-        fused = np.concatenate([z, pooled], axis=1)
-        cache.update(s=pre > 0, h=h, global_feat=global_feat, z_dim=z.shape[1])
-    else:
-        fused = pooled
-        cache.update(z_dim=0)
-    return fused, cache
+    if not cfg.uses_concat:
+        return pooled, {"z_dim": 0}
+    if global_feat.shape[1] != cfg.global_dim:
+        raise ValueError(
+            f"global feature must have length {cfg.global_dim}, got {global_feat.shape[1]}")
+    pre = _affine_forward(global_feat, params["mlp2.fc1.w"], params["mlp2.fc1.b"])
+    h = np.maximum(pre, 0.0)
+    z = _affine_forward(h, params["mlp2.fc2.w"], params["mlp2.fc2.b"])
+    cache = {"s": pre > 0, "h": h, "global_feat": global_feat, "z_dim": z.shape[1]}
+    return np.concatenate([z, pooled], axis=1), cache
 
 
 def _concat_backward(dfused, cache, params: ModelParams, grads):
     zd = cache["z_dim"]
     if zd == 0:
-        return dfused, None
+        return dfused
     dz, dpooled = dfused[:, :zd], dfused[:, zd:]
-    dh = _affine_backward(dz, cache["h"], params["mlp2.fc2.w"], grads,
-                          "mlp2.fc2.w", "mlp2.fc2.b")
-    dpre = dh * cache["s"]
-    dglobal = _affine_backward(dpre, cache["global_feat"], params["mlp2.fc1.w"], grads,
-                               "mlp2.fc1.w", "mlp2.fc1.b")
-    return dpooled, dglobal
+    _affine_backward(dz, cache["h"], grads, "mlp2.fc2")
+    dpre = (dz @ params["mlp2.fc2.w"]) * cache["s"]
+    _affine_backward(dpre, cache["global_feat"], grads, "mlp2.fc1")
+    return dpooled
 
 
 def score_head(x, params: ModelParams):
-    """Cosine score of a feature vector against the (normalized) head weight."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    s, _ = _cosine_score(x[None] if single else x, params["head.w"])
-    return float(s[0]) if single else s
+    """Cosine score of each (B, E) feature row against the head weight."""
+    return _cosine_score(x, params["head.w"])[0]
 
 
 def classify(score):
@@ -534,25 +506,9 @@ def classify(score):
     return levels.astype(np.int64)
 
 
-def audio_fuse(fused, speech_embedding, audio_meta, params: ModelParams):
-    """Score through the audio branch; returns (score, multimodal embedding)."""
-    if speech_embedding is None or audio_meta is None:
-        raise ValueError("no audio modality")
-    fused = np.asarray(fused, dtype=np.float64)
-    single = fused.ndim == 1
-    if single:
-        fused = fused[None]
-        speech_embedding = np.asarray(speech_embedding, dtype=np.float64)[None]
-        audio_meta = np.asarray(audio_meta, dtype=np.float64)[None]
-    s, xprime, _ = _audio_forward(fused, speech_embedding, audio_meta, params)
-    if single:
-        return float(s[0]), xprime[0]
-    return s, xprime
-
-
 def _audio_forward(fused, speech, meta, params: ModelParams):
-    if "audio.fc.w" not in params:
-        raise ValueError("model has no audio branch; build params with with_audio=True")
+    """Score through the audio branch; returns (score, multimodal embedding,
+    cache)."""
     xsp = _affine_forward(speech, params["audio.fc.w"], params["audio.fc.b"])
     xprime = np.concatenate([fused, xsp, meta], axis=1)
     s, head_cache = _cosine_score(xprime, params["audio.head.w"])
@@ -568,8 +524,7 @@ def _audio_backward(ds, dxprime_extra, cache, params: ModelParams, grads):
     fd, sd = cache["fused_dim"], cache["xsp_dim"]
     dfused = dxprime[:, :fd]
     dxsp = dxprime[:, fd:fd + sd]
-    _affine_backward(dxsp, cache["speech"], params["audio.fc.w"], grads,
-                     "audio.fc.w", "audio.fc.b")
+    _affine_backward(dxsp, cache["speech"], grads, "audio.fc")
     return dfused
 
 
@@ -687,7 +642,7 @@ def prepare_batch(records: list[SampleRecord], config: ModelConfig) -> Batch:
     for r in records:
         if id(r) not in summaries:
             summaries[id(r)] = featurepipe.prepare_record(
-                r, config.n_chunks, config.min_frames, config.strict_pad).values
+                r, config.n_chunks, config.min_frames, config.strict_pad)
     chunks = np.stack([summaries[id(r)] for r in records])
     gfeat = np.stack([r.global_feature for r in records])
     speech = meta = None
@@ -701,14 +656,6 @@ def prepare_batch(records: list[SampleRecord], config: ModelConfig) -> Batch:
                 speech[i] = r.speech_embedding
                 meta[i] = r.audio_meta
     return Batch(chunks, gfeat, speech, meta, has_speech)
-
-
-def forward(record: SampleRecord, params: ModelParams, mode: str = "eval",
-            rng=None) -> Trace:
-    """Score a single record (batch of one); see forward_batch."""
-    chunks, gfeat, speech, meta, has_speech = prepare_batch([record], params.config)
-    return forward_batch(chunks, gfeat, params, mode=mode, speech=speech, meta=meta,
-                         has_speech=has_speech, rng=rng)
 
 
 def score_batch(params: ModelParams, batch: Batch, batch_size: Optional[int] = None):
@@ -777,11 +724,12 @@ def backward(trace: Trace, params: ModelParams, d_score=None, d_embed=None,
         if d_logits is not None:
             if trace.logits is None:
                 raise ValueError("trace has no categorical logits")
-            dfused += _affine_backward(np.asarray(d_logits, dtype=np.float64), trace.fused,
-                                       params["cat.w"], grads, "cat.w", "cat.b")
+            d_logits = np.asarray(d_logits, dtype=np.float64)
+            _affine_backward(d_logits, trace.fused, grads, "cat")
+            dfused += d_logits @ params["cat.w"]
 
-    dpooled, _ = _concat_backward(dfused, trace.cache["concat"], params, grads)
-    denc, _, _ = _attention_backward(dpooled, trace.cache["attn"], params, grads)
+    dpooled = _concat_backward(dfused, trace.cache["concat"], params, grads)
+    denc = _attention_backward(dpooled, trace.cache["attn"], params, grads)
     _tcn_backward(denc, trace.cache["tcn"], params, grads)
     return g
 

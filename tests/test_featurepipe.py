@@ -79,19 +79,19 @@ class TestChunkSummarize:
         """A chunk holding {1,2,3} reports variance 2/3, not 1."""
         f = make_frames(np.array([[1.0, 2.0, 3.0]]))
         out = fp.chunk_summarize(f, n_chunks=1)
-        np.testing.assert_allclose(out.values[:, 0], [1.0, 3.0, 2.0 / 3.0])
+        np.testing.assert_allclose(out[:, 0], [1.0, 3.0, 2.0 / 3.0])
 
     def test_output_shape(self):
         f = make_frames(np.zeros((4, 30)))
         out = fp.chunk_summarize(f, n_chunks=10)
-        assert out.values.shape == (12, 10)
+        assert out.shape == (12, 10)
 
     def test_remainder_goes_to_leading_chunks(self):
         # 7 frames in 3 chunks -> sizes 3, 2, 2
         f = make_frames(np.arange(7, dtype=float)[None, :])
         out = fp.chunk_summarize(f, n_chunks=3)
-        np.testing.assert_allclose(out.values[0], [0.0, 3.0, 5.0])   # chunk minima
-        np.testing.assert_allclose(out.values[1], [2.0, 4.0, 6.0])   # chunk maxima
+        np.testing.assert_allclose(out[0], [0.0, 3.0, 5.0])   # chunk minima
+        np.testing.assert_allclose(out[1], [2.0, 4.0, 6.0])   # chunk maxima
 
     def test_too_few_frames(self):
         f = make_frames(np.zeros((2, 4)))
@@ -106,8 +106,8 @@ class TestChunkSummarize:
     def test_constant_signal_zero_variance(self):
         f = make_frames(np.full((2, 20), 3.5))
         out = fp.chunk_summarize(f, n_chunks=4)
-        np.testing.assert_allclose(out.values[4:], 0.0)
-        np.testing.assert_allclose(out.values[:4], 3.5)
+        np.testing.assert_allclose(out[4:], 0.0)
+        np.testing.assert_allclose(out[:4], 3.5)
 
     def test_stat_row_layout_by_channel(self):
         """Rows stack min block, then max block, then variance block."""
@@ -115,9 +115,9 @@ class TestChunkSummarize:
         vals = rng.standard_normal((3, 24))
         out = fp.chunk_summarize(make_frames(vals), n_chunks=2)
         first, second = vals[:, :12], vals[:, 12:]
-        np.testing.assert_allclose(out.values[0:3, 0], first.min(axis=1))
-        np.testing.assert_allclose(out.values[3:6, 0], first.max(axis=1))
-        np.testing.assert_allclose(out.values[6:9, 1], second.var(axis=1))
+        np.testing.assert_allclose(out[0:3, 0], first.min(axis=1))
+        np.testing.assert_allclose(out[3:6, 0], first.max(axis=1))
+        np.testing.assert_allclose(out[6:9, 1], second.var(axis=1))
 
 
 class TestChunkSummarizeMatchesLoop:
@@ -137,7 +137,7 @@ class TestChunkSummarizeMatchesLoop:
         vals = np.asarray(rng.standard_normal((d, f)) * 50.0 + 7.0, order=order)
         frames = make_frames(vals)
         assert frames.values.flags[f"{order}_CONTIGUOUS"]
-        assert_bitwise(fp.chunk_summarize(frames, n_chunks).values,
+        assert_bitwise(fp.chunk_summarize(frames, n_chunks),
                        chunk_summarize_loop(frames, n_chunks))
 
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -146,7 +146,7 @@ class TestChunkSummarizeMatchesLoop:
         for f in (1, 9, 37, 100, 249):
             vals = np.asarray(rng.standard_normal((17, f)), order=order)
             padded = fp.repeat_pad(make_frames(vals), min_frames=250)
-            assert_bitwise(fp.chunk_summarize(padded).values,
+            assert_bitwise(fp.chunk_summarize(padded),
                            chunk_summarize_loop(padded, fp.DEFAULT_CHUNKS))
 
     def test_hypothesis_sweep(self):
@@ -162,7 +162,7 @@ class TestChunkSummarizeMatchesLoop:
             scale = 10.0 ** rng.uniform(-3, 3)
             vals = np.asarray(rng.standard_normal((d, f)) * scale, order=order)
             frames = make_frames(vals)
-            assert_bitwise(fp.chunk_summarize(frames, n_chunks).values,
+            assert_bitwise(fp.chunk_summarize(frames, n_chunks),
                            chunk_summarize_loop(frames, n_chunks))
 
         check()
@@ -182,7 +182,7 @@ class TestChunkSummarizeMatchesLoop:
             vals = np.asarray(rng.choice([0.0, -0.0, 0.0, -0.0, 1.5, -2.0], (d, f)),
                               order=order)
             frames = make_frames(vals)
-            assert_bitwise(fp.chunk_summarize(frames, n_chunks).values,
+            assert_bitwise(fp.chunk_summarize(frames, n_chunks),
                            chunk_summarize_loop(frames, n_chunks))
 
         check()

@@ -465,6 +465,32 @@ class TestCheckpointing:
         assert loaded.epoch == 0
         np.testing.assert_array_equal(loaded.params.flat(), saved_params)
 
+    def test_stored_rates_are_ignored(self, tmp_path):
+        """The encoder momentum comes from the config and the center rate is
+        the default, so the stored copies older files carry change nothing."""
+        data = tiny_data(n=32)
+        cfg = tiny_train_config(loss="mocorank+center", epochs=3, dropout=0.1)
+        state = harness.init_train_state(cfg, data)
+        harness.train_epochs(state, data, n_epochs=1)
+        path = tmp_path / "ckpt.npz"
+        harness.save_checkpoint(state, str(path))
+        with np.load(path, allow_pickle=False) as saved:
+            meta = json.loads(str(saved["meta"][()]))
+            arrays = {k: saved[k] for k in saved.files if k != "meta"}
+        meta.update(enc_momentum=7.0, centers_alpha=-3.0)
+        edited = tmp_path / "edited.npz"
+        with open(edited, "wb") as fh:
+            np.savez(fh, meta=json.dumps(meta), **arrays)
+
+        runs = [harness.load_checkpoint(str(p)) for p in (path, edited)]
+        for run in runs:
+            harness.train_epochs(run, data, n_epochs=2)
+        plain, other = runs
+        assert plain.params.vector.tobytes() == other.params.vector.tobytes()
+        assert plain.enc.params.vector.tobytes() == other.enc.params.vector.tobytes()
+        assert plain.centers.values.tobytes() == other.centers.values.tobytes()
+        assert plain.pool.embeddings.tobytes() == other.pool.embeddings.tobytes()
+
     def test_corrupt_pool_names_path_and_field(self, tmp_path):
         data = tiny_data(n=32)
         state = harness.init_train_state(tiny_train_config(loss="mocorank"), data)
@@ -548,8 +574,7 @@ class TestCheckpointing:
         path = self._edited_checkpoint(tmp_path, drop=[name], loss="mocorank+center")
         self._refused(path, name, "missing")
 
-    @pytest.mark.parametrize("name", ["config", "epoch", "rng_state", "has_pool",
-                                      "enc_momentum", "centers_alpha", "pool"])
+    @pytest.mark.parametrize("name", ["config", "epoch", "rng_state", "has_pool", "pool"])
     def test_missing_meta_key(self, tmp_path, name):
         path = self._edited_checkpoint(tmp_path, drop=[name], loss="mocorank+center")
         self._refused(path, name, "missing")

@@ -144,29 +144,29 @@ class TestTemporalEncoder:
         cfg = tiny_config()
         params = model.init_params(cfg)
         chunks = np.random.default_rng(0).standard_normal((6, 4))
-        out = model.temporal_encoder(chunks, params)
-        assert out.shape == (4, 4)
+        out = model.temporal_encoder(chunks[None], params)
+        assert out.shape == (1, 4, 4)
         batched = model.temporal_encoder(np.stack([chunks, chunks]), params)
         assert batched.shape == (2, 4, 4)
-        np.testing.assert_allclose(batched[0], out, rtol=ENCODING_TOL, atol=ENCODING_TOL)
+        np.testing.assert_allclose(batched[0], out[0], rtol=ENCODING_TOL, atol=ENCODING_TOL)
 
     def test_causality(self):
         """Perturbing chunk t leaves every output before t unchanged."""
         cfg = tiny_config(n_chunks=8)
         params = model.init_params(cfg, seed=5)
         rng = np.random.default_rng(11)
-        x = rng.standard_normal((6, 8))
+        x = rng.standard_normal((1, 6, 8))
         base = model.temporal_encoder(x, params)
         for t in range(1, 8):
             bumped = x.copy()
-            bumped[:, t:] += rng.standard_normal((6, 8 - t))
+            bumped[:, :, t:] += rng.standard_normal((6, 8 - t))
             out = model.temporal_encoder(bumped, params)
-            np.testing.assert_array_equal(out[:, :t], base[:, :t])
+            np.testing.assert_array_equal(out[:, :, :t], base[:, :, :t])
 
     def test_wrong_channel_count(self):
         params = model.init_params(tiny_config())
         with pytest.raises(ValueError, match="input channels"):
-            model.temporal_encoder(np.zeros((5, 4)), params)
+            model.temporal_encoder(np.zeros((1, 5, 4)), params)
 
 
     @pytest.mark.parametrize("b", [1, 2, 3, 8, 33])
@@ -180,7 +180,7 @@ class TestTemporalEncoder:
         batched = model.temporal_encoder(x, params)
         assert model.temporal_encoder(x, params).tobytes() == batched.tobytes()
         for i in range(b):
-            np.testing.assert_allclose(batched[i], model.temporal_encoder(x[i], params),
+            np.testing.assert_allclose(batched[i], model.temporal_encoder(x[i:i + 1], params)[0],
                                        rtol=ENCODING_TOL, atol=ENCODING_TOL)
 
     def test_matches_per_record_reference(self):
@@ -317,42 +317,31 @@ class TestAttentionFuse:
     def test_uniform_without_attention_branch(self):
         for fusion in ("openface_only", "concat_only"):
             params = model.init_params(tiny_config(fusion=fusion))
-            enc = np.random.default_rng(0).standard_normal((4, 4))
-            pooled, attn = model.attention_fuse(enc, np.zeros(5), params)
-            np.testing.assert_array_equal(attn, np.full(4, 0.25))
-            np.testing.assert_allclose(pooled, enc.mean(axis=1))
-
-    def test_single_and_batched_agree(self):
-        params = model.init_params(tiny_config(), seed=9)
-        rng = np.random.default_rng(3)
-        enc = rng.standard_normal((2, 4, 4))
-        g = rng.standard_normal((2, 5))
-        pooled, attn = model.attention_fuse(enc, g, params)
-        p0, a0 = model.attention_fuse(enc[0], g[0], params)
-        # batch-1 and batch-2 BLAS paths may differ in the last ulp
-        np.testing.assert_allclose(p0, pooled[0], rtol=1e-12)
-        np.testing.assert_allclose(a0, attn[0], rtol=1e-12)
+            enc = np.random.default_rng(0).standard_normal((1, 4, 4))
+            pooled, attn = model.attention_fuse(enc, np.zeros((1, 5)), params)
+            np.testing.assert_array_equal(attn, np.full((1, 4), 0.25))
+            np.testing.assert_allclose(pooled, enc.mean(axis=2))
 
 
 class TestConcatFuse:
     def test_pooled_part_passes_through(self):
         params = model.init_params(tiny_config(), seed=6)
-        g = np.arange(5.0)
-        pooled = np.arange(4.0) + 10.0
+        g = np.arange(5.0)[None]
+        pooled = np.arange(4.0)[None] + 10.0
         fused = model.concat_fuse(g, pooled, params)
-        assert fused.shape == (8,)
-        np.testing.assert_array_equal(fused[4:], pooled)
+        assert fused.shape == (1, 8)
+        np.testing.assert_array_equal(fused[:, 4:], pooled)
 
     def test_no_concat_is_identity(self):
         params = model.init_params(tiny_config(fusion="attention_only"))
-        pooled = np.random.default_rng(1).standard_normal(4)
+        pooled = np.random.default_rng(1).standard_normal((1, 4))
         np.testing.assert_array_equal(
-            model.concat_fuse(np.zeros(5), pooled, params), pooled)
+            model.concat_fuse(np.zeros((1, 5)), pooled, params), pooled)
 
     def test_global_feature_length_checked(self):
         params = model.init_params(tiny_config())
         with pytest.raises(ValueError, match="global feature"):
-            model.concat_fuse(np.zeros(7), np.zeros(4), params)
+            model.concat_fuse(np.zeros((1, 7)), np.zeros((1, 4)), params)
 
 
 class TestScoreHead:
@@ -362,7 +351,7 @@ class TestScoreHead:
         w = params["head.w"]
         for trial in range(50):
             x = rng.standard_normal(8) * rng.uniform(0.1, 10)
-            s = model.score_head(x, params)
+            (s,) = model.score_head(x[None], params)
             expect = x @ w / (np.linalg.norm(x) * np.linalg.norm(w))
             np.testing.assert_allclose(s, expect, rtol=1e-12)
             assert -1.0 <= s <= 1.0
@@ -370,8 +359,29 @@ class TestScoreHead:
     def test_zero_vector_scores_zero_with_warning(self):
         params = model.init_params(tiny_config())
         with pytest.warns(RuntimeWarning):
-            s = model.score_head(np.zeros(8), params)
-        assert s == 0.0
+            s = model.score_head(np.zeros((1, 8)), params)
+        np.testing.assert_array_equal(s, [0.0])
+
+
+class TestStageFunctions:
+    """The four eval-mode stage functions, chained on a prepared batch, give
+    the eval trace of ``forward_batch`` bitwise."""
+
+    @pytest.mark.parametrize("fusion", model.FUSIONS)
+    def test_chain_equals_forward_batch(self, fusion):
+        cfg = tiny_config(fusion=fusion)
+        params = model.init_params(cfg, seed=5)
+        chunks, gfeat, *_ = tiny_batch(cfg, n=5, seed=4)
+        trace = model.forward_batch(chunks, gfeat, params, mode="eval")
+        encoded = model.temporal_encoder(chunks, params)
+        pooled, attn = model.attention_fuse(encoded, gfeat, params)
+        fused = model.concat_fuse(gfeat, pooled, params)
+        score = model.score_head(fused, params)
+        for name, got in (("encoded", encoded), ("attn", attn), ("pooled", pooled),
+                          ("fused", fused), ("score", score)):
+            want = getattr(trace, name)
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
 
 
 class TestClassify:
@@ -400,31 +410,24 @@ class TestClassify:
 
 
 class TestAudioFuse:
-    def test_missing_modality(self):
-        params = model.init_params(tiny_config(with_audio=True))
-        with pytest.raises(ValueError, match="no audio modality"):
-            model.audio_fuse(np.zeros(8), None, None, params)
-
-    def test_missing_branch(self):
-        params = model.init_params(tiny_config())
-        with pytest.raises(ValueError, match="no audio branch"):
-            model.audio_fuse(np.zeros(8), np.zeros(6), np.zeros(7), params)
+    """The audio branch, as an all-speech batch runs through it."""
 
     def test_score_and_embedding(self):
         cfg = tiny_config(with_audio=True)
         params = model.init_params(cfg, seed=2)
-        rng = np.random.default_rng(9)
-        fused = rng.standard_normal(8)
-        speech = rng.standard_normal(6)
-        meta = rng.standard_normal(7)
-        s, xprime = model.audio_fuse(fused, speech, meta, params)
-        assert xprime.shape == (cfg.audio_embed_dim,)
-        np.testing.assert_array_equal(xprime[:8], fused)
-        np.testing.assert_array_equal(xprime[14:], meta)
+        chunks, gfeat, speech, meta, has_speech = tiny_batch(
+            cfg, n=4, seed=9, speech_fraction=1.0)
+        trace = model.forward_batch(chunks, gfeat, params, speech=speech, meta=meta,
+                                    has_speech=has_speech)
+        assert trace.audio_used.all()
+        xprime = trace.embedding
+        assert xprime.shape == (4, cfg.audio_embed_dim)
+        np.testing.assert_array_equal(xprime[:, :8], trace.fused)
+        np.testing.assert_array_equal(xprime[:, 14:], meta)
         # the middle block is the affine-transformed speech embedding
         np.testing.assert_allclose(
-            xprime[8:14], speech @ params["audio.fc.w"].T + params["audio.fc.b"])
-        assert -1.0 <= s <= 1.0
+            xprime[:, 8:14], speech @ params["audio.fc.w"].T + params["audio.fc.b"])
+        assert np.all(np.abs(trace.score) <= 1.0)
 
 
 class TestForwardBatch:
@@ -471,14 +474,6 @@ class TestForwardBatch:
         trace = model.forward_batch(chunks, gfeat, params)
         assert trace.logits.shape == (4, 4)
         np.testing.assert_array_equal(trace.score, np.zeros(4))
-
-    def test_single_record_front_door(self):
-        cfg = tiny_config()
-        params = model.init_params(cfg, seed=1)
-        rec = tiny_records(1)[0]
-        trace = model.forward(rec, params)
-        assert trace.batch_size == 1
-        assert model.classify(trace.score[0]) in (0, 1, 2, 3)
 
 
 class TestMixedBatches:
@@ -628,7 +623,7 @@ class TestPrepareBatch:
         records = tiny_records(4, seed=1)
         listed = [records[i] for i in (0, 1, 0, 2, 1, 0, 3, 3)]
         expected = np.stack([
-            fp.prepare_record(r, cfg.n_chunks, cfg.min_frames, cfg.strict_pad).values
+            fp.prepare_record(r, cfg.n_chunks, cfg.min_frames, cfg.strict_pad)
             for r in listed])
         seen = []
         real = fp.prepare_record
