@@ -435,13 +435,12 @@ def synth_dataset(n: int, n_channels: int = DEFAULT_CHANNELS, global_dim: int = 
         fwarp = (1.0 + rng.random(n_channels), 2 * np.pi * rng.random(n_channels))
         swarp = (1.0 + rng.random(speech_dim), 2 * np.pi * rng.random(speech_dim))
 
-    def response(v, gain, size, pair):
-        """Per-dimension feature response to the driver, before noise."""
+    def response(v, gain, pair):
+        """Feature response to the driver, before noise: the driver itself,
+        or with ``warp`` one sinusoid of it per dimension."""
         if pair is None:
-            base = np.full(size, v)
-        else:
-            base = np.sin(np.pi * warp * pair[0] * v + pair[1])
-        return gain * base
+            return gain * v
+        return gain * np.sin(np.pi * warp * pair[0] * v + pair[1])
 
     has_speech = np.zeros(n, dtype=bool)
     n_speech = int(round(speech_fraction * n))
@@ -453,16 +452,16 @@ def synth_dataset(n: int, n_channels: int = DEFAULT_CHANNELS, global_dim: int = 
         u, v = latents[i], drivers[i]
         g = 1.0 if gains is None else gains[i]
         vg = v * g
-        frames = (frame_map * response(v, g, n_channels, fwarp))[:, None] \
+        frames = (frame_map * response(v, g, fwarp))[:, None] \
             + noise * rng.standard_normal((n_channels, n_frames))
-        sig = global_map * response(v, g, global_dim, gwarp)
+        sig = global_map * response(v, g, gwarp)
         if n_ctx:
             # gain report: the per-record gain rescaled to [-1, 1]
             sig[-n_ctx:] = global_map[-n_ctx:] * (2.0 * (1.0 - g) / modulation - 1.0)
         gfeat = sig + noise * rng.standard_normal(global_dim)
         speech = meta = None
         if has_speech[i]:
-            speech = speech_map * response(v, g, speech_dim, swarp) \
+            speech = speech_map * response(v, g, swarp) \
                 + noise * rng.standard_normal(speech_dim)
             # Length, four rate fields in [0,1] centered on the driver, two stds.
             raw = 0.5 + 0.5 * vg + 0.1 * noise * rng.standard_normal(4)
