@@ -23,7 +23,7 @@ rng = np.random.default_rng(7)
 # ---------------------------------------------------------------------------
 cfg = model.ModelConfig(n_channels=2, n_chunks=4, width=4, global_dim=5)
 params = model.init_params(cfg, seed=0)
-enc = mocorank.MomentumEncoder.from_model(params, momentum=0.9)
+enc = mocorank.MomentumEncoder.from_model(params)
 
 w_before = enc.params["head.w"].copy()
 params["head.w"][:] += 1.0                  # pretend one optimizer step

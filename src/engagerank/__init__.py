@@ -67,7 +67,6 @@ from .mocorank import (
     momentum_update,
     mse_loss,
     multi_margin_loss,
-    pairwise_matrix,
     pairwise_term,
     pool_init,
 )

@@ -297,7 +297,7 @@ def _init_loss_state(state: TrainState, train_set: Dataset) -> None:
     """A fresh momentum encoder and pool, and zero centers, where the loss uses them."""
     config = state.config
     if config.needs_pool:
-        state.enc = MomentumEncoder.from_model(state.params, config.momentum)
+        state.enc = MomentumEncoder.from_model(state.params)
         pool_seed = int(state.rng.integers(2 ** 31))
         state.pool = mocorank.pool_init(train_set, state.enc, config.pool_size,
                                         seed=pool_seed)
@@ -536,9 +536,9 @@ def load_checkpoint(path: str) -> TrainState:
     Parameters and momentum parameters are read in the layout ``init_params``
     gives the recorded model config, and every other field is checked on
     load: a bad one raises a ValueError naming the path and the field.  The
-    momentum encoder runs at ``config.momentum`` and the centers move at the
-    ``ClassCenters`` default rate, as in a fresh run; older files that also
-    store ``enc_momentum`` and ``centers_alpha`` load with both ignored.
+    momentum encoder runs at ``config.momentum`` and the centers move at
+    ``mocorank.CENTER_RATE``, as in a fresh run; older files that also store
+    ``enc_momentum`` and ``centers_alpha`` load with both ignored.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -619,8 +619,7 @@ def load_checkpoint(path: str) -> TrainState:
             raise corrupt(name, f"{meta[name]!r}, but loss {config.loss!r} gives {want}")
     width = mcfg.score_embed_dim
     if config.needs_pool:
-        state.enc = MomentumEncoder(params=load_params("momentum"),
-                                    momentum=config.momentum)
+        state.enc = MomentumEncoder(params=load_params("momentum"))
         pool_meta = need(meta, "pool")
         ring = {k: need(loaded, f"pool__{k}") for k in ("labels", "scores", "embeddings")}
         ring.update({k: need(pool_meta, k, "pool.") for k in ("count", "next", "capacity")})
@@ -654,6 +653,13 @@ def _tiny_dataset(config: TrainConfig, seed: int) -> Dataset:
         speech_dim=config.speech_dim)
 
 
+def _margin_kinks(scores, labels, embeddings, pool: ScorePool) -> list:
+    """Where the pool loss has kinks: its live cross-label hinges, and the
+    counts of same-label pool scores below and above each batch score."""
+    *_, live, ranks = mocorank._margin_loss_and_kinks(scores, labels, embeddings, pool)
+    return [live.ravel(), ranks.ravel().astype(np.float64)]
+
+
 def grad_check_loss(config: TrainConfig, n_params_max: int = 1000,
                     tolerance: float = 1e-4, h: float = 5e-5,
                     seed: int = 0) -> dict:
@@ -677,7 +683,7 @@ def grad_check_loss(config: TrainConfig, n_params_max: int = 1000,
     centers = None
     if config.needs_pool:
         enc = MomentumEncoder.from_model(
-            model_mod.init_params(params.config, seed=seed + 1), config.momentum)
+            model_mod.init_params(params.config, seed=seed + 1))
         pool = mocorank.pool_init(ds, enc, config.pool_size, seed=seed)
     if config.needs_centers:
         centers = ClassCenters(
@@ -693,9 +699,7 @@ def grad_check_loss(config: TrainConfig, n_params_max: int = 1000,
         out = loss_fn(config, trace, labels, pool, centers, class_counts)
         sig = [model_mod.relu_signature(trace).astype(np.float64)]
         if pool is not None:
-            pairs = mocorank.pairwise_matrix(trace.score, labels, trace.embedding, pool)
-            sig += [pairs["active"].ravel().astype(np.float64),
-                    np.sign(pairs["diff"][pairs["same"]])]
+            sig += _margin_kinks(trace.score, labels, trace.embedding, pool)
         return out, np.concatenate(sig), trace
 
     # analytic gradient and kink signature at the center point

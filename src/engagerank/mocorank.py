@@ -7,6 +7,13 @@ margin grows with the label gap and adapts to the cosine similarity of the
 two embeddings.  Pool entries are constants: gradients reach only the batch
 scores and, through the margin cosine, the batch embeddings.
 
+The loss is evaluated in label blocks: with the batch and the pool sorted by
+label, every (batch label, pool label) pair set is one rectangle of the pair
+matrix, with a constant sign and margin offset.  No label-gap matrix is
+built; one product over widened rows gives the cross-label residuals, and
+one product of the live-hinge mask with the unit pool embeddings gives the
+embedding gradient (see ``_margin_loss_and_kinks``).
+
 Baselines: MSE to bin midpoints, softmax cross-entropy, class-balanced focal
 loss, and a center-loss regularizer with the usual mean-shift center update.
 """
@@ -25,6 +32,7 @@ from .featurepipe import Dataset, N_CLASSES
 
 SCORE_TOL = 1e-9
 MIDPOINTS = np.array([-0.75, -0.25, 0.25, 0.75])
+CENTER_RATE = 0.5                  # center_loss's mean-shift step
 
 
 @dataclass
@@ -193,18 +201,20 @@ class ScorePool:
 
 @dataclass
 class MomentumEncoder:
-    """Slowly trailing copy of the model, used to score pool entries."""
+    """Slowly trailing copy of the model, used to score pool entries.
+
+    Its rate is not stored here: each ``momentum_update`` call passes it.
+    """
 
     params: model_mod.ModelParams
-    momentum: float = 0.999
 
     @classmethod
-    def from_model(cls, params: model_mod.ModelParams, momentum: float = 0.999):
-        return cls(params=params.copy(), momentum=momentum)
+    def from_model(cls, params: model_mod.ModelParams):
+        return cls(params=params.copy())
 
 
 def momentum_update(enc: MomentumEncoder, model_params: model_mod.ModelParams,
-                    m: float = 0.999) -> MomentumEncoder:
+                    m: float) -> MomentumEncoder:
     """In-place w_m <- m*w_m + (1-m)*w on the parameter vector; returns enc."""
     if enc.params.layout != model_params.layout:
         raise ValueError("momentum encoder parameters do not match the model")
@@ -245,20 +255,23 @@ def pool_init(dataset: Dataset, enc: MomentumEncoder, capacity: int,
 # Ranking loss
 # ---------------------------------------------------------------------------
 
-def _cosine_rows(a: np.ndarray, b: np.ndarray):
-    """Cosine of every row of a against every row of b, zero rows scored 0."""
-    an = np.linalg.norm(a, axis=1)
-    bn = np.linalg.norm(b, axis=1)
-    dead_a, dead_b = an == 0.0, bn == 0.0
-    if dead_a.any() or dead_b.any():
+def _unit_rows(a: np.ndarray, out: np.ndarray):
+    """Write the rows of a, scaled to unit length, into out (which may be a).
+
+    Returns the row norms, with zero norms read as 1, and the mask of
+    zero-norm rows.  Those rows stay zero, so every cosine they enter is 0.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->i", a, a))
+    dead = norms == 0.0
+    norms[dead] = 1.0
+    np.divide(a, norms[:, None], out=out)
+    return norms, dead
+
+
+def _warn_zero_norm(*dead: np.ndarray) -> None:
+    if any(d.any() for d in dead):
         warnings.warn("zero-norm embedding; cosine taken as 0", RuntimeWarning,
                       stacklevel=3)
-    safe_an = np.where(dead_a, 1.0, an)
-    safe_bn = np.where(dead_b, 1.0, bn)
-    cos = (a @ b.T) / np.outer(safe_an, safe_bn)
-    cos[dead_a, :] = 0.0
-    cos[:, dead_b] = 0.0
-    return cos, safe_an, dead_a
 
 
 def margin(diff: int, e1: np.ndarray, e2: np.ndarray) -> float:
@@ -269,10 +282,10 @@ def margin(diff: int, e1: np.ndarray, e2: np.ndarray) -> float:
     """
     if diff not in (1, 2, 3):
         raise ValueError("label difference must be 1, 2, or 3")
-    e1 = np.asarray(e1, dtype=np.float64).reshape(1, -1)
-    e2 = np.asarray(e2, dtype=np.float64).reshape(1, -1)
-    cos, _, _ = _cosine_rows(e1, e2)
-    c = (float(cos[0, 0]) + 1.0) / 2.0
+    e1 = np.array(e1, dtype=np.float64).reshape(1, -1)
+    e2 = np.array(e2, dtype=np.float64).reshape(1, -1)
+    _warn_zero_norm(_unit_rows(e1, e1)[1], _unit_rows(e2, e2)[1])
+    c = (float(e1[0] @ e2[0]) + 1.0) / 2.0
     return 0.5 * (diff - 1) + 0.5 * c
 
 
@@ -287,14 +300,40 @@ def pairwise_term(l1: int, s1: float, e1: np.ndarray, entry: ScorePoolEntry) -> 
     return m - (s2 - s1)
 
 
-def pairwise_matrix(scores: np.ndarray, labels: np.ndarray,
-                    embeddings: np.ndarray, pool: ScorePool) -> dict:
-    """All intermediate (batch x pool) quantities of the ranking loss.
+def _label_order(labels: np.ndarray, *minor_keys: np.ndarray):
+    """Stable order by label, then by the minor keys, and the N_CLASSES + 1
+    bounds of each label's run."""
+    order = np.lexsort((*minor_keys, labels))
+    bounds = np.searchsorted(labels[order], np.arange(N_CLASSES + 1))
+    return order, bounds.tolist()
 
-    Returned keys: f (raw residuals), same (label-match mask), diff (score
-    differences), k (signed label gaps), cos, e_norms, e_dead, active
-    (hinge-live mask).  Shared by the loss itself and by kink-signature
-    collection in gradient checks.
+
+def _margin_loss_and_kinks(scores, labels, embeddings, pool: ScorePool,
+                           detach_margin: bool = False):
+    """The ranking loss of ``multi_margin_loss``, plus where its kinks sit.
+
+    The batch is sorted by label and the pool by label, then score, so the
+    pairs of one batch label and one pool label form one rectangle of the
+    (B, P) pair matrix.  With c the pool label and sgn = sign(l_i - c), a
+    cross-label residual is
+
+        f_ij = 0.25 cos_ij + (0.5 |l_i - c| - 0.25 - sgn s_i) + sgn p_j,
+
+    so one product of widened rows builds them all:
+    [0.25 e_hat_i | const_i | sgn_i] . [p_hat_j | onehot_j | onehot_j p_j],
+    where const_i and sgn_i hold a value per pool label and onehot_j picks
+    entry j's.  The same-label rectangles are overwritten with |s_i - p_j|,
+    and two binary searches in each sorted pool block count the signs of
+    s_i - p_j.  The matrix then becomes the live-hinge mask in place, and
+    live @ [p_hat | onehot] gives the embedding gradient's pool sum and each
+    row's live count per pool label.
+
+    Returns (loss, d_scores, d_embeddings, live, ranks), the gradients in
+    batch order.  ``live`` is the (B, P) 0/1 mask of live cross-label hinges
+    and ``ranks`` the (B, 2) counts of same-label pool scores below and above
+    each s_i, which fix the sign of every same-label difference, both in the
+    sorted order.  Gradient checks compare these two across calls to skip
+    steps that cross a kink.
     """
     if len(pool) == 0:
         raise ValueError("empty pool")
@@ -304,16 +343,62 @@ def pairwise_matrix(scores: np.ndarray, labels: np.ndarray,
     b = scores.size
     if labels.shape != (b,) or embeddings.shape[0] != b:
         raise ValueError("scores, labels, and embeddings must agree in batch size")
+    d = embeddings.shape[1]
+    rows, rb = _label_order(labels)
+    if rb[0] != 0 or rb[-1] != b:
+        raise ValueError(f"label must be 0..{N_CLASSES - 1}")
+    cols, cb = _label_order(pool.labels, pool.scores)
+    p = cols.size
+    ss, ls, ps = scores[rows], labels[rows], pool.scores[cols]
 
-    pl, ps, pe = pool.labels, pool.scores, pool.embeddings
-    cos, e_norms, e_dead = _cosine_rows(embeddings, pe)
-    k = labels[:, None] - pl[None, :]                      # signed label gap (B, P)
-    same = k == 0
-    diff = scores[:, None] - ps[None, :]
-    m = 0.5 * (np.abs(k) - 1) + 0.5 * (cos + 1.0) / 2.0
-    f = np.where(same, np.abs(diff), m - np.sign(k) * diff)
-    return {"f": f, "same": same, "diff": diff, "k": k, "cos": cos,
-            "e_norms": e_norms, "e_dead": e_dead, "active": f > 0.0}
+    e_hat = embeddings[rows]
+    e_norms, e_dead = _unit_rows(e_hat, e_hat)
+    wide_pool = np.empty((p, d + 2 * N_CLASSES))
+    _, p_dead = _unit_rows(pool.embeddings[cols], wide_pool[:, :d])
+    _warn_zero_norm(e_dead, p_dead)
+    onehot = np.equal(pool.labels[cols, None], np.arange(N_CLASSES),
+                      out=wide_pool[:, d:d + N_CLASSES])
+    np.multiply(onehot, ps[:, None], out=wide_pool[:, d + N_CLASSES:])
+
+    wide_batch = np.empty((b, d + 2 * N_CLASSES))
+    np.multiply(e_hat, 0.25, out=wide_batch[:, :d])
+    gap = ls[:, None] - np.arange(N_CLASSES)
+    sgn = np.sign(gap, out=wide_batch[:, d + N_CLASSES:])
+    wide_batch[:, d:d + N_CLASSES] = 0.5 * np.abs(gap) - 0.25 - sgn * ss[:, None]
+
+    f = wide_batch @ wide_pool.T
+    ranks = np.empty((b, 2), dtype=np.int64)
+    for c in range(N_CLASSES):
+        r, k = slice(rb[c], rb[c + 1]), slice(cb[c], cb[c + 1])
+        np.abs(np.subtract(ss[r, None], ps[k], out=f[r, k]), out=f[r, k])
+        ranks[r, 0] = np.searchsorted(ps[k], ss[r], side="left")
+        ranks[r, 1] = cb[c + 1] - cb[c] - np.searchsorted(ps[k], ss[r], side="right")
+    scale = 1.0 / (b * p)
+    np.maximum(f, 0.0, out=f)
+    loss = float(f.sum() * scale)
+    live = np.greater(f, 0.0, out=f)                     # subgradient 0 at f == 0
+    for c in range(N_CLASSES):
+        live[rb[c]:rb[c + 1], cb[c]:cb[c + 1]] = 0.0
+
+    # d f / d s_i is -sgn on a live cross-label pair, summed from the live
+    # counts per pool label, and sign(s_i - p_j) on a same-label one, summed
+    # as the count below s_i less the count above
+    pooled = live @ (onehot if detach_margin else wide_pool[:, :d + N_CLASSES])
+    d_scores = np.empty(b)
+    d_scores[rows] = (ranks[:, 0] - ranks[:, 1]
+                      - np.einsum("ij,ij->i", pooled[:, -N_CLASSES:], sgn)) * scale
+    d_embeddings = np.zeros_like(embeddings)
+    if not detach_margin:
+        # the loss takes w = 0.25 / (B P) per unit of cosine on each live
+        # cross-label pair; with cos_ij = e_hat_i . p_hat_j and G = w live @ p_hat,
+        # sum_j w (p_hat_j - cos_ij e_hat_i) = G_i - (G_i . e_hat_i) e_hat_i
+        grad = pooled[:, :d]
+        grad *= 0.25 * scale
+        grad -= np.einsum("ij,ij->i", grad, e_hat)[:, None] * e_hat
+        grad /= e_norms[:, None]
+        grad[e_dead] = 0.0
+        d_embeddings[rows] = grad
+    return loss, d_scores, d_embeddings, live, ranks
 
 
 def multi_margin_loss(scores: np.ndarray, labels: np.ndarray,
@@ -327,29 +412,8 @@ def multi_margin_loss(scores: np.ndarray, labels: np.ndarray,
     (loss, d_scores, d_embeddings); pool entries receive no gradient, and
     ``detach_margin`` stops the gradient that flows through the cosine.
     """
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    pairs = pairwise_matrix(scores, labels, embeddings, pool)
-    f, same, diff, k = pairs["f"], pairs["same"], pairs["diff"], pairs["k"]
-    cos, e_norms, e_dead = pairs["cos"], pairs["e_norms"], pairs["e_dead"]
-    active = pairs["active"]                               # subgradient 0 at f == 0
-    b, p = f.shape
-    scale = 1.0 / (b * p)
-    loss = float(np.sum(np.maximum(f, 0.0)) * scale)
-
-    d_pair = np.where(same, np.sign(diff), -np.sign(k).astype(np.float64))
-    d_scores = (active * d_pair).sum(axis=1) * scale
-
-    d_embeddings = np.zeros_like(embeddings)
-    if not detach_margin:
-        # df/dcos = 0.25 on active cross-label pairs
-        pe = pool.embeddings
-        w = 0.25 * scale * (active & ~same)
-        pn = np.linalg.norm(pe, axis=1)
-        p_hat = np.divide(pe, np.where(pn == 0.0, 1.0, pn)[:, None])
-        e_hat = embeddings / e_norms[:, None]
-        d_embeddings = (w @ p_hat - ((w * cos).sum(axis=1))[:, None] * e_hat)
-        d_embeddings /= e_norms[:, None]
-        d_embeddings[e_dead] = 0.0
+    loss, d_scores, d_embeddings, _, _ = _margin_loss_and_kinks(
+        scores, labels, embeddings, pool, detach_margin)
     return loss, d_scores, d_embeddings
 
 
@@ -432,11 +496,10 @@ class ClassCenters:
     """One feature-space anchor per class, moved toward its class mean."""
 
     values: np.ndarray
-    alpha: float = 0.5
 
     @classmethod
-    def zeros(cls, embed_dim: int, alpha: float = 0.5) -> "ClassCenters":
-        return cls(values=np.zeros((N_CLASSES, embed_dim)), alpha=alpha)
+    def zeros(cls, embed_dim: int) -> "ClassCenters":
+        return cls(values=np.zeros((N_CLASSES, embed_dim)))
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -453,7 +516,7 @@ def center_loss(embeddings: np.ndarray, labels: np.ndarray,
     Loss is weight * mean of half squared distances.  Gradients go to the
     embeddings only; the returned centers are a new object moved toward each
     class's batch mean by the mean-shift rule delta = sum(c - e)/(1 + n),
-    scaled by the center update rate.
+    scaled by ``CENTER_RATE``.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -468,5 +531,5 @@ def center_loss(embeddings: np.ndarray, labels: np.ndarray,
         mask = labels == cls
         n = int(mask.sum())
         delta = (centers.values[cls] - embeddings[mask]).sum(axis=0) / (1.0 + n)
-        new_values[cls] = centers.values[cls] - centers.alpha * delta
-    return loss, d_embeddings, ClassCenters(values=new_values, alpha=centers.alpha)
+        new_values[cls] = centers.values[cls] - CENTER_RATE * delta
+    return loss, d_embeddings, ClassCenters(values=new_values)

@@ -17,35 +17,92 @@ import math
 import numpy as np
 
 
-def margin_loss_brute(scores, labels, embeddings, pool_labels, pool_scores,
-                      pool_embeddings):
-    """Mean hinged ranking residual over every (sample, pool entry) pair."""
-    def norm(v):
-        return math.sqrt(sum(float(x) * float(x) for x in v))
+def _norm(v):
+    return math.sqrt(sum(float(x) * float(x) for x in v))
 
-    b, p = len(scores), len(pool_labels)
-    e_norms = [norm(e) for e in embeddings]
-    p_norms = [norm(e) for e in pool_embeddings]
-    total = 0.0
-    for i in range(b):
-        for j in range(p):
+
+def _cosine(e1, e2, n1, n2):
+    """Cosine of two embeddings of norms n1 and n2; 0 when either is zero."""
+    if n1 == 0.0 or n2 == 0.0:
+        return 0.0
+    return sum(float(x) * float(y) for x, y in zip(e1, e2)) / (n1 * n2)
+
+
+def pair_residuals_brute(scores, labels, embeddings, pool_labels, pool_scores,
+                         pool_embeddings):
+    """Raw (un-hinged) ranking residual of every (sample, pool entry) pair,
+    as a list of rows."""
+    e_norms = [_norm(e) for e in embeddings]
+    p_norms = [_norm(e) for e in pool_embeddings]
+    rows = []
+    for i in range(len(scores)):
+        row = []
+        for j in range(len(pool_labels)):
             l1, l2 = int(labels[i]), int(pool_labels[j])
             s1, s2 = float(scores[i]), float(pool_scores[j])
             if l1 == l2:
                 f = abs(s1 - s2)
             else:
-                if e_norms[i] == 0.0 or p_norms[j] == 0.0:
-                    cos = 0.0
-                else:
-                    dot = sum(float(x) * float(y)
-                              for x, y in zip(embeddings[i], pool_embeddings[j]))
-                    cos = dot / (e_norms[i] * p_norms[j])
+                cos = _cosine(embeddings[i], pool_embeddings[j], e_norms[i], p_norms[j])
                 m = 0.5 * (abs(l1 - l2) - 1) + 0.5 * (cos + 1.0) / 2.0
                 gap = (s1 - s2) if l1 > l2 else (s2 - s1)
                 f = m - gap
+            row.append(f)
+        rows.append(row)
+    return rows
+
+
+def margin_loss_brute(scores, labels, embeddings, pool_labels, pool_scores,
+                      pool_embeddings):
+    """Mean hinged ranking residual over every (sample, pool entry) pair."""
+    b, p = len(scores), len(pool_labels)
+    total = 0.0
+    for row in pair_residuals_brute(scores, labels, embeddings, pool_labels,
+                                    pool_scores, pool_embeddings):
+        for f in row:
             if f > 0.0:
                 total += f
     return total / (b * p)
+
+
+def margin_grads_brute(scores, labels, embeddings, pool_labels, pool_scores,
+                       pool_embeddings):
+    """Gradients of margin_loss_brute: (d_scores, d_embeddings) as lists.
+
+    A hinge at exactly zero, and so a same-label tie, takes subgradient 0.
+    Each score gradient is a whole count of +-1 terms times 1/(B*P).  The
+    embedding gradient runs through the cosine alone (d f / d cos = 0.25 on a
+    live cross-label pair), and is zero for a zero-norm embedding on either
+    side.
+    """
+    b, p = len(scores), len(pool_labels)
+    scale = 1.0 / (b * p)
+    residuals = pair_residuals_brute(scores, labels, embeddings, pool_labels,
+                                     pool_scores, pool_embeddings)
+    e_norms = [_norm(e) for e in embeddings]
+    p_norms = [_norm(e) for e in pool_embeddings]
+    d_scores, d_embeddings = [], []
+    for i in range(b):
+        count = 0
+        grad = [0.0] * len(embeddings[i])
+        for j in range(p):
+            if residuals[i][j] <= 0.0:
+                continue
+            l1, l2 = int(labels[i]), int(pool_labels[j])
+            if l1 == l2:
+                count += 1 if float(scores[i]) > float(pool_scores[j]) else -1
+                continue
+            count += -1 if l1 > l2 else 1
+            if e_norms[i] == 0.0 or p_norms[j] == 0.0:
+                continue
+            cos = _cosine(embeddings[i], pool_embeddings[j], e_norms[i], p_norms[j])
+            for k in range(len(grad)):
+                dcos = (float(pool_embeddings[j][k]) / p_norms[j]
+                        - cos * float(embeddings[i][k]) / e_norms[i]) / e_norms[i]
+                grad[k] += 0.25 * dcos
+        d_scores.append(count * scale)
+        d_embeddings.append([g * scale for g in grad])
+    return d_scores, d_embeddings
 
 
 def icc_2_1_anova(table):

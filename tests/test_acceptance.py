@@ -121,7 +121,7 @@ class TestAcceptance:
         # Momentum decay: after n updates toward fixed w, gap shrinks 0.999^n.
         cfg = model.ModelConfig(n_channels=2, n_chunks=4, width=4, global_dim=5)
         params = model.init_params(cfg, seed=0)
-        enc = mr.MomentumEncoder.from_model(params, momentum=0.999)
+        enc = mr.MomentumEncoder.from_model(params)
         target = model.init_params(cfg, seed=1)
         gap0 = enc.params.flat() - target.flat()
         for _ in range(40):

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from engagerank import harness, model
+from engagerank import harness, mocorank, model
 
 
 VISUAL_LOSSES = list(harness.LOSSES)
@@ -72,3 +72,30 @@ class TestGradCheckDriver:
         b = harness.grad_check_loss(cfg)
         assert a["max_rel_err"] == b["max_rel_err"]
         assert a["n_skipped"] == b["n_skipped"]
+
+
+class TestKinkSignature:
+    """grad_check_loss skips a coordinate when the pool loss's kink signature
+    moves, so the signature must move whenever a kink is crossed."""
+
+    @staticmethod
+    def signature(score):
+        pool = mocorank.ScorePool(4).push(
+            [0, 2, 2, 3], [-0.5, 0.1, 0.5, 0.9],
+            [[0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [1.0, 0.0]])
+        # row 0 (label 2, embedding orthogonal to the label-0 entry) has the
+        # cross-label residual 0.75 - (s + 0.5) = 0.25 - s against it
+        scores = np.array([score, -0.8])
+        embeddings = np.array([[1.0, 0.0], [0.3, 0.4]])
+        return np.concatenate(harness._margin_kinks(scores, [2, 0], embeddings, pool))
+
+    def test_still_when_no_kink_is_crossed(self):
+        np.testing.assert_array_equal(self.signature(0.24), self.signature(0.245))
+
+    def test_moves_when_a_cross_label_hinge_crosses_zero(self):
+        # 0.25 - s goes from 0.01 to -0.01; same-label entries stay at 0.1 < s < 0.5
+        assert not np.array_equal(self.signature(0.24), self.signature(0.26))
+
+    def test_moves_when_a_same_label_difference_changes_sign(self):
+        # s - 0.1 goes from -0.01 to 0.01; the hinge 0.25 - s stays live
+        assert not np.array_equal(self.signature(0.09), self.signature(0.11))

@@ -8,7 +8,8 @@ from engagerank import featurepipe as fp
 from engagerank import mocorank as mr
 from engagerank import model
 
-from _oracles import margin_loss_brute, momentum_per_key
+from _oracles import (margin_grads_brute, margin_loss_brute, momentum_per_key,
+                      pair_residuals_brute)
 
 
 def entry(label, score, embedding):
@@ -28,6 +29,12 @@ def random_instance(rng, b=None, p=None, dim=None):
     labels = rng.integers(0, 4, size=b)
     embeddings = rng.standard_normal((b, dim))
     return scores, labels, embeddings, pool
+
+
+def min_abs_residual(scores, labels, embeddings, pool):
+    """Distance of the nearest pair to a hinge or |.| kink."""
+    return np.abs(pair_residuals_brute(scores, labels, embeddings, pool.labels,
+                                       pool.scores, pool.embeddings)).min()
 
 
 class TestScorePoolEntry:
@@ -253,13 +260,14 @@ class TestMomentumEncoder:
                                 speech_dim=6, min_frames=8)
         enc = mr.MomentumEncoder.from_model(self.tiny_params())
         with pytest.raises(ValueError, match="do not match"):
-            mr.momentum_update(enc, model.init_params(cfg))
+            mr.momentum_update(enc, model.init_params(cfg), m=0.999)
         # same keys and size, other shapes
         target = self.tiny_params()
         transposed = model.ModelParams(target.config,
                                        {k: v.T for k, v in target.items()})
         with pytest.raises(ValueError, match="do not match"):
-            mr.momentum_update(mr.MomentumEncoder.from_model(transposed), target)
+            mr.momentum_update(mr.MomentumEncoder.from_model(transposed), target,
+                               m=0.999)
 
 
 class TestPoolInit:
@@ -395,6 +403,13 @@ class TestMultiMarginLoss:
             mr.multi_margin_loss(np.array([0.0]), np.array([0]), np.ones((1, 2)),
                                  mr.ScorePool(4))
 
+    def test_label_range_checked(self):
+        pool = mr.ScorePool(1).push([0], [0.0], np.ones((1, 2)))
+        for bad in (-1, 4):
+            with pytest.raises(ValueError, match="label"):
+                mr.multi_margin_loss(np.array([0.0]), np.array([bad]), np.ones((1, 2)),
+                                     pool)
+
     def test_brute_force_oracle(self):
         """300 random instances against the loop-written reference."""
         rng = np.random.default_rng(0)
@@ -442,6 +457,66 @@ class TestMultiMarginLoss:
 
         check()
 
+    def test_gradients_match_loop_oracle(self):
+        """d_scores exactly and d_embeddings to 1e-12 of the loop-written
+        gradients, over the shapes and label mixes above plus exact kinks:
+        same-label pairs at equal scores, and a cross-label pair whose
+        residual is exactly 0.  With detach_margin d_embeddings is all zero."""
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        classes = st.sets(st.integers(0, 3), min_size=1).map(sorted)
+
+        @hyp.settings(max_examples=200, deadline=None, database=None)
+        @hyp.given(st.integers(1, 12), st.integers(1, 40), st.integers(1, 12),
+                   classes, classes, st.floats(0.0, 0.5), st.integers(0, 2 ** 32 - 1))
+        def check(b, p, dim, batch_classes, pool_classes, zero_fraction, seed):
+            rng = np.random.default_rng(seed)
+            pool_labels = rng.choice(pool_classes, size=p)
+            pool_scores = rng.uniform(-1.0, 1.0, size=p)
+            pool_embeddings = rng.standard_normal((p, dim))
+            pool_embeddings[rng.random(p) < zero_fraction] = 0.0
+            labels = rng.choice(batch_classes, size=b)
+            scores = rng.uniform(-1.0, 1.0, size=b)
+            embeddings = rng.standard_normal((b, dim))
+            embeddings[rng.random(b) < zero_fraction] = 0.0
+            for i in range(b):                       # same-label ties
+                same = np.flatnonzero(pool_labels == labels[i])
+                if same.size and rng.random() < 0.5:
+                    scores[i] = pool_scores[rng.choice(same)]
+            i, j = int(rng.integers(b)), int(rng.integers(p))
+            if labels[i] != pool_labels[j]:          # a cross-label residual of 0
+                # orthogonal (or zero) embeddings make cos 0, so the margin is
+                # 0.5 |k| - 0.25; scores on a grid of 1/8 make f exactly 0
+                embeddings[i] = np.eye(dim)[0]
+                pool_embeddings[j] = np.eye(dim)[1] if dim > 1 else 0.0
+                sgn = np.sign(labels[i] - pool_labels[j])
+                gap = sgn * (0.5 * abs(labels[i] - pool_labels[j]) - 0.25)
+                grid = np.arange(-8, 9) / 8.0
+                scores[i] = rng.choice(grid[np.abs(grid - gap) <= 1.0])
+                pool_scores[j] = scores[i] - gap
+            pool = mr.ScorePool(p).push(pool_labels, pool_scores, pool_embeddings)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                _, d_s, d_e = mr.multi_margin_loss(scores, labels, embeddings, pool)
+                _, d_s_detached, d_e_detached = mr.multi_margin_loss(
+                    scores, labels, embeddings, pool, detach_margin=True)
+            want_s, want_e = margin_grads_brute(
+                scores.tolist(), labels.tolist(), embeddings.tolist(),
+                pool.labels.tolist(), pool.scores.tolist(), pool.embeddings.tolist())
+            np.testing.assert_array_equal(d_s, want_s)            # exact
+            np.testing.assert_array_equal(d_s_detached, d_s)
+            assert not d_e_detached.any()
+            # rounding is relative to the pair terms summed, up to
+            # 0.25 / (B P |e_i|) each; at width 1 every cosine is +-1 and
+            # those terms cancel to 0 in the oracle
+            want_e = np.array(want_e)
+            norms = np.linalg.norm(embeddings, axis=1)
+            term = 0.25 / (b * p * norms[norms > 0].min()) if norms.any() else 0.0
+            bound = 1e-12 * max(np.abs(want_e).max(), term)
+            assert np.abs(d_e - want_e).max() <= bound
+
+        check()
+
     def test_duplicating_the_pool_changes_nothing(self):
         rng = np.random.default_rng(1)
         scores, labels, embeddings, pool = random_instance(rng, b=4, p=8, dim=3)
@@ -469,9 +544,8 @@ class TestMultiMarginLoss:
         checked = 0
         while checked < 10:
             scores, labels, embeddings, pool = random_instance(rng)
-            pairs = mr.pairwise_matrix(scores, labels, embeddings, pool)
             # stay away from hinge and |.| kinks so central differences are exact
-            if np.abs(pairs["f"]).min() < 1e-3:
+            if min_abs_residual(scores, labels, embeddings, pool) < 1e-3:
                 continue
             _, d_s, _ = mr.multi_margin_loss(scores, labels, embeddings, pool)
             h = 1e-6
@@ -489,8 +563,7 @@ class TestMultiMarginLoss:
         checked = 0
         while checked < 5:
             scores, labels, embeddings, pool = random_instance(rng, b=3, dim=4)
-            pairs = mr.pairwise_matrix(scores, labels, embeddings, pool)
-            if np.abs(pairs["f"]).min() < 1e-3:
+            if min_abs_residual(scores, labels, embeddings, pool) < 1e-3:
                 continue
             _, _, d_e = mr.multi_margin_loss(scores, labels, embeddings, pool)
             h = 1e-6
@@ -680,7 +753,7 @@ class TestCenterLoss:
 
     def test_center_update_rule(self):
         """delta = sum(c - e) / (1 + n), applied at the update rate."""
-        centers = mr.ClassCenters.zeros(2, alpha=0.5)
+        centers = mr.ClassCenters.zeros(2)
         emb = np.array([[2.0, 0.0]])
         _, _, moved = mr.center_loss(emb, np.array([1]), centers)
         np.testing.assert_allclose(moved.values[1], [0.5, 0.0])
@@ -688,7 +761,7 @@ class TestCenterLoss:
         np.testing.assert_array_equal(moved.values[0], [0.0, 0.0])
 
     def test_multi_sample_update(self):
-        centers = mr.ClassCenters(values=np.ones((4, 2)), alpha=0.5)
+        centers = mr.ClassCenters(values=np.ones((4, 2)))
         emb = np.array([[2.0, 1.0], [4.0, 1.0]])
         _, _, moved = mr.center_loss(emb, np.array([3, 3]), centers)
         # delta = ((1-2) + (1-4)) / 3 per first coordinate
