@@ -21,6 +21,7 @@ from .featurepipe import (
     SampleRecord,
     apportion,
     chunk_summarize,
+    chunk_summarize_batch,
     class_balanced_sampler,
     latent_band,
     load_records,

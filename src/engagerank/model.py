@@ -636,14 +636,18 @@ class Batch(NamedTuple):
 def prepare_batch(records: list[SampleRecord], config: ModelConfig) -> Batch:
     """Chunk-summarize records into the stacked arrays of a ``Batch``.
 
-    A record object listed more than once is chunk-summarized once.
+    The distinct records go through one ``chunk_summarize_batch`` call, so a
+    record object listed more than once is chunk-summarized once.
     """
-    summaries: dict[int, np.ndarray] = {}
+    distinct: dict[int, int] = {}
+    padded = []
     for r in records:
-        if id(r) not in summaries:
-            summaries[id(r)] = featurepipe.prepare_record(
-                r, config.n_chunks, config.min_frames, config.strict_pad)
-    chunks = np.stack([summaries[id(r)] for r in records])
+        if id(r) not in distinct:
+            distinct[id(r)] = len(padded)
+            padded.append(featurepipe.repeat_pad(r.frames, config.min_frames, config.strict_pad))
+    chunks = featurepipe.chunk_summarize_batch(padded, config.n_chunks)
+    if len(padded) < len(records):
+        chunks = chunks[[distinct[id(r)] for r in records]]
     gfeat = np.stack([r.global_feature for r in records])
     speech = meta = None
     has_speech = np.array([r.has_speech for r in records])

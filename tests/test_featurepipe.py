@@ -65,6 +65,13 @@ class TestRepeatPad:
         assert fp.repeat_pad(f, min_frames=250).n_frames == 250
         assert fp.repeat_pad(f, min_frames=250, strict=True).n_frames == 500
 
+    @pytest.mark.parametrize("f,copies", [(100, 3), (125, 3), (249, 2), (250, 2)])
+    def test_strict_clears_the_floor_below_it(self, f, copies):
+        """Under ``strict`` a clip at or below the floor ends strictly above it."""
+        vals = np.arange(f, dtype=float)[None, :]
+        out = fp.repeat_pad(make_frames(vals), min_frames=250, strict=True)
+        np.testing.assert_array_equal(out.values, np.tile(vals, (1, copies)))
+
     def test_tiling_preserves_period(self):
         rng = np.random.default_rng(0)
         f = make_frames(rng.standard_normal((3, 40)))
@@ -209,6 +216,48 @@ class TestChunkSummarizeMatchesLoop:
         assert_bitwise(chunks, expected)
 
 
+class TestPrepareBatchMatchesLoop:
+    """prepare_batch summarizes its records in time-major blocks; each row is
+    still bitwise the loop oracle on that record alone."""
+
+    def test_mixed_batches(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        kind = st.tuples(st.sampled_from((4, 100, 250, 253, 300, 1400)),
+                         st.sampled_from(("C", "F", "strided")))
+
+        @hyp.settings(max_examples=60, deadline=None, database=None)
+        @hyp.given(st.integers(1, 6), st.integers(1, 10),
+                   st.lists(kind, min_size=1, max_size=4), st.integers(1, 80),
+                   st.booleans(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+        # several groups, each past one full block, with chunks of 140 frames
+        @hyp.example(17, 10, [(300, "C"), (1400, "F"), (100, "strided")], 80,
+                     False, False, 0)
+        @hyp.example(3, 4, [(253, "F")], 1, True, False, 1)
+        def check(d, n_chunks, kinds, n, zeros, strict, seed):
+            rng = np.random.default_rng(seed)
+            records = []
+            for i in range(n):
+                f, layout = kinds[rng.integers(len(kinds))]
+                shape = (d, 2 * f) if layout == "strided" else (d, f)
+                vals = (rng.choice([0.0, -0.0, 0.0, -0.0, 1.5, -2.0], shape) if zeros
+                        else rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3))
+                vals = (vals[:, ::2] if layout == "strided"
+                        else np.asarray(vals, order=layout))
+                records.append(fp.SampleRecord(id=str(i), frames=make_frames(vals),
+                                               global_feature=np.zeros(2), label=i % 4))
+            listed = [records[i] for i in rng.integers(n, size=n + rng.integers(n + 1))]
+            cfg = model.ModelConfig(n_channels=d, n_chunks=n_chunks, strict_pad=strict)
+            chunks, *_ = model.prepare_batch(listed, cfg)
+            expected = np.stack([
+                chunk_summarize_loop(fp.repeat_pad(r.frames, cfg.min_frames, strict),
+                                     n_chunks)
+                for r in listed])
+            assert_bitwise(chunks, expected)
+
+        check()
+
+
 class TestSampleRecord:
     def _record(self, **kw):
         base = dict(id="r0",
@@ -226,6 +275,16 @@ class TestSampleRecord:
     def test_label_range(self):
         with pytest.raises(ValueError):
             self._record(label=4)
+
+    @pytest.mark.parametrize("label", [2, np.int64(2), np.int32(2), 2.0, np.float64(2.0)])
+    def test_integral_labels_accepted(self, label):
+        r = self._record(label=label)
+        assert r.label == 2 and type(r.label) is int
+
+    @pytest.mark.parametrize("label", [2.7, True, np.True_, "3", float("nan"), None])
+    def test_non_integral_labels_rejected(self, label):
+        with pytest.raises(ValueError, match="label must be an integer"):
+            self._record(label=label)
 
     def test_speech_record_roundtrips_flags(self):
         r = self._record(speech_embedding=np.zeros(8),
@@ -282,6 +341,20 @@ class TestJsonlRoundTrip:
         lines[2] = json.dumps(bad)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="line 3"):
+            fp.load_records(path)
+
+    @pytest.mark.parametrize("label", [2.7, True, "3"])
+    def test_non_integral_label_names_path_line_and_field(self, tmp_path, label):
+        ds = fp.synth_dataset(n=4, n_channels=2, global_dim=3, n_frames=6,
+                              proportions=(1, 1, 1, 1), seed=0)
+        path = tmp_path / "data.jsonl"
+        fp.save_records(ds, path)
+        lines = path.read_text().splitlines()
+        bad = json.loads(lines[2])
+        bad["label"] = label
+        lines[2] = json.dumps(bad)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"data\.jsonl: line 3: label must be an integer"):
             fp.load_records(path)
 
 
