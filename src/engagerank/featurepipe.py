@@ -20,6 +20,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import partial
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -61,10 +62,10 @@ class FrameSequence:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if not (self.values.flags.c_contiguous or self.values.flags.f_contiguous):
-            self.values = np.ascontiguousarray(self.values)
         if self.values.ndim != 2:
             raise ValueError("frame values must be a 2-D (channels x frames) array")
+        if not (self.values.flags.c_contiguous or self.values.flags.f_contiguous):
+            self.values = np.ascontiguousarray(self.values)
         if self.values.shape[1] < 1 or self.values.shape[0] < 1:
             raise ValueError("empty input")
         if not np.all(np.isfinite(self.values)):
@@ -96,8 +97,9 @@ class SampleRecord:
         if self.global_feature.ndim != 1:
             raise ValueError("global_feature must be a vector")
         label = self.label
-        if (isinstance(label, (bool, np.bool_)) or not isinstance(label, numbers.Real)
-                or not float(label).is_integer()):
+        if isinstance(label, (bool, np.bool_)) or not (
+                isinstance(label, numbers.Integral)
+                or isinstance(label, (float, np.floating)) and label.is_integer()):
             raise ValueError(f"label must be an integer, got {label!r}")
         if int(label) not in (0, 1, 2, 3):
             raise ValueError(f"label must be in 0..3, got {label!r}")
@@ -238,6 +240,9 @@ def _summarize_block(values: list[np.ndarray], n_chunks: int, c_order: bool) -> 
     base, extra = divmod(f, n_chunks)
     split = extra * (base + 1)
     out = np.empty((k, 3, d, n_chunks), dtype=np.float64)
+    # numpy sums a chunk slice of C-ordered frames along its contiguous axis,
+    # pairwise, and one of Fortran-ordered frames frame after frame
+    frame_sum = _pairwise_sum if c_order else partial(np.add.reduce, axis=0)
     for chunks, size, frame_span in ((slice(0, extra), base + 1, slice(0, split)),
                                      (slice(extra, n_chunks), base, slice(split, f))):
         c = chunks.stop - chunks.start
@@ -249,11 +254,11 @@ def _summarize_block(values: list[np.ndarray], n_chunks: int, c_order: bool) -> 
         out[:, 0, :, chunks] = np.minimum.reduce(t, axis=0)
         out[:, 1, :, chunks] = np.maximum.reduce(t, axis=0)
         # np.var's steps: mean, deviations squared in place, their mean
-        mean = _frame_sum(t, c_order)
+        mean = frame_sum(t)
         mean /= size
         t -= mean
         t *= t
-        var = _frame_sum(t, c_order)
+        var = frame_sum(t)
         var /= size
         out[:, 2, :, chunks] = var
     # Over finite values a min or max depends on the order only through ties
@@ -264,19 +269,6 @@ def _summarize_block(values: list[np.ndarray], n_chunks: int, c_order: bool) -> 
         out[j, 0, :, ch] = chunk.min(axis=1)
         out[j, 1, :, ch] = chunk.max(axis=1)
     return out
-
-
-def _frame_sum(t: np.ndarray, c_order: bool) -> np.ndarray:
-    """Sum a time-major block over its frame axis 0 in the order numpy sums
-    one chunk slice of frames in that layout.
-
-    A chunk of Fortran-ordered frames is reduced along a strided axis, frame
-    after frame; a chunk of C-ordered frames along a contiguous one, which
-    numpy sums pairwise.
-    """
-    if not c_order:
-        return np.add.reduce(t, axis=0)
-    return _pairwise_sum(t)
 
 
 def _pairwise_sum(t: np.ndarray) -> np.ndarray:

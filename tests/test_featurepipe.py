@@ -281,7 +281,8 @@ class TestSampleRecord:
         r = self._record(label=label)
         assert r.label == 2 and type(r.label) is int
 
-    @pytest.mark.parametrize("label", [2.7, True, np.True_, "3", float("nan"), None])
+    @pytest.mark.parametrize("label", [2.7, True, np.True_, "3", float("nan"),
+                                       float("inf"), None, [2]])
     def test_non_integral_labels_rejected(self, label):
         with pytest.raises(ValueError, match="label must be an integer"):
             self._record(label=label)
