@@ -1,7 +1,10 @@
 """Command-line entry points.
 
 Subcommands: synth, train, train-two-stage, eval, grad-check, bench-losses,
-icc.  Training flags mirror TrainConfig; any of them may instead come from a
+icc.  The training flags of train, train-two-stage and bench-losses are
+TrainConfig's fields, built from the dataclass: field ``x_y`` is the flag
+``--x-y``, except ``n_channels``, which is ``--channels``; the data paths
+come from --train and --val instead.  Any of them may instead come from a
 JSON config file (--config), with explicit command-line flags taking
 precedence over file values.  ENGAGERANK_LOG_LEVEL controls log verbosity.
 """
@@ -11,10 +14,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -27,42 +32,35 @@ CONFIG_VERSION = 1
 # TrainConfig fields the CLI and config files may set
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 _PRESETS = {"desk": TrainConfig.desk, "paper": TrainConfig.paper_scale}
+# the one renamed flag, and the keywords a flag takes beyond its type
+_FLAG_NAMES = {"n_channels": "--channels"}
+_FLAG_KEYWORDS = {"loss": {"choices": LOSSES}, "sampler": {"choices": harness.SAMPLERS},
+                  "ablation": {"choices": model.FUSIONS},
+                  "init_from": {"help": "checkpoint to initialize parameters from"}}
+
+
+@functools.cache
+def _train_flags() -> tuple:
+    """(flag, add_argument keywords) of each TrainConfig field but the data
+    paths, which the commands take as --train and --val."""
+    flags = []
+    for name, kind in typing.get_type_hints(TrainConfig).items():
+        if name in ("train_path", "val_path"):
+            continue
+        # Optional[X] parses as X; None stands for "not given"
+        kind = next((a for a in typing.get_args(kind) if a is not type(None)), kind)
+        kw = {"action": argparse.BooleanOptionalAction} if kind is bool else {"type": kind}
+        flags.append((_FLAG_NAMES.get(name, "--" + name.replace("_", "-")),
+                      dict(kw, dest=name, **_FLAG_KEYWORDS.get(name, {}))))
+    return tuple(flags)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (see README for schema)")
     p.add_argument("--preset", choices=list(_PRESETS),
                    help="base preset applied before config file and flags")
-    p.add_argument("--loss", choices=LOSSES)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--pool-size", type=int, dest="pool_size")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr-start", type=float, dest="lr_start")
-    p.add_argument("--lr-end", type=float, dest="lr_end")
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--sampler", choices=harness.SAMPLERS)
-    p.add_argument("--use-audio", action=argparse.BooleanOptionalAction,
-                   dest="use_audio", default=None)
-    p.add_argument("--ablation", choices=list(model.FUSIONS))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--center-weight", type=float, dest="center_weight")
-    p.add_argument("--cb-beta", type=float, dest="cb_beta")
-    p.add_argument("--cb-gamma", type=float, dest="cb_gamma")
-    p.add_argument("--detach-margin", action=argparse.BooleanOptionalAction,
-                   dest="detach_margin", default=None)
-    p.add_argument("--score-before-step", action=argparse.BooleanOptionalAction,
-                   dest="score_before_step", default=None)
-    p.add_argument("--stage2-epochs", type=int, dest="stage2_epochs")
-    p.add_argument("--init-from", dest="init_from",
-                   help="checkpoint to initialize parameters from")
-    p.add_argument("--channels", type=int, dest="n_channels")
-    p.add_argument("--global-dim", type=int, dest="global_dim")
-    p.add_argument("--width", type=int)
-    p.add_argument("--n-chunks", type=int, dest="n_chunks")
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--speech-dim", type=int, dest="speech_dim")
-    p.add_argument("--min-frames", type=int, dest="min_frames")
+    for flag, kw in _train_flags():
+        p.add_argument(flag, **kw)
 
 
 def _load_config_file(path: str) -> dict:

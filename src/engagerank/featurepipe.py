@@ -159,26 +159,19 @@ class Dataset:
 # Frame-sequence preparation
 # ---------------------------------------------------------------------------
 
-def repeat_pad(frames: FrameSequence, min_frames: int = DEFAULT_MIN_FRAMES,
-               strict: bool = False) -> FrameSequence:
+def repeat_pad(frames: FrameSequence,
+               min_frames: int = DEFAULT_MIN_FRAMES) -> FrameSequence:
     """Repeat a short sequence whole until it reaches the frame floor.
 
-    By default a sequence with F >= min_frames passes through unchanged and a
-    shorter one is tiled ceil(min_frames / F) times.  With ``strict=True`` the
-    floor is exclusive: a sequence of F <= min_frames frames is tiled
-    min_frames // F + 1 times, so one of exactly ``min_frames`` frames is
-    doubled.
+    A sequence with F >= min_frames passes through unchanged and a shorter
+    one is tiled ceil(min_frames / F) times.
     """
     f = frames.n_frames
     if f < 1:
         raise ValueError("empty input")
-    if strict:
-        copies = min_frames // f + 1 if f <= min_frames else 1
-    else:
-        copies = math.ceil(min_frames / f) if f < min_frames else 1
-    if copies == 1:
+    if f >= min_frames:
         return frames
-    return FrameSequence(np.tile(frames.values, (1, copies)))
+    return FrameSequence(np.tile(frames.values, (1, math.ceil(min_frames / f))))
 
 
 #: Records summarized together in one time-major block.  The ufuncs then run
@@ -309,9 +302,9 @@ def chunk_summarize(frames: FrameSequence, n_chunks: int = DEFAULT_CHUNKS) -> np
 
 
 def prepare_record(record: SampleRecord, n_chunks: int = DEFAULT_CHUNKS,
-                   min_frames: int = DEFAULT_MIN_FRAMES, strict: bool = False) -> np.ndarray:
+                   min_frames: int = DEFAULT_MIN_FRAMES) -> np.ndarray:
     """Pad then chunk-summarize one record's frame sequence: (3D, n_chunks)."""
-    return chunk_summarize(repeat_pad(record.frames, min_frames, strict), n_chunks)
+    return chunk_summarize(repeat_pad(record.frames, min_frames), n_chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +317,8 @@ def prepare_record(record: SampleRecord, n_chunks: int = DEFAULT_CHUNKS,
 # numbers), optional audio_meta (7 numbers), label (0-3), optional latent.
 
 def load_records(path, split: str = "train") -> Dataset:
-    """Read a JSON-lines dataset file, validating every record."""
+    """Read a JSON-lines dataset file, validating every record; an error
+    names the path, the line and the field."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -334,18 +328,18 @@ def load_records(path, split: str = "train") -> Dataset:
         raise ValueError(
             f"{path}: line 1: unsupported schema {header.get('schema')!r}, "
             f"expected {SCHEMA_NAME!r}")
-    n_channels = int(header["D"])
-    global_dim = int(header["d"])
+    n_channels = _header_dim(path, header, "D")
+    global_dim = _header_dim(path, header, "d")
     # optional header override for scaled-down speech embeddings
-    speech_dim = int(header.get("speech_dim", SPEECH_DIM))
+    speech_dim = _header_dim(path, header, "speech_dim", SPEECH_DIM)
 
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         obj = _parse_json_line(path, lineno, line)
-        records.append(_record_from_json(path, lineno, obj, n_channels, global_dim,
-                                         speech_dim))
+        records.append(_record_from_json(f"{path}: line {lineno}", obj, n_channels,
+                                         global_dim, speech_dim))
     return Dataset(records, split=split, n_channels=n_channels, global_dim=global_dim)
 
 
@@ -359,40 +353,54 @@ def _parse_json_line(path, lineno: int, line: str) -> dict:
     return obj
 
 
-def _record_from_json(path, lineno: int, obj: dict, n_channels: int,
-                      global_dim: int, speech_dim: int = SPEECH_DIM) -> SampleRecord:
+def _header_dim(path, header: dict, key: str, default: Optional[int] = None) -> int:
+    value = header.get(key, default)
+    if type(value) is not int or value < 1:
+        problem = (f"missing field {key!r}" if value is None else
+                   f"field {key!r} must be a positive integer, got {value!r}")
+        raise ValueError(f"{path}: line 1: {problem}")
+    return value
+
+
+def _numbers(where: str, obj: dict, key: str) -> np.ndarray:
+    """Field ``key`` as a float64 array of finite numbers."""
+    try:
+        values = np.asarray(obj[key], dtype=np.float64)
+    except (TypeError, ValueError):     # ragged lists, text
+        values = None
+    if values is None or not np.isfinite(values).all():
+        raise ValueError(f"{where}: field {key!r} must be finite numbers, in lists "
+                         f"of equal length")
+    return values
+
+
+def _record_from_json(where: str, obj: dict, n_channels: int, global_dim: int,
+                      speech_dim: int) -> SampleRecord:
+    """One record line; ``where`` ("path: line n") prefixes every error."""
     for key in ("id", "frames", "global_feature", "label"):
         if key not in obj:
-            raise ValueError(f"{path}: line {lineno}: missing field {key!r}")
-    frames = np.asarray(obj["frames"], dtype=np.float64)
+            raise ValueError(f"{where}: missing field {key!r}")
+    frames = _numbers(where, obj, "frames")
     if frames.ndim != 2:
-        raise ValueError(f"{path}: line {lineno}: field 'frames' must be a list of frame rows")
+        raise ValueError(f"{where}: field 'frames' must be a list of frame rows")
     # Rows in the file are per-frame; in memory channels index rows.
     frames = frames.T
     if frames.shape[0] != n_channels:
-        raise ValueError(
-            f"{path}: line {lineno}: field 'frames' has {frames.shape[0]} channels, "
-            f"header says D={n_channels}")
-    gfeat = np.asarray(obj["global_feature"], dtype=np.float64)
+        raise ValueError(f"{where}: field 'frames' has {frames.shape[0]} channels, "
+                         f"header says D={n_channels}")
+    gfeat = _numbers(where, obj, "global_feature")
     if gfeat.shape != (global_dim,):
-        raise ValueError(
-            f"{path}: line {lineno}: field 'global_feature' has length {gfeat.size}, "
-            f"header says d={global_dim}")
-    speech = obj.get("speech_embedding")
-    meta = obj.get("audio_meta")
-    if (speech is None) != (meta is None):
-        raise ValueError(f"{path}: line {lineno}: modality fields must co-occur")
-    if speech is not None:
-        speech = np.asarray(speech, dtype=np.float64)
-        if speech.shape != (speech_dim,):
-            raise ValueError(
-                f"{path}: line {lineno}: field 'speech_embedding' must have "
-                f"{speech_dim} entries")
-        meta = np.asarray(meta, dtype=np.float64)
-        if meta.shape != (AUDIO_META_DIM,):
-            raise ValueError(
-                f"{path}: line {lineno}: field 'audio_meta' must have "
-                f"{AUDIO_META_DIM} entries")
+        raise ValueError(f"{where}: field 'global_feature' has length {gfeat.size}, "
+                         f"header says d={global_dim}")
+    speech, meta = (None if obj.get(key) is None else _numbers(where, obj, key)
+                    for key in ("speech_embedding", "audio_meta"))
+    if speech is not None and speech.shape != (speech_dim,):
+        raise ValueError(f"{where}: field 'speech_embedding' must have {speech_dim} "
+                         f"entries")
+    latent = obj.get("latent")
+    if latent is not None and (type(latent) is bool
+                               or not isinstance(latent, (int, float))):
+        raise ValueError(f"{where}: field 'latent' must be a number, got {latent!r}")
     try:
         return SampleRecord(
             id=str(obj["id"]),
@@ -401,10 +409,10 @@ def _record_from_json(path, lineno: int, obj: dict, n_channels: int,
             label=obj["label"],
             speech_embedding=speech,
             audio_meta=meta,
-            latent=None if obj.get("latent") is None else float(obj["latent"]),
+            latent=None if latent is None else float(latent),
         )
     except ValueError as exc:
-        raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def save_records(dataset: Dataset, path) -> None:
@@ -608,8 +616,7 @@ def latent_band(u) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def class_balanced_sampler(labels: Sequence[int], batch_size: int,
-                           seed: Optional[int] = None,
-                           rng: Optional[np.random.Generator] = None) -> Iterator[np.ndarray]:
+                           rng: np.random.Generator) -> Iterator[np.ndarray]:
     """Yield index batches drawn class-first: uniform class, then uniform index.
 
     Every draw is with replacement, so each class contributes 1/4 of the
@@ -621,8 +628,6 @@ def class_balanced_sampler(labels: Sequence[int], batch_size: int,
     for c, idx in enumerate(by_class):
         if idx.size == 0:
             raise ValueError("cannot balance absent class")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     while True:
         classes = rng.integers(0, N_CLASSES, size=batch_size)
         batch = np.array([by_class[c][rng.integers(0, by_class[c].size)] for c in classes],

@@ -5,6 +5,9 @@ The loop is deterministic end to end: one seeded generator drives sampling,
 dropout, and pool initialization, reductions run in fixed order, and a saved
 checkpoint restores every piece of mutable state (parameters, momentum copy,
 optimizer moments, score pool ring, centers, generator state) bit for bit.
+Bitwise results, and so bitwise resume, hold at a fixed BLAS thread count:
+the matrix products may sum in another order under another count, and a
+checkpoint does not record it.
 """
 
 from __future__ import annotations
@@ -109,6 +112,7 @@ class TrainConfig:
     use_audio: bool = False
     ablation: str = "concat+attention"
     seed: int = 0
+    # where the CLI read the data, kept as a record; training takes datasets
     train_path: Optional[str] = None
     val_path: Optional[str] = None
     center_weight: float = 0.2
@@ -211,12 +215,12 @@ def init_opt_state(params: model_mod.ModelParams) -> dict:
 
 
 def adamw_step(params: model_mod.ModelParams, grads: np.ndarray, state: dict,
-               lr: float, weight_decay: float = 1e-3, beta1: float = 0.9,
-               beta2: float = 0.999, eps: float = 1e-8,
+               lr: float, weight_decay: float = 1e-3,
                frozen_keys: tuple = ()) -> tuple[model_mod.ModelParams, dict]:
-    """One AdamW update in place on the whole parameter vector; decoupled
-    decay scales weights before the adaptive step.  Entries of frozen blocks
-    are skipped entirely: weights, moments and decay, whatever their gradient."""
+    """One AdamW update (betas 0.9 and 0.999, eps 1e-8) in place on the whole
+    parameter vector; decoupled decay scales weights before the adaptive
+    step.  Entries of frozen blocks are skipped entirely: weights, moments
+    and decay, whatever their gradient."""
     grads = np.asarray(grads, dtype=np.float64)
     if grads.shape != (params.n_params,):
         raise ValueError(f"gradient vector must have length {params.n_params}")
@@ -229,6 +233,7 @@ def adamw_step(params: model_mod.ModelParams, grads: np.ndarray, state: dict,
                          f"'{params.key_at(int(np.argmax(bad)))}'")
     state["step"] += 1
     t = state["step"]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
     # a slice gives views updated in place; an index array gives copies
@@ -265,12 +270,6 @@ class TrainState:
     frozen_keys: tuple = ()
     history: list = field(default_factory=list)
     val_report: Optional[MetricsReport] = None   # of the latest epoch
-
-
-def _load_dataset(path: Optional[str], name: str) -> Dataset:
-    if path is None:
-        raise ValueError(f"no {name} data: pass a dataset or set {name}_path")
-    return featurepipe.load_records(path)
 
 
 def init_train_state(config: TrainConfig, train_set: Dataset) -> TrainState:
@@ -381,26 +380,15 @@ def train_epochs(state: TrainState, train_set: Dataset,
     return state
 
 
-def _datasets(config: TrainConfig, train_set: Optional[Dataset],
-              val_set: Optional[Dataset]) -> tuple[Dataset, Optional[Dataset]]:
-    """The given train and val sets, each read from its config path when not given."""
-    if train_set is None:
-        train_set = _load_dataset(config.train_path, "train")
-    if val_set is None and config.val_path is not None:
-        val_set = _load_dataset(config.val_path, "val")
-    return train_set, val_set
-
-
-def train(config: TrainConfig, train_set: Optional[Dataset] = None,
+def train(config: TrainConfig, train_set: Dataset,
           val_set: Optional[Dataset] = None) -> tuple[TrainState, list]:
     """Full training run; returns the final state and the per-epoch log."""
-    train_set, val_set = _datasets(config, train_set, val_set)
     state = init_train_state(config, train_set)
     train_epochs(state, train_set, val_set)
     return state, state.history
 
 
-def train_two_stage(config: TrainConfig, train_set: Optional[Dataset] = None,
+def train_two_stage(config: TrainConfig, train_set: Dataset,
                     val_set: Optional[Dataset] = None) -> tuple[TrainState, list]:
     """Visual stage on all records, then audio stage on the speech subset.
 
@@ -409,7 +397,6 @@ def train_two_stage(config: TrainConfig, train_set: Optional[Dataset] = None,
     only the speech projection and the multimodal head, with the pool rebuilt
     from speech records.
     """
-    train_set, val_set = _datasets(config, train_set, val_set)
     speech_records = [r for r in train_set.records if r.has_speech]
     if not speech_records:
         raise ValueError("no speech records")
@@ -451,8 +438,7 @@ def _report(scores: np.ndarray, logits: Optional[np.ndarray],
     return metrics.accuracy_metrics(metrics.confusion_matrix(preds, labels))
 
 
-def evaluate(source, dataset: Dataset, subset: str = "all",
-             batch_size: int = EVAL_BATCH_SIZE) -> MetricsReport:
+def evaluate(source, dataset: Dataset, subset: str = "all") -> MetricsReport:
     """Deterministic eval-mode scoring of a dataset into a MetricsReport.
 
     ``source`` is a TrainState or ModelParams.  ``subset`` may be "all" or
@@ -468,7 +454,7 @@ def evaluate(source, dataset: Dataset, subset: str = "all",
     if not records:
         raise ValueError(f"subset {subset!r} selected no records")
     batch = model_mod.prepare_batch(records, params.config)
-    scores, _, logits = model_mod.score_batch(params, batch, batch_size)
+    scores, _, logits = model_mod.score_batch(params, batch, EVAL_BATCH_SIZE)
     return _report(scores, logits, np.array([r.label for r in records]))
 
 
@@ -538,7 +524,9 @@ def load_checkpoint(path: str) -> TrainState:
     load: a bad one raises a ValueError naming the path and the field.  The
     momentum encoder runs at ``config.momentum`` and the centers move at
     ``mocorank.CENTER_RATE``, as in a fresh run; older files that also store
-    ``enc_momentum`` and ``centers_alpha`` load with both ignored.
+    ``enc_momentum`` and ``centers_alpha`` load with both ignored, and so do
+    those whose model_config holds ``strict_pad: false``.  The pool must have
+    the capacity ``config.pool_size`` gives.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -575,7 +563,11 @@ def load_checkpoint(path: str) -> TrainState:
         raise corrupt("config", err) from err
     dilations = need(mcfg_d, "dilations", "model_config.")
     try:
-        mcfg = model_mod.ModelConfig(**dict(mcfg_d, dilations=tuple(dilations)))
+        mcfg_d = dict(mcfg_d, dilations=tuple(dilations))
+        # older files record the removed strict padding, always off
+        if mcfg_d.pop("strict_pad", False) is not False:
+            raise ValueError("strict_pad padding is no longer supported")
+        mcfg = model_mod.ModelConfig(**mcfg_d)
         layout = model_mod.init_params(mcfg).layout
     except (TypeError, ValueError) as err:
         raise corrupt("model_config", err) from err
@@ -623,6 +615,9 @@ def load_checkpoint(path: str) -> TrainState:
         pool_meta = need(meta, "pool")
         ring = {k: need(loaded, f"pool__{k}") for k in ("labels", "scores", "embeddings")}
         ring.update({k: need(pool_meta, k, "pool.") for k in ("count", "next", "capacity")})
+        if ring["capacity"] != config.pool_size:
+            raise corrupt("pool.capacity", f"{ring['capacity']!r}, but config gives "
+                                           f"pool_size {config.pool_size}")
         emb = ring["embeddings"]
         if emb.ndim == 2 and emb.size and emb.shape[1] != width:
             raise corrupt("pool__embeddings", f"width {emb.shape[1]}, but the model's "
@@ -644,11 +639,11 @@ def load_checkpoint(path: str) -> TrainState:
 # Gradient checking
 # ---------------------------------------------------------------------------
 
-def _tiny_dataset(config: TrainConfig, seed: int) -> Dataset:
+def _tiny_dataset(config: TrainConfig) -> Dataset:
     return featurepipe.synth_dataset(
         n=max(16, 4 * config.batch_size), n_channels=config.n_channels,
         global_dim=config.global_dim, n_frames=config.min_frames + 4,
-        proportions=(1, 1, 1, 1), noise=0.3, seed=seed,
+        proportions=(1, 1, 1, 1), noise=0.3, seed=0,
         speech_fraction=1.0 if config.use_audio else 0.0,
         speech_dim=config.speech_dim)
 
@@ -661,19 +656,20 @@ def _margin_kinks(scores, labels, embeddings, pool: ScorePool) -> list:
 
 
 def grad_check_loss(config: TrainConfig, n_params_max: int = 1000,
-                    tolerance: float = 1e-4, h: float = 5e-5,
-                    seed: int = 0) -> dict:
-    """Finite-difference check of the full network under config.loss.
+                    tolerance: float = 1e-4) -> dict:
+    """Finite-difference check of the full network under config.loss, at
+    seed-0 parameters and data.
 
-    The step size balances truncation against float64 cancellation; below
+    The step h balances truncation against float64 cancellation; below
     ~1e-5 the audio-branch losses (larger raw values) go round-off limited.
     """
     config = replace(config, dropout=0.0)
-    params = model_mod.init_params(config.model_config(), seed=seed)
+    h = 5e-5
+    params = model_mod.init_params(config.model_config(), seed=0)
     if params.n_params > n_params_max:
         raise ValueError(
             f"model has {params.n_params} parameters, over the {n_params_max} cap")
-    ds = _tiny_dataset(config, seed)
+    ds = _tiny_dataset(config)
     chunks, gfeat, speech, meta, has_speech = model_mod.prepare_batch(
         ds.records[:config.batch_size], params.config)
     labels = ds.labels()[:config.batch_size]
@@ -683,11 +679,11 @@ def grad_check_loss(config: TrainConfig, n_params_max: int = 1000,
     centers = None
     if config.needs_pool:
         enc = MomentumEncoder.from_model(
-            model_mod.init_params(params.config, seed=seed + 1))
-        pool = mocorank.pool_init(ds, enc, config.pool_size, seed=seed)
+            model_mod.init_params(params.config, seed=1))
+        pool = mocorank.pool_init(ds, enc, config.pool_size, seed=0)
     if config.needs_centers:
         centers = ClassCenters(
-            values=0.1 * np.random.default_rng(seed + 2).standard_normal(
+            values=0.1 * np.random.default_rng(2).standard_normal(
                 (N_CLASSES, params.config.score_embed_dim)))
 
     loss_fn = LOSS_TABLE[config.loss].fn
@@ -732,8 +728,7 @@ def grad_check_loss(config: TrainConfig, n_params_max: int = 1000,
 
 
 def grad_check(config: Optional[TrainConfig] = None, n_params_max: int = 1000,
-               tolerance: float = 1e-4, losses=None, h: float = 5e-5,
-               seed: int = 0) -> dict:
+               tolerance: float = 1e-4, losses=None) -> dict:
     """Run grad_check_loss for each requested loss; report per-loss errors."""
     config = config or TrainConfig.tiny()
     if losses is None:
@@ -743,7 +738,7 @@ def grad_check(config: Optional[TrainConfig] = None, n_params_max: int = 1000,
     for loss in losses:
         cfg = replace(config, loss=loss, sampler=None)
         results[loss] = grad_check_loss(cfg, n_params_max=n_params_max,
-                                        tolerance=tolerance, h=h, seed=seed)
+                                        tolerance=tolerance)
         logger.info("grad check %s: max_rel_err=%.3e skipped=%d", loss,
                     results[loss]["max_rel_err"], results[loss]["n_skipped"])
     return {"tolerance": tolerance, "losses": results,

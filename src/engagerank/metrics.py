@@ -34,8 +34,8 @@ class MetricsReport:
             "classes": list(CLASS_NAMES),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), indent=2)
 
     @property
     def n_samples(self) -> int:
@@ -57,14 +57,6 @@ class RatingMatrix:
             raise ValueError("need at least 2 subjects and 2 raters")
         if not np.all(np.isfinite(self.ratings)):
             raise ValueError("ratings must have no missing cells")
-
-    @property
-    def n_subjects(self) -> int:
-        return self.ratings.shape[0]
-
-    @property
-    def n_raters(self) -> int:
-        return self.ratings.shape[1]
 
 
 def confusion_matrix(preds, labels) -> np.ndarray:

@@ -58,7 +58,6 @@ class ModelConfig:
     head: str = "scalar"
     with_audio: bool = False
     min_frames: int = featurepipe.DEFAULT_MIN_FRAMES
-    strict_pad: bool = False
 
     def __post_init__(self):
         if self.fusion not in FUSIONS:
@@ -644,7 +643,7 @@ def prepare_batch(records: list[SampleRecord], config: ModelConfig) -> Batch:
     for r in records:
         if id(r) not in distinct:
             distinct[id(r)] = len(padded)
-            padded.append(featurepipe.repeat_pad(r.frames, config.min_frames, config.strict_pad))
+            padded.append(featurepipe.repeat_pad(r.frames, config.min_frames))
     chunks = featurepipe.chunk_summarize_batch(padded, config.n_chunks)
     if len(padded) < len(records):
         chunks = chunks[[distinct[id(r)] for r in records]]

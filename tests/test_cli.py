@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -193,6 +194,57 @@ class TestConfigFile:
         bad.write_text("[1, 2]")
         with pytest.raises(ValueError, match="JSON object"):
             cli._load_config_file(str(bad))
+
+
+# a valid, non-default value for each TrainConfig field the command line sets
+NON_DEFAULT = dict(
+    loss="mse", batch_size=16, pool_size=64, epochs=3, lr_start=1e-3, lr_end=1e-5,
+    weight_decay=0.01, momentum=0.99, sampler="class_balanced", use_audio=True,
+    ablation="concat_only", seed=5, center_weight=0.3, cb_beta=0.99, cb_gamma=1.5,
+    detach_margin=True, score_before_step=True, stage2_epochs=2, init_from="donor.npz",
+    n_channels=3, global_dim=7, width=8, n_chunks=5, dropout=0.2, speech_dim=9,
+    min_frames=20)
+COMMAND_ARGS = {"train": ["train", "--train", "x", "--out-dir", "y"],
+                "train-two-stage": ["train-two-stage", "--train", "x", "--out-dir", "y"],
+                "bench-losses": ["bench-losses", "--train", "x", "--test", "z",
+                                 "--losses", "mse", "--out-dir", "y"]}
+
+
+def flag(name):
+    return "--channels" if name == "n_channels" else "--" + name.replace("_", "-")
+
+
+@pytest.mark.parametrize("command", list(COMMAND_ARGS))
+class TestTrainFlags:
+    """The training flags are built from TrainConfig's fields."""
+
+    def test_every_field_has_a_flag(self, command):
+        fields = {f.name for f in dataclasses.fields(harness.TrainConfig)}
+        assert set(NON_DEFAULT) == fields - {"train_path", "val_path"}
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command").choices[command]
+        options = {a.dest: a.option_strings for a in sub._actions}
+        for name in NON_DEFAULT:
+            assert flag(name) in options[name]
+
+    def test_values_reach_the_config(self, command):
+        argv = list(COMMAND_ARGS[command])
+        for name, value in NON_DEFAULT.items():
+            argv += [flag(name)] if value is True else [flag(name), str(value)]
+        config = cli.build_train_config(cli.build_parser().parse_args(argv))
+        default = harness.TrainConfig()
+        for name, value in NON_DEFAULT.items():
+            assert getattr(default, name) != value
+            assert getattr(config, name) == value, name
+
+    def test_bool_flags_take_both_forms(self, command):
+        bools = [name for name, value in NON_DEFAULT.items() if isinstance(value, bool)]
+        assert bools == ["use_audio", "detach_margin", "score_before_step"]
+        for name in bools:
+            for prefix, value in (("--", True), ("--no-", False)):
+                argv = COMMAND_ARGS[command] + [prefix + flag(name)[2:]]
+                config = cli.build_train_config(cli.build_parser().parse_args(argv))
+                assert getattr(config, name) is value
 
 
 class TestGradCheckCommand:

@@ -60,17 +60,9 @@ class TestRepeatPad:
         assert out.n_frames == 300
         np.testing.assert_array_equal(out.values[0, 100:200], f.values[0])
 
-    def test_strict_doubles_exact_boundary(self):
+    def test_exact_floor_passes_through(self):
         f = make_frames(np.zeros((1, 250)))
         assert fp.repeat_pad(f, min_frames=250).n_frames == 250
-        assert fp.repeat_pad(f, min_frames=250, strict=True).n_frames == 500
-
-    @pytest.mark.parametrize("f,copies", [(100, 3), (125, 3), (249, 2), (250, 2)])
-    def test_strict_clears_the_floor_below_it(self, f, copies):
-        """Under ``strict`` a clip at or below the floor ends strictly above it."""
-        vals = np.arange(f, dtype=float)[None, :]
-        out = fp.repeat_pad(make_frames(vals), min_frames=250, strict=True)
-        np.testing.assert_array_equal(out.values, np.tile(vals, (1, copies)))
 
     def test_tiling_preserves_period(self):
         rng = np.random.default_rng(0)
@@ -210,8 +202,7 @@ class TestChunkSummarizeMatchesLoop:
         cfg = model.ModelConfig()
         chunks, *_ = model.prepare_batch(back.records, cfg)
         expected = np.stack([
-            chunk_summarize_loop(fp.repeat_pad(r.frames, cfg.min_frames,
-                                               cfg.strict_pad), cfg.n_chunks)
+            chunk_summarize_loop(fp.repeat_pad(r.frames, cfg.min_frames), cfg.n_chunks)
             for r in back.records])
         assert_bitwise(chunks, expected)
 
@@ -229,12 +220,12 @@ class TestPrepareBatchMatchesLoop:
         @hyp.settings(max_examples=60, deadline=None, database=None)
         @hyp.given(st.integers(1, 6), st.integers(1, 10),
                    st.lists(kind, min_size=1, max_size=4), st.integers(1, 80),
-                   st.booleans(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+                   st.booleans(), st.integers(0, 2 ** 32 - 1))
         # several groups, each past one full block, with chunks of 140 frames
         @hyp.example(17, 10, [(300, "C"), (1400, "F"), (100, "strided")], 80,
-                     False, False, 0)
-        @hyp.example(3, 4, [(253, "F")], 1, True, False, 1)
-        def check(d, n_chunks, kinds, n, zeros, strict, seed):
+                     False, 0)
+        @hyp.example(3, 4, [(253, "F")], 1, True, 1)
+        def check(d, n_chunks, kinds, n, zeros, seed):
             rng = np.random.default_rng(seed)
             records = []
             for i in range(n):
@@ -247,11 +238,10 @@ class TestPrepareBatchMatchesLoop:
                 records.append(fp.SampleRecord(id=str(i), frames=make_frames(vals),
                                                global_feature=np.zeros(2), label=i % 4))
             listed = [records[i] for i in rng.integers(n, size=n + rng.integers(n + 1))]
-            cfg = model.ModelConfig(n_channels=d, n_chunks=n_chunks, strict_pad=strict)
+            cfg = model.ModelConfig(n_channels=d, n_chunks=n_chunks)
             chunks, *_ = model.prepare_batch(listed, cfg)
             expected = np.stack([
-                chunk_summarize_loop(fp.repeat_pad(r.frames, cfg.min_frames, strict),
-                                     n_chunks)
+                chunk_summarize_loop(fp.repeat_pad(r.frames, cfg.min_frames), n_chunks)
                 for r in listed])
             assert_bitwise(chunks, expected)
 
@@ -356,6 +346,38 @@ class TestJsonlRoundTrip:
         lines[2] = json.dumps(bad)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"data\.jsonl: line 3: label must be an integer"):
+            fp.load_records(path)
+
+    @pytest.mark.parametrize("line, edit, problem", [
+        (1, lambda h: h.pop("D"), "missing field 'D'"),
+        (1, lambda h: h.pop("d"), "missing field 'd'"),
+        (1, lambda h: h.update(D="two"), "field 'D' must be a positive integer"),
+        (1, lambda h: h.update(speech_dim=6.5), "field 'speech_dim' must be a positive"),
+        (3, lambda r: r.update(frames=[[0.0, 1.0], [2.0]]),
+         "field 'frames' must be finite numbers"),
+        (3, lambda r: r.update(frames="abc"), "field 'frames' must be finite numbers"),
+        (3, lambda r: r.update(global_feature=["a", 1.0, 2.0]),
+         "field 'global_feature' must be finite numbers"),
+        (3, lambda r: r.update(latent=[1]), "field 'latent' must be a number"),
+        (3, lambda r: r.update(audio_meta=[None] * 7),
+         "field 'audio_meta' must be finite numbers"),
+        (3, lambda r: r.update(audio_meta=[0.5] * 6), "audio_meta must have 7 entries"),
+        (3, lambda r: r.pop("audio_meta"), "modality fields must co-occur"),
+    ], ids=["no-D", "no-d", "D-string", "speech_dim-float", "frames-ragged",
+            "frames-string", "global_feature-string", "latent-list",
+            "audio_meta-null", "audio_meta-short", "audio_meta-absent"])
+    def test_bad_field_names_path_line_and_field(self, tmp_path, line, edit, problem):
+        ds = fp.synth_dataset(n=4, n_channels=2, global_dim=3, n_frames=6,
+                              proportions=(1, 1, 1, 1), seed=0, speech_fraction=1.0,
+                              speech_dim=6)
+        path = tmp_path / "data.jsonl"
+        fp.save_records(ds, path)
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[line - 1])
+        edit(obj)
+        lines[line - 1] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"data\.jsonl: line {line}: {problem}"):
             fp.load_records(path)
 
 

@@ -585,6 +585,35 @@ class TestCheckpointing:
         path = self._edited_checkpoint(tmp_path, meta_edits={"pool": pool})
         self._refused(path, "pool.next", "missing")
 
+    def test_pool_capacity_against_config(self, tmp_path):
+        """A ring that is consistent in itself but holds another number of
+        entries than config.pool_size is refused, not resumed."""
+        pool = self._saved(tmp_path, "pool")
+        assert pool["count"] == pool["capacity"] == 16
+        doubled = {f"pool__{k}": np.concatenate([self._saved(tmp_path, f"pool__{k}")] * 2)
+                   for k in ("labels", "scores", "embeddings")}
+        path = self._edited_checkpoint(
+            tmp_path, meta_edits={"pool": dict(pool, capacity=32, count=32, next=0)},
+            array_edits=doubled)
+        self._refused(path, "pool.capacity", "32, but config gives pool_size 16")
+
+    def test_strict_pad_off_in_older_files_loads(self, tmp_path):
+        """Files from before strict padding was removed record it as false."""
+        path = self._edited_checkpoint(tmp_path)
+        plain = harness.load_checkpoint(str(path))
+        mcfg = self._saved(tmp_path, "model_config")
+        path = self._edited_checkpoint(
+            tmp_path, meta_edits={"model_config": dict(mcfg, strict_pad=False)})
+        loaded = harness.load_checkpoint(str(path))
+        assert loaded.params.config == plain.params.config
+        assert loaded.params.vector.tobytes() == plain.params.vector.tobytes()
+
+    def test_strict_pad_on_refused(self, tmp_path):
+        mcfg = self._saved(tmp_path, "model_config")
+        path = self._edited_checkpoint(
+            tmp_path, meta_edits={"model_config": dict(mcfg, strict_pad=True)})
+        self._refused(path, "model_config", "strict_pad")
+
     def test_pool_embedding_width(self, tmp_path):
         """A pool of another width would fail inside the loss's matmul."""
         emb = self._saved(tmp_path, "pool__embeddings")

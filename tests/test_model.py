@@ -623,7 +623,7 @@ class TestPrepareBatch:
         records = tiny_records(4, seed=1)
         listed = [records[i] for i in (0, 1, 0, 2, 1, 0, 3, 3)]
         expected = np.stack([
-            fp.prepare_record(r, cfg.n_chunks, cfg.min_frames, cfg.strict_pad)
+            fp.prepare_record(r, cfg.n_chunks, cfg.min_frames)
             for r in listed])
         seen = []
         real = fp.chunk_summarize_batch
