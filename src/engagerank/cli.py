@@ -134,15 +134,17 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_train_val(args):
-    train_set = featurepipe.load_records(args.train)
-    val_set = featurepipe.load_records(args.val) if args.val else None
+def _load_train_val(config: TrainConfig):
+    """The data at the config's paths: --train, and --val or else a config
+    file's val_path."""
+    train_set = featurepipe.load_records(config.train_path)
+    val_set = featurepipe.load_records(config.val_path) if config.val_path else None
     return train_set, val_set
 
 
 def cmd_train(args) -> int:
     config = build_train_config(args, train_path=args.train, val_path=args.val)
-    train_set, val_set = _load_train_val(args)
+    train_set, val_set = _load_train_val(config)
     state, history = harness.train(config, train_set, val_set)
     _write_run_outputs(args.out_dir, state, history)
     return 0
@@ -150,7 +152,7 @@ def cmd_train(args) -> int:
 
 def cmd_train_two_stage(args) -> int:
     config = build_train_config(args, train_path=args.train, val_path=args.val)
-    train_set, val_set = _load_train_val(args)
+    train_set, val_set = _load_train_val(config)
     state, history = harness.train_two_stage(config, train_set, val_set)
     _write_run_outputs(args.out_dir, state, history)
     return 0
@@ -180,7 +182,7 @@ def cmd_grad_check(args) -> int:
 
 def cmd_bench_losses(args) -> int:
     base = build_train_config(args, train_path=args.train, val_path=args.val)
-    train_set, val_set = _load_train_val(args)
+    train_set, val_set = _load_train_val(base)
     test_set = featurepipe.load_records(args.test)
     seeds = [int(s) for s in args.seeds.split(",")]
     # each token is "loss" or "loss:sampler", e.g. mse:class_balanced for the

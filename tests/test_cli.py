@@ -154,6 +154,20 @@ class TestConfigFile:
         assert state.config.epochs == 2         # from the file
         assert state.config.seed == 9           # flag wins over the file
 
+    def test_file_val_path_is_validated(self, tmp_path):
+        """Without --val, the file's val_path is read and scored each epoch."""
+        train = synth_file(tmp_path / "train.jsonl", n=32)
+        val = synth_file(tmp_path / "val.jsonl", n=16, seed=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"config_version": 1, "loss": "mse",
+                                        "val_path": val}))
+        out_dir = tmp_path / "run"
+        assert run_cli("train", "--train", train, "--out-dir", str(out_dir),
+                       "--config", str(cfg_path), *TINY_FLAGS) == 0
+        state = harness.load_checkpoint(str(out_dir / "checkpoint.npz"))
+        report = harness.evaluate(state, featurepipe.load_records(val))
+        assert (out_dir / "metrics.json").read_text() == report.to_json() + "\n"
+
     def test_preset_is_weakest_layer(self, tmp_path):
         args = cli.build_parser().parse_args(
             ["train", "--train", "x", "--out-dir", "y", "--preset", "desk",
