@@ -109,6 +109,11 @@ class SampleRecord:
         if self.speech_embedding is not None:
             self.speech_embedding = np.asarray(self.speech_embedding, dtype=np.float64)
             self.audio_meta = np.asarray(self.audio_meta, dtype=np.float64)
+        for name in ("global_feature", "speech_embedding", "audio_meta"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
+        if self.audio_meta is not None:
             _validate_audio_meta(self.audio_meta)
 
     @property

@@ -20,7 +20,6 @@ loss, and a center-loss regularizer with the usual mean-shift center update.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -226,29 +225,41 @@ def momentum_update(enc: MomentumEncoder, model_params: model_mod.ModelParams,
 
 def pool_init(dataset: Dataset, enc: MomentumEncoder, capacity: int,
               seed: int) -> ScorePool:
-    """Fill a fresh pool with ceil(capacity/4) records per class, shuffled.
+    """Fill a fresh pool class-balanced, in shuffled slot order.
 
-    Classes short on records are sampled with replacement.  Scores and
-    embeddings come from the momentum encoder in eval mode.
+    Each class gets capacity // 4 slots; when capacity % 4 is not zero, that
+    many classes, drawn from the pool's RNG, get one more.  Classes short on
+    records are sampled with replacement.  The distinct picked records are
+    scored by one eval-mode forward of the momentum encoder, and each slot
+    takes its record's score and embedding, so a record picked twice fills
+    byte-identical slots.  A forward's row count can move its scores in the
+    last bit, so they may differ by rounding from a forward over every slot.
     """
     rng = np.random.default_rng(seed)
-    per_class = math.ceil(capacity / N_CLASSES)
+    base, extra = divmod(capacity, N_CLASSES)
+    counts = np.full(N_CLASSES, base)
+    if extra:
+        counts[rng.choice(N_CLASSES, size=extra, replace=False)] += 1
     labels = dataset.labels()
-    picked: list[int] = []
+    picked = []
     for cls in range(N_CLASSES):
         cls_idx = np.flatnonzero(labels == cls)
         if cls_idx.size == 0:
             raise ValueError(f"class {cls} missing; score pool needs every class")
-        picked.extend(rng.choice(cls_idx, size=per_class,
-                                 replace=cls_idx.size < per_class).tolist())
-    picked = picked[:capacity]
-    order = rng.permutation(len(picked))
-    records = [dataset.records[picked[i]] for i in order]
-    batch = model_mod.prepare_batch(records, enc.params.config)
+        picked.append(rng.choice(cls_idx, size=counts[cls],
+                                 replace=cls_idx.size < counts[cls]))
+    slots = np.concatenate(picked)[rng.permutation(capacity)]
+    # A mask, not np.unique: the first call of its sort kernels alone adds
+    # about 0.4 MB of resident memory.
+    in_pool = np.zeros(labels.size, dtype=bool)
+    in_pool[slots] = True
+    distinct = np.flatnonzero(in_pool)
+    row = np.cumsum(in_pool)[slots] - 1
+    batch = model_mod.prepare_batch([dataset.records[i] for i in distinct],
+                                    enc.params.config)
     scores, embeddings, _ = model_mod.score_batch(enc.params, batch)
-    pool = ScorePool(capacity)
-    pool.push(np.array([r.label for r in records]), scores, embeddings)
-    return pool
+    return ScorePool(capacity).push(labels[slots], scores[row],
+                                    None if embeddings is None else embeddings[row])
 
 
 # ---------------------------------------------------------------------------

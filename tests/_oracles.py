@@ -10,7 +10,10 @@ causal conv, which the package's time-major conv (K shifted products, no tap
 matrix) matches up to rounding.  The per-record temporal encoder is the
 batch-major one the package ran before its encoder went to one layout over
 the whole batch, with one conv product per record; the package's encoder
-differs from it only by rounding.
+differs from it only by rounding.  The all-slots pool fill is the score
+pool's fill before it forwarded each picked record once; it takes the
+forward as an argument, and the package's fill differs from it only by
+rounding.
 """
 import math
 
@@ -280,3 +283,28 @@ def tcn_backward_per_record(dout, caches, params, grads):
     for i in reversed(range(len(params.config.dilations))):
         dout = _tcn_block_per_record_backward(dout, caches[i], params, f"tcn.{i}",
                                               grads, need_dx=i > 0)
+
+
+def pool_fill_all_rows(labels, records, capacity, seed, score_records):
+    """The score pool's fill as it was before it forwarded each picked record
+    once: ceil(capacity/4) draws per class cut to ``capacity``, shuffled, and
+    ``score_records`` (records -> (scores, embeddings), one eval forward) run
+    over every slot, duplicates included.  Returns the slot records, their
+    labels, scores and embeddings.  Its draws match the package's fill only
+    when capacity is a multiple of 4; otherwise the cut leaves the last class
+    short.
+    """
+    rng = np.random.default_rng(seed)
+    per_class = math.ceil(capacity / 4)
+    labels = np.asarray(labels)
+    picked = []
+    for cls in range(4):
+        cls_idx = np.flatnonzero(labels == cls)
+        picked.extend(rng.choice(cls_idx, size=per_class,
+                                 replace=cls_idx.size < per_class).tolist())
+    picked = picked[:capacity]
+    order = rng.permutation(len(picked))
+    slot_records = [records[picked[i]] for i in order]
+    scores, embeddings = score_records(slot_records)
+    return (slot_records, np.array([labels[picked[i]] for i in order]), scores,
+            embeddings)

@@ -287,6 +287,17 @@ class TestSampleRecord:
         with pytest.raises(ValueError):
             self._record(speech_embedding=np.zeros(8), audio_meta=np.zeros(5))
 
+    @pytest.mark.parametrize("field", ["global_feature", "speech_embedding",
+                                       "audio_meta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fields_rejected(self, field, bad):
+        """NaN would pass audio_meta's range checks; the error names the field."""
+        kw = dict(global_feature=np.zeros(4), speech_embedding=np.zeros(8),
+                  audio_meta=np.array([1.0, 0.2, 0.5, 0.1, 0.9, 0.0, 0.3]))
+        kw[field][1] = bad
+        with pytest.raises(ValueError, match=rf"^{field} must be finite$"):
+            self._record(**kw)
+
 
 class TestJsonlRoundTrip:
     def test_round_trip_preserves_everything(self, tmp_path):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from engagerank import featurepipe as fp
-from engagerank import harness, model
+from engagerank import harness, mocorank, model
 
-from _oracles import adamw_per_key
+from _oracles import adamw_per_key, pool_fill_all_rows
 
 
 def tiny_train_config(**overrides):
@@ -753,6 +753,43 @@ class TestTwoStage:
         assert state.config.use_audio
         # pool rebuilt at the multimodal embedding width
         assert state.pool.embeddings.shape[1] == 8 + 6 + 7
+
+    def test_stage_two_pool_scores_each_speech_record_once(self, monkeypatch):
+        """Stage 2 fills its pool from the speech subset through the audio
+        branch, forwarding each distinct picked record once; the fill agrees
+        with one forward over every slot up to rounding."""
+        data = tiny_data(n=40, speech_fraction=0.5)
+        cfg = tiny_train_config(loss="mocorank", epochs=1, stage2_epochs=1,
+                                pool_size=32)
+        fills = []
+        real_init, real_forward = mocorank.pool_init, model.forward_batch
+
+        def pool_init(dataset, enc, capacity, seed):
+            oracle = pool_fill_all_rows(
+                dataset.labels(), dataset.records, capacity, seed,
+                lambda records: model.score_batch(
+                    enc.params, model.prepare_batch(records, enc.params.config))[:2])
+            rows = []
+            monkeypatch.setattr(model, "forward_batch", lambda chunks, *a, **kw: (
+                rows.append(len(chunks)) or real_forward(chunks, *a, **kw)))
+            pool = real_init(dataset, enc, capacity, seed)
+            monkeypatch.setattr(model, "forward_batch", real_forward)
+            fills.append((dataset, enc.params.config, rows, oracle, pool.state()))
+            return pool
+
+        monkeypatch.setattr(mocorank, "pool_init", pool_init)
+        harness.train_two_stage(cfg, data)
+        assert len(fills) == 2
+        dataset, model_config, rows, oracle, ring = fills[1]
+        assert model_config.with_audio
+        assert [r.id for r in dataset.records] == [r.id for r in data.records
+                                                   if r.has_speech]
+        slot_records, labels, scores, embeddings = oracle
+        assert rows == [len({id(r) for r in slot_records})]
+        assert rows[0] < cfg.pool_size
+        assert ring["labels"].tobytes() == labels.astype(np.int64).tobytes()
+        np.testing.assert_allclose(ring["scores"], scores, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(ring["embeddings"], embeddings, rtol=0, atol=1e-15)
 
     def test_requires_speech_records(self):
         with pytest.raises(ValueError, match="no speech records"):

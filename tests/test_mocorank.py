@@ -9,7 +9,7 @@ from engagerank import mocorank as mr
 from engagerank import model
 
 from _oracles import (margin_grads_brute, margin_loss_brute, momentum_per_key,
-                      pair_residuals_brute)
+                      pair_residuals_brute, pool_fill_all_rows)
 
 
 def entry(label, score, embedding):
@@ -313,22 +313,85 @@ class TestPoolInit:
         with pytest.raises(ValueError, match="missing"):
             mr.pool_init(culled, enc, capacity=8, seed=0)
 
+    @staticmethod
+    def all_rows_fill(data, enc, capacity, seed):
+        """The fill before it deduplicated: one forward over every slot."""
+        return pool_fill_all_rows(
+            data.labels(), data.records, capacity, seed,
+            lambda records: model.score_batch(
+                enc.params, model.prepare_batch(records, enc.params.config))[:2])
+
     def test_scores_come_from_the_encoder(self, monkeypatch):
-        """The ring holds the encoder's eval-mode forward over the picked
-        records, in one batch, bit for bit."""
-        data, enc = self.tiny_setup()
+        """The ring holds the encoder's eval-mode forward over the distinct
+        picked records, in one batch, spread to the slots bit for bit."""
+        data, enc = self.tiny_setup(proportions=(1.0, 5.0, 5.0, 5.0))
         picked = []
         real = model.prepare_batch
         monkeypatch.setattr(model, "prepare_batch",
                             lambda records, cfg: picked.append(records) or real(records, cfg))
         pool = mr.pool_init(data, enc, capacity=8, seed=3)
         [records] = picked
-        assert {id(r) for r in records} <= {id(r) for r in data.records}
+        slot_records, *_ = self.all_rows_fill(data, enc, 8, 3)
+        row = {id(r): i for i, r in enumerate(records)}
+        assert len(row) == len(records) < len(slot_records)
+        assert set(row) == {id(r) for r in slot_records}
+        slots = [row[id(r)] for r in slot_records]
         chunks, gfeat, *_ = real(records, enc.params.config)
         trace = model.forward_batch(chunks, gfeat, enc.params)
-        assert pool.labels.tolist() == [r.label for r in records]
-        assert pool.scores.tobytes() == trace.score.tobytes()
-        assert pool.embeddings.tobytes() == trace.embedding.tobytes()
+        assert pool.labels.tolist() == [r.label for r in slot_records]
+        assert pool.scores.tobytes() == trace.score[slots].tobytes()
+        assert pool.embeddings.tobytes() == trace.embedding[slots].tobytes()
+
+    def test_forwards_each_distinct_record_once(self, monkeypatch):
+        data, enc = self.tiny_setup(proportions=(1.0, 5.0, 5.0, 5.0))
+        slot_records, *_ = self.all_rows_fill(data, enc, 8, 3)
+        rows = []
+        real = model.forward_batch
+        monkeypatch.setattr(model, "forward_batch", lambda chunks, *a, **kw: (
+            rows.append(len(chunks)) or real(chunks, *a, **kw)))
+        mr.pool_init(data, enc, capacity=8, seed=3)
+        assert rows == [len({id(r) for r in slot_records})]
+        assert rows[0] < 8
+
+    def test_duplicate_slots_are_byte_identical(self):
+        data, enc = self.tiny_setup(proportions=(1.0, 5.0, 5.0, 5.0))
+        pool = mr.pool_init(data, enc, capacity=8, seed=3)
+        slot_records, *_ = self.all_rows_fill(data, enc, 8, 3)
+        first = {}
+        n_dup = 0
+        for slot, r in enumerate(slot_records):
+            j = first.setdefault(id(r), slot)
+            if j != slot:
+                n_dup += 1
+                assert pool.scores[slot].tobytes() == pool.scores[j].tobytes()
+                assert pool.embeddings[slot].tobytes() == pool.embeddings[j].tobytes()
+        assert n_dup > 0
+
+    @pytest.mark.parametrize("capacity,seed", [(4, 0), (8, 3), (16, 1), (32, 7)])
+    def test_matches_the_all_rows_fill(self, capacity, seed):
+        """Slot labels and order are the old fill's bit for bit; scores and
+        embeddings differ from its all-slots forward by rounding at most."""
+        data, enc = self.tiny_setup(n=24, proportions=(1.0, 3.0, 3.0, 5.0))
+        pool = mr.pool_init(data, enc, capacity=capacity, seed=seed)
+        _, labels, scores, embeddings = self.all_rows_fill(data, enc, capacity, seed)
+        assert pool.labels.tobytes() == labels.astype(np.int64).tobytes()
+        np.testing.assert_allclose(pool.scores, scores, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(pool.embeddings, embeddings, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("capacity", [5, 6, 7, 10])
+    def test_uneven_capacity_shares_the_remainder(self, capacity):
+        """Every class gets capacity // 4 slots or one more, whichever classes
+        the pool's RNG gives the extra ones."""
+        data, enc = self.tiny_setup()
+        seen = set()
+        for seed in range(8):
+            pool = mr.pool_init(data, enc, capacity=capacity, seed=seed)
+            assert pool.full
+            counts = np.bincount(pool.labels, minlength=4)
+            assert counts.sum() == capacity
+            assert set(counts.tolist()) <= {capacity // 4, capacity // 4 + 1}
+            seen.add(tuple(counts))
+        assert len(seen) > 1
 
     def test_mixed_speech_audio_fill_refused(self):
         data, enc = self.tiny_setup(speech_fraction=0.5)
