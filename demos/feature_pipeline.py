@@ -59,6 +59,12 @@ assert len(loaded.records) == len(dataset.records)
 np.testing.assert_array_equal(loaded.records[5].global_feature,
                               dataset.records[5].global_feature)
 print("JSONL round trip preserved", len(loaded.records), "records")
+# Frames are stored C-ordered however they were made or read, so a reloaded
+# record summarizes to the same bytes as the one in memory.
+for original, reloaded in zip(dataset.records, loaded.records):
+    assert (fp.prepare_record(reloaded, n_chunks=2, min_frames=12).tobytes()
+            == fp.prepare_record(original, n_chunks=2, min_frames=12).tobytes())
+print("reloaded records summarize to the same bytes")
 
 # Stratified 70/10/20 split keeps each class's share in every part.
 train, val, test = fp.split_dataset(dataset, seed=0)

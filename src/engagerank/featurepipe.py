@@ -8,9 +8,10 @@ synthesizes imbalanced ordinal datasets for desk-scale experiments.
 
 Summaries are computed for many sequences at once, over time-major blocks
 of records (``chunk_summarize_batch``); the one-sequence calls use the same
-path.  Each summary is bitwise equal to summarizing that sequence alone,
-chunk slice by chunk slice, because the sums behind the variance follow the
-order numpy uses for the frames' memory layout.
+path.  Frames are stored C-ordered however they were made or loaded, so a
+clip gives the same summary bytes from a file as from memory, and each
+summary is bitwise equal to summarizing that sequence alone, chunk slice by
+chunk slice.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import partial
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -52,20 +52,18 @@ N_CLASSES = 4
 
 @dataclass
 class FrameSequence:
-    """A matrix of D feature channels by F frames.
+    """A matrix of D feature channels by F frames, stored C-contiguous.
 
-    C- and Fortran-ordered values are kept as given; any other strided array
-    is copied to C order, so the chunk summaries meet only those two layouts.
+    Values in any other layout are copied to C order, so the chunk summaries
+    meet one layout.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ValueError("frame values must be a 2-D (channels x frames) array")
-        if not (self.values.flags.c_contiguous or self.values.flags.f_contiguous):
-            self.values = np.ascontiguousarray(self.values)
         if self.values.shape[1] < 1 or self.values.shape[0] < 1:
             raise ValueError("empty input")
         if not np.all(np.isfinite(self.values)):
@@ -199,14 +197,13 @@ def chunk_summarize_batch(frames: Sequence[FrameSequence],
     for single-frame chunks), stacked as [min block; max block; variance
     block].
 
-    Sequences of one shape and memory layout are summarized together, up to
+    Sequences of one frame count are summarized together, up to
     ``_BLOCK_RECORDS`` at a time, in a time-major buffer of shape (chunk
     size, records, D, chunks): every reduction then runs over rows that span
-    the whole block.  Each row is still bitwise what summarizing the sequence
-    alone, chunk slice by chunk slice, gives: the sums behind the variance
-    add the frames in the order numpy's reduction over a chunk slice uses,
-    which follows the frames' layout (pairwise for C-ordered frames, in
-    sequence for Fortran-ordered ones), and the few chunks with a zero
+    the whole block.  Each row is still bitwise what summarizing the
+    sequence alone, chunk slice by chunk slice, gives: the sums behind the
+    variance add the frames in the pairwise order numpy's reduction over a
+    chunk slice of C-ordered frames uses, and the few chunks with a zero
     extreme, where the order decides between +0 and -0, are redone slice by
     slice.
     """
@@ -215,32 +212,29 @@ def chunk_summarize_batch(frames: Sequence[FrameSequence],
     if not frames:
         raise ValueError("no frame sequences to summarize")
     d = frames[0].n_channels
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for i, fr in enumerate(frames):
         channels, f = fr.values.shape
         if channels != d:
             raise ValueError("frame sequences disagree on channel count")
         if n_chunks > f:
             raise ValueError("too few frames")
-        groups.setdefault((f, fr.values.flags.c_contiguous), []).append(i)
+        groups.setdefault(f, []).append(i)
     out = np.empty((len(frames), 3, d, n_chunks), dtype=np.float64)
-    for (_, c_order), members in groups.items():
+    for members in groups.values():
         for lo in range(0, len(members), _BLOCK_RECORDS):
             rows = members[lo:lo + _BLOCK_RECORDS]
-            out[rows] = _summarize_block([frames[i].values for i in rows], n_chunks, c_order)
+            out[rows] = _summarize_block([frames[i].values for i in rows], n_chunks)
     return out.reshape(len(frames), 3 * d, n_chunks)
 
 
-def _summarize_block(values: list[np.ndarray], n_chunks: int, c_order: bool) -> np.ndarray:
-    """(K, 3, D, n_chunks) summaries of K same-shape, same-layout frame arrays."""
+def _summarize_block(values: list[np.ndarray], n_chunks: int) -> np.ndarray:
+    """(K, 3, D, n_chunks) summaries of K same-shape, C-ordered frame arrays."""
     k = len(values)
     d, f = values[0].shape
     base, extra = divmod(f, n_chunks)
     split = extra * (base + 1)
     out = np.empty((k, 3, d, n_chunks), dtype=np.float64)
-    # numpy sums a chunk slice of C-ordered frames along its contiguous axis,
-    # pairwise, and one of Fortran-ordered frames frame after frame
-    frame_sum = _pairwise_sum if c_order else partial(np.add.reduce, axis=0)
     for chunks, size, frame_span in ((slice(0, extra), base + 1, slice(0, split)),
                                      (slice(extra, n_chunks), base, slice(split, f))):
         c = chunks.stop - chunks.start
@@ -252,11 +246,11 @@ def _summarize_block(values: list[np.ndarray], n_chunks: int, c_order: bool) -> 
         out[:, 0, :, chunks] = np.minimum.reduce(t, axis=0)
         out[:, 1, :, chunks] = np.maximum.reduce(t, axis=0)
         # np.var's steps: mean, deviations squared in place, their mean
-        mean = frame_sum(t)
+        mean = _pairwise_sum(t)
         mean /= size
         t -= mean
         t *= t
-        var = frame_sum(t)
+        var = _pairwise_sum(t)
         var /= size
         out[:, 2, :, chunks] = var
     # Over finite values a min or max depends on the order only through ties

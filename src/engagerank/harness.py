@@ -520,8 +520,9 @@ def load_checkpoint(path: str) -> TrainState:
     """Read a checkpoint written by save_checkpoint; bit-exact restore.
 
     Parameters and momentum parameters are read in the layout ``init_params``
-    gives the recorded model config, and every other field is checked on
-    load: a bad one raises a ValueError naming the path and the field.  The
+    gives the recorded model config, and every field is checked on load: a
+    bad one, such as a non-finite parameter or AdamW moment or a negative
+    AdamW ``v``, raises a ValueError naming the path and the field.  The
     momentum encoder runs at ``config.momentum`` and the centers move at
     ``mocorank.CENTER_RATE``, as in a fresh run; older files that also store
     ``enc_momentum`` and ``centers_alpha`` load with both ignored, and so do
@@ -572,6 +573,10 @@ def load_checkpoint(path: str) -> TrainState:
     except (TypeError, ValueError) as err:
         raise corrupt("model_config", err) from err
 
+    def finite(name):
+        if not np.isfinite(loaded[name]).all():
+            raise corrupt(name, "non-finite value")
+
     def load_params(prefix):
         arrays = {}
         for key, shape in layout:
@@ -580,6 +585,7 @@ def load_checkpoint(path: str) -> TrainState:
             if arrays[key].shape != shape:
                 raise corrupt(name, f"shape {arrays[key].shape}, but model_config "
                                     f"gives {shape}")
+            finite(name)
         return model_mod.ModelParams(mcfg, arrays)
 
     params = load_params("param")
@@ -595,6 +601,9 @@ def load_checkpoint(path: str) -> TrainState:
     for name in ("opt__m", "opt__v"):
         if need(loaded, name).shape != (params.n_params,):
             raise corrupt(name, f"shape {loaded[name].shape}, expected ({params.n_params},)")
+        finite(name)
+    if (loaded["opt__v"] < 0).any():
+        raise corrupt("opt__v", "negative value")
     opt = {"m": loaded["opt__m"].copy(), "v": loaded["opt__v"].copy(),
            "step": count("opt_step")}
     rng_state = need(meta, "rng_state")

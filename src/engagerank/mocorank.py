@@ -43,7 +43,7 @@ class ScorePoolEntry:
     def __post_init__(self):
         if not 0 <= int(self.label) < N_CLASSES:
             raise ValueError(f"label must be 0..{N_CLASSES - 1}, got {self.label}")
-        if abs(self.score) > 1.0 + SCORE_TOL:
+        if not abs(self.score) <= 1.0 + SCORE_TOL:
             raise ValueError("score out of range")
         self.embedding = np.asarray(self.embedding, dtype=np.float64)
         if not np.all(np.isfinite(self.embedding)):
@@ -105,7 +105,7 @@ class ScorePool:
             raise ValueError("labels, scores, and embeddings must agree in batch size")
         if np.any((labels < 0) | (labels >= N_CLASSES)):
             raise ValueError(f"label must be 0..{N_CLASSES - 1}")
-        if np.any(np.abs(scores) > 1.0 + SCORE_TOL):
+        if not np.all(np.abs(scores) <= 1.0 + SCORE_TOL):
             raise ValueError("score out of range")
         if not np.all(np.isfinite(embeddings)):
             raise ValueError("pool embedding must be finite")
@@ -179,7 +179,7 @@ class ScorePool:
         if np.any((labels[:count] < 0) | (labels[:count] >= N_CLASSES)):
             raise ValueError(f"pool state field 'labels': live label outside "
                              f"0..{N_CLASSES - 1}")
-        if np.any(np.abs(scores[:count]) > 1.0 + SCORE_TOL):
+        if not np.all(np.abs(scores[:count]) <= 1.0 + SCORE_TOL):
             raise ValueError("pool state field 'scores': live score out of range")
         if emb.size and (emb.ndim != 2 or emb.shape[0] != cap):
             raise ValueError(f"pool state field 'embeddings': shape {emb.shape}, "

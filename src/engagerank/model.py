@@ -497,7 +497,7 @@ def classify(score):
     exactly 0 is ENGAGED, exactly 0.5 is HIGHLY_ENGAGED.
     """
     s = np.asarray(score, dtype=np.float64)
-    if np.any(np.abs(s) > 1.0 + 1e-9):
+    if not np.all(np.abs(s) <= 1.0 + 1e-9):
         raise ValueError("score out of range")
     levels = np.digitize(s, CLASS_THRESHOLDS, right=False)
     if np.isscalar(score) or s.ndim == 0:
@@ -633,20 +633,11 @@ class Batch(NamedTuple):
 
 
 def prepare_batch(records: list[SampleRecord], config: ModelConfig) -> Batch:
-    """Chunk-summarize records into the stacked arrays of a ``Batch``.
-
-    The distinct records go through one ``chunk_summarize_batch`` call, so a
-    record object listed more than once is chunk-summarized once.
-    """
-    distinct: dict[int, int] = {}
-    padded = []
-    for r in records:
-        if id(r) not in distinct:
-            distinct[id(r)] = len(padded)
-            padded.append(featurepipe.repeat_pad(r.frames, config.min_frames))
-    chunks = featurepipe.chunk_summarize_batch(padded, config.n_chunks)
-    if len(padded) < len(records):
-        chunks = chunks[[distinct[id(r)] for r in records]]
+    """Chunk-summarize records, in one ``chunk_summarize_batch`` call, into
+    the stacked arrays of a ``Batch``."""
+    chunks = featurepipe.chunk_summarize_batch(
+        [featurepipe.repeat_pad(r.frames, config.min_frames) for r in records],
+        config.n_chunks)
     gfeat = np.stack([r.global_feature for r in records])
     speech = meta = None
     has_speech = np.array([r.has_speech for r in records])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from engagerank import featurepipe as fp
-from engagerank import model
+from engagerank import harness, model
 
 
 def make_frames(values):
@@ -135,7 +135,7 @@ class TestChunkSummarizeMatchesLoop:
         rng = np.random.default_rng(f * 31 + d)
         vals = np.asarray(rng.standard_normal((d, f)) * 50.0 + 7.0, order=order)
         frames = make_frames(vals)
-        assert frames.values.flags[f"{order}_CONTIGUOUS"]
+        assert frames.values.flags.c_contiguous
         assert_bitwise(fp.chunk_summarize(frames, n_chunks),
                        chunk_summarize_loop(frames, n_chunks))
 
@@ -187,7 +187,7 @@ class TestChunkSummarizeMatchesLoop:
         check()
 
     def test_prepare_batch_on_jsonl_set(self, tmp_path):
-        """JSONL-loaded frames are Fortran-ordered; clips vary in length."""
+        """JSONL-loaded frames are stored C-ordered; clips vary in length."""
         path = tmp_path / "data.jsonl"
         records = []
         for i, f in enumerate((300, 251, 120, 17)):
@@ -198,7 +198,7 @@ class TestChunkSummarizeMatchesLoop:
             records.extend(ds.records)
         fp.save_records(fp.Dataset(records), path)
         back = fp.load_records(path)
-        assert back.records[0].frames.values.flags.f_contiguous
+        assert back.records[0].frames.values.flags.c_contiguous
         cfg = model.ModelConfig()
         chunks, *_ = model.prepare_batch(back.records, cfg)
         expected = np.stack([
@@ -316,6 +316,31 @@ class TestJsonlRoundTrip:
             if a.has_speech:
                 np.testing.assert_allclose(a.speech_embedding, b.speech_embedding)
                 np.testing.assert_allclose(a.audio_meta, b.audio_meta)
+
+    @pytest.mark.parametrize("lengths", [(300,), (250, 253, 300, 377)])
+    def test_chunks_and_training_match_in_memory(self, tmp_path, lengths):
+        """A reloaded set is the same input as the set in memory: the same
+        chunk summaries and, after an epoch, the same parameters."""
+        records = []
+        for i, f in enumerate(lengths):
+            ds = fp.synth_dataset(n=16 // len(lengths), n_channels=2, global_dim=5,
+                                  n_frames=f, proportions=(1, 1, 1, 1), seed=i,
+                                  noise=0.7)
+            for r in ds.records:
+                r.id = f"{r.id}-{f}"
+            records.extend(ds.records)
+        memory = fp.Dataset(records, n_channels=2, global_dim=5)
+        path = tmp_path / "data.jsonl"
+        fp.save_records(memory, path)
+        back = fp.load_records(path)
+        for a, b in zip(memory.records, back.records):
+            assert a.frames.values.tobytes() == b.frames.values.tobytes()
+        cfg = harness.TrainConfig.tiny()
+        for mcfg in (cfg.model_config(), model.ModelConfig(n_channels=2, global_dim=5)):
+            assert_bitwise(model.prepare_batch(back.records, mcfg).chunks,
+                           model.prepare_batch(memory.records, mcfg).chunks)
+        trained = [harness.train(cfg, ds)[0].params.vector for ds in (memory, back)]
+        assert trained[0].tobytes() == trained[1].tobytes()
 
     def test_header_line_carries_schema(self, tmp_path):
         ds = fp.synth_dataset(n=8, n_channels=2, global_dim=3, n_frames=6,

@@ -568,6 +568,21 @@ class TestCheckpointing:
             tmp_path, array_edits={"momentum__head.w": np.zeros(3)})
         self._refused(path, "momentum__head.w", "shape")
 
+    @pytest.mark.parametrize("name,value", [
+        ("param__head.w", np.inf), ("momentum__head.w", np.inf),
+        ("momentum__tcn.1.conv2.b", np.nan), ("opt__m", -np.inf), ("opt__v", np.nan)])
+    def test_non_finite_array(self, tmp_path, name, value):
+        array = self._saved(tmp_path, name).copy()
+        array.flat[-1] = value
+        path = self._edited_checkpoint(tmp_path, array_edits={name: array})
+        self._refused(path, name, "non-finite")
+
+    def test_negative_second_moment(self, tmp_path):
+        v = self._saved(tmp_path, "opt__v").copy()
+        v[0] = -1e-12
+        path = self._edited_checkpoint(tmp_path, array_edits={"opt__v": v})
+        self._refused(path, "opt__v", "negative")
+
     @pytest.mark.parametrize("name", ["param__head.w", "momentum__tcn.1.conv2.b",
                                       "opt__v", "pool__scores", "centers__values"])
     def test_missing_array(self, tmp_path, name):

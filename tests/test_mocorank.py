@@ -49,6 +49,10 @@ class TestScorePoolEntry:
             entry(0, 1.2, [1.0])
         entry(0, 1.0 + 1e-10, [1.0])   # float slack at the boundary is fine
 
+    def test_nan_score_refused(self):
+        with pytest.raises(ValueError, match="score out of range"):
+            entry(0, np.nan, [1.0])
+
     def test_embedding_must_be_finite(self):
         with pytest.raises(ValueError, match="finite"):
             entry(0, 0.0, [np.nan, 1.0])
@@ -100,6 +104,12 @@ class TestScorePool:
         with pytest.raises(ValueError, match="length changed"):
             pool.push([0], [0.5], np.ones((1, 2)))
 
+    def test_push_refuses_nan_score(self):
+        pool = mr.ScorePool(4)
+        with pytest.raises(ValueError, match="score out of range"):
+            pool.push([0, 1], [0.5, np.nan], np.ones((2, 2)))
+        assert len(pool) == 0
+
     def test_empty_push_is_noop(self):
         pool = self.fill(4, [0, 1], [0.0, 0.1])
         pool.push(np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, 1)))
@@ -138,6 +148,7 @@ class TestScorePool:
         ("scores", np.array([0.1, 1.5, 0.3, 0.0])),
         ("embeddings", np.full((4, 2), np.nan)),
         ("embeddings", np.ones((3, 2))),
+        ("scores", np.array([0.1, np.nan, 0.3, 0.0])),
     ])
     def test_state_field_validation(self, field, value):
         pool = mr.ScorePool(4)
