@@ -8,10 +8,14 @@ synthesizes imbalanced ordinal datasets for desk-scale experiments.
 
 Summaries are computed for many sequences at once, over time-major blocks
 of records (``chunk_summarize_batch``); the one-sequence calls use the same
-path.  Frames are stored C-ordered however they were made or loaded, so a
-clip gives the same summary bytes from a file as from memory, and each
-summary is bitwise equal to summarizing that sequence alone, chunk slice by
-chunk slice.
+path.  Short sequences are repeat-padded there, one block at a time, so
+padded copies never outnumber one block.  Frames are stored C-ordered
+however they were made or loaded, so a clip gives the same summary bytes
+from a file as from memory, and each summary is bitwise equal to
+summarizing that padded sequence alone, chunk slice by chunk slice.
+
+Datasets are read one line at a time, so a load holds its records plus
+about one line of the file.
 """
 
 from __future__ import annotations
@@ -174,7 +178,18 @@ def repeat_pad(frames: FrameSequence,
         raise ValueError("empty input")
     if f >= min_frames:
         return frames
-    return FrameSequence(np.tile(frames.values, (1, math.ceil(min_frames / f))))
+    return FrameSequence(_tile(frames.values, _padded_length(f, min_frames)))
+
+
+def _padded_length(f: int, min_frames: int) -> int:
+    """Frame count of an F-frame sequence after ``repeat_pad``."""
+    return f if f >= min_frames else f * math.ceil(min_frames / f)
+
+
+def _tile(values: np.ndarray, length: int) -> np.ndarray:
+    """C-ordered (D, F) frames repeated whole to ``length`` frames."""
+    f = values.shape[1]
+    return values if f == length else np.tile(values, (1, length // f))
 
 
 #: Records summarized together in one time-major block.  The ufuncs then run
@@ -187,25 +202,27 @@ _BLOCK_RECORDS = 32
 
 
 def chunk_summarize_batch(frames: Sequence[FrameSequence],
-                          n_chunks: int = DEFAULT_CHUNKS) -> np.ndarray:
-    """Chunk-summarize many frame sequences at once: (N, 3D, n_chunks).
+                          n_chunks: int = DEFAULT_CHUNKS,
+                          min_frames: int = 1) -> np.ndarray:
+    """Pad and chunk-summarize many frame sequences at once: (N, 3D, n_chunks).
 
-    Row i is the summary of ``frames[i]``: its F frames are partitioned into
-    ``n_chunks`` contiguous chunks whose lengths differ by at most one (the
-    first ``F mod n_chunks`` chunks take the extra frame), and each chunk
-    gives per-channel min, max and population variance (ddof=0, defined even
-    for single-frame chunks), stacked as [min block; max block; variance
-    block].
+    Row i is the summary of ``repeat_pad(frames[i], min_frames)``: its F
+    frames are partitioned into ``n_chunks`` contiguous chunks whose lengths
+    differ by at most one (the first ``F mod n_chunks`` chunks take the extra
+    frame), and each chunk gives per-channel min, max and population variance
+    (ddof=0, defined even for single-frame chunks), stacked as [min block;
+    max block; variance block].  The default floor of one frame pads nothing.
 
-    Sequences of one frame count are summarized together, up to
+    Sequences of one padded length are summarized together, up to
     ``_BLOCK_RECORDS`` at a time, in a time-major buffer of shape (chunk
     size, records, D, chunks): every reduction then runs over rows that span
-    the whole block.  Each row is still bitwise what summarizing the
-    sequence alone, chunk slice by chunk slice, gives: the sums behind the
-    variance add the frames in the pairwise order numpy's reduction over a
-    chunk slice of C-ordered frames uses, and the few chunks with a zero
-    extreme, where the order decides between +0 and -0, are redone slice by
-    slice.
+    the whole block.  A short sequence is padded only when its block is
+    summarized, so at most one block of padded copies is alive.  Each row is
+    still bitwise what summarizing the padded sequence alone, chunk slice by
+    chunk slice, gives: the sums behind the variance add the frames in the
+    pairwise order numpy's reduction over a chunk slice of C-ordered frames
+    uses, and the few chunks with a zero extreme, where the order decides
+    between +0 and -0, are redone slice by slice.
     """
     if n_chunks <= 0:
         raise ValueError("chunk count must be positive")
@@ -217,14 +234,16 @@ def chunk_summarize_batch(frames: Sequence[FrameSequence],
         channels, f = fr.values.shape
         if channels != d:
             raise ValueError("frame sequences disagree on channel count")
-        if n_chunks > f:
+        length = _padded_length(f, min_frames)
+        if n_chunks > length:
             raise ValueError("too few frames")
-        groups.setdefault(f, []).append(i)
+        groups.setdefault(length, []).append(i)
     out = np.empty((len(frames), 3, d, n_chunks), dtype=np.float64)
-    for members in groups.values():
+    for length, members in groups.items():
         for lo in range(0, len(members), _BLOCK_RECORDS):
             rows = members[lo:lo + _BLOCK_RECORDS]
-            out[rows] = _summarize_block([frames[i].values for i in rows], n_chunks)
+            out[rows] = _summarize_block([_tile(frames[i].values, length) for i in rows],
+                                         n_chunks)
     return out.reshape(len(frames), 3 * d, n_chunks)
 
 
@@ -303,7 +322,7 @@ def chunk_summarize(frames: FrameSequence, n_chunks: int = DEFAULT_CHUNKS) -> np
 def prepare_record(record: SampleRecord, n_chunks: int = DEFAULT_CHUNKS,
                    min_frames: int = DEFAULT_MIN_FRAMES) -> np.ndarray:
     """Pad then chunk-summarize one record's frame sequence: (3D, n_chunks)."""
-    return chunk_summarize(repeat_pad(record.frames, min_frames), n_chunks)
+    return chunk_summarize_batch([record.frames], n_chunks, min_frames)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -317,29 +336,46 @@ def prepare_record(record: SampleRecord, n_chunks: int = DEFAULT_CHUNKS,
 
 def load_records(path, split: str = "train") -> Dataset:
     """Read a JSON-lines dataset file, validating every record; an error
-    names the path, the line and the field."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty file, missing header line")
-    header = _parse_json_line(path, 1, lines[0])
-    if header.get("schema") != SCHEMA_NAME:
-        raise ValueError(
-            f"{path}: line 1: unsupported schema {header.get('schema')!r}, "
-            f"expected {SCHEMA_NAME!r}")
-    n_channels = _header_dim(path, header, "D")
-    global_dim = _header_dim(path, header, "d")
-    # optional header override for scaled-down speech embeddings
-    speech_dim = _header_dim(path, header, "speech_dim", SPEECH_DIM)
+    names the path, the line and the field.
 
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        obj = _parse_json_line(path, lineno, line)
-        records.append(_record_from_json(f"{path}: line {lineno}", obj, n_channels,
-                                         global_dim, speech_dim))
+    The file is streamed one line at a time, so memory peaks at the records
+    plus about one line.  A line ends at ``\\n``, as JSON Lines specifies
+    (a ``\\r`` before it is JSON whitespace), so U+2028, U+2029 and U+0085
+    may appear raw inside strings.  Each line is decoded as UTF-8 on its own,
+    and bytes that are not UTF-8 fail with the path and the line.
+    """
+    with open(path, "rb") as fh:
+        lines = enumerate(fh, start=1)
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: empty file, missing header line")
+        header = _parse_json_line(path, 1, _decode_line(path, *first))
+        if header.get("schema") != SCHEMA_NAME:
+            raise ValueError(
+                f"{path}: line 1: unsupported schema {header.get('schema')!r}, "
+                f"expected {SCHEMA_NAME!r}")
+        n_channels = _header_dim(path, header, "D")
+        global_dim = _header_dim(path, header, "d")
+        # optional header override for scaled-down speech embeddings
+        speech_dim = _header_dim(path, header, "speech_dim", SPEECH_DIM)
+
+        records = []
+        for lineno, raw in lines:
+            line = _decode_line(path, lineno, raw)
+            if line.isspace():
+                continue
+            obj = _parse_json_line(path, lineno, line)
+            records.append(_record_from_json(f"{path}: line {lineno}", obj, n_channels,
+                                             global_dim, speech_dim))
     return Dataset(records, split=split, n_channels=n_channels, global_dim=global_dim)
+
+
+def _decode_line(path, lineno: int, raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: line {lineno}: not valid UTF-8 ({exc.reason} at "
+                         f"byte {exc.start + 1} of the line)") from exc
 
 
 def _parse_json_line(path, lineno: int, line: str) -> dict:

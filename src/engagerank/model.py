@@ -633,11 +633,12 @@ class Batch(NamedTuple):
 
 
 def prepare_batch(records: list[SampleRecord], config: ModelConfig) -> Batch:
-    """Chunk-summarize records, in one ``chunk_summarize_batch`` call, into
-    the stacked arrays of a ``Batch``."""
+    """Pad and chunk-summarize records, in one ``chunk_summarize_batch`` call
+    on their raw frames at the config's ``min_frames`` floor, into the
+    stacked arrays of a ``Batch``.  Short clips are padded one block at a
+    time inside that call, so no padded copy outlives its block."""
     chunks = featurepipe.chunk_summarize_batch(
-        [featurepipe.repeat_pad(r.frames, config.min_frames) for r in records],
-        config.n_chunks)
+        [r.frames for r in records], config.n_chunks, config.min_frames)
     gfeat = np.stack([r.global_feature for r in records])
     speech = meta = None
     has_speech = np.array([r.has_speech for r in records])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,75 @@ class TestPrepareBatchMatchesLoop:
         check()
 
 
+class TestChunkSummarizePadding:
+    """chunk_summarize_batch pads short clips itself, one block at a time;
+    each row is bitwise repeat_pad followed by summarizing that clip alone."""
+
+    def test_mixed_lengths_match_repeat_pad(self):
+        rng = np.random.default_rng(4)
+        # 125 tiles to 250, the length of a clip that needs no padding; 17
+        # tiles to 255 and 100 to 300, beside unpadded 300-frame clips; 40
+        # clips of 250 frames cross a block boundary
+        lengths = [125, 250, 17, 300, 100, 253, 1, 249] + [125, 250] * 20
+        frames = [make_frames(rng.standard_normal((3, f)) * 10.0 ** rng.uniform(-3, 3))
+                  for f in lengths]
+        out = fp.chunk_summarize_batch(frames, 10, min_frames=250)
+        expected = np.stack([chunk_summarize_loop(fp.repeat_pad(fr, 250), 10)
+                             for fr in frames])
+        assert_bitwise(out, expected)
+
+    def test_padded_length_still_below_chunk_count(self):
+        """3 frames at a floor of 4 tile to 6, still fewer than 10 chunks."""
+        ok = make_frames(np.zeros((2, 40)))
+        short = make_frames(np.zeros((2, 3)))
+        assert fp.repeat_pad(short, 4).n_frames == 6
+        with pytest.raises(ValueError, match="too few frames"):
+            fp.chunk_summarize_batch([ok, short], 10, min_frames=4)
+        assert fp.chunk_summarize_batch([short], 6, min_frames=4).shape == (1, 6, 6)
+
+
+class TestMemory:
+    """Peak traced memory stays bounded as the data grows."""
+
+    @staticmethod
+    def traced(fn, *args):
+        """(result, peak bytes allocated during the call, bytes still held)."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = fn(*args)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak - base, held - base
+
+    def test_load_records_streams_lines(self, tmp_path):
+        ds = fp.synth_dataset(n=60, n_frames=150, proportions=(1, 1, 1, 1), seed=3)
+        path = tmp_path / "data.jsonl"
+        fp.save_records(ds, path)
+        line = max(len(raw) for raw in path.read_bytes().splitlines())
+        assert path.stat().st_size > 50 * line
+        back, peak, held = self.traced(fp.load_records, path)
+        assert len(back) == 60
+        # the line's bytes, its text and its parsed JSON and arrays; the whole
+        # file read at once would add about 2 * 60 lines
+        assert peak - held < 8 * line
+
+    def test_prepare_batch_pads_one_block_at_a_time(self):
+        cfg = model.ModelConfig(n_channels=17, global_dim=4)
+        rng = np.random.default_rng(5)
+        records = [fp.SampleRecord(id=str(i), frames=make_frames(rng.standard_normal((17, 149))),
+                                   global_feature=np.zeros(4), label=i % 4)
+                   for i in range(512)]
+        padded_clip = 17 * 298 * 8
+        extra = []
+        for n in (64, 512):
+            batch, peak, _ = self.traced(model.prepare_batch, records[:n], cfg)
+            extra.append(peak - sum(a.nbytes for a in batch if a is not None))
+        # all 512 padded copies at once would add 448 more clips' worth
+        assert extra[1] - extra[0] < 16 * padded_clip
+
+
 class TestSampleRecord:
     def _record(self, **kw):
         base = dict(id="r0",
@@ -369,6 +439,52 @@ class TestJsonlRoundTrip:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="line 3"):
             fp.load_records(path)
+
+    def test_non_utf8_byte_names_path_and_line(self, tmp_path):
+        ds = fp.synth_dataset(n=4, n_channels=2, global_dim=3, n_frames=6,
+                              proportions=(1, 1, 1, 1), seed=0)
+        path = tmp_path / "data.jsonl"
+        fp.save_records(ds, path)
+        lines = path.read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b'"id": "', b'"id": "\xff', 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError,
+                           match=r"data\.jsonl: line 4: not valid UTF-8 \(invalid start byte"):
+            fp.load_records(path)
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85"])
+    def test_unicode_line_separators_inside_strings(self, tmp_path, sep):
+        """JSON Lines ends a line at \\n only: raw U+2028, U+2029 and U+0085
+        stay inside a string, and later lines keep their physical numbers."""
+        ds = fp.synth_dataset(n=4, n_channels=2, global_dim=3, n_frames=6,
+                              proportions=(1, 1, 1, 1), seed=0)
+        path = tmp_path / "data.jsonl"
+        fp.save_records(ds, path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        for i in (1, 2):
+            obj = json.loads(lines[i])
+            obj["id"] = f"clip{sep}{i}{sep}"
+            lines[i] = json.dumps(obj, ensure_ascii=False)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        back = fp.load_records(path)
+        assert [r.id for r in back.records[:2]] == [f"clip{sep}1{sep}", f"clip{sep}2{sep}"]
+        obj = json.loads(lines[4])
+        obj["label"] = 9
+        lines[4] = json.dumps(obj)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"data\.jsonl: line 5: label must be in 0\.\.3"):
+            fp.load_records(path)
+
+    def test_crlf_line_endings(self, tmp_path):
+        ds = fp.synth_dataset(n=4, n_channels=2, global_dim=3, n_frames=6,
+                              proportions=(1, 1, 1, 1), seed=0)
+        path = tmp_path / "data.jsonl"
+        fp.save_records(ds, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        back = fp.load_records(path)
+        for a, b in zip(ds.records, back.records, strict=True):
+            assert a.id == b.id and a.label == b.label
+            assert a.frames.values.tobytes() == b.frames.values.tobytes()
 
     @pytest.mark.parametrize("label", [2.7, True, "3"])
     def test_non_integral_label_names_path_line_and_field(self, tmp_path, label):
