@@ -19,7 +19,6 @@ import json
 import logging
 import os
 import sys
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +43,10 @@ def _train_flags() -> tuple:
     """(flag, add_argument keywords) of each TrainConfig field but the data
     paths, which the commands take as --train and --val."""
     flags = []
-    for name, kind in typing.get_type_hints(TrainConfig).items():
+    # Optional[X] parses as X; None stands for "not given"
+    for name, (kind, _) in harness.config_field_types().items():
         if name in ("train_path", "val_path"):
             continue
-        # Optional[X] parses as X; None stands for "not given"
-        kind = next((a for a in typing.get_args(kind) if a is not type(None)), kind)
         kw = {"action": argparse.BooleanOptionalAction} if kind is bool else {"type": kind}
         flags.append((_FLAG_NAMES.get(name, "--" + name.replace("_", "-")),
                       dict(kw, dest=name, **_FLAG_KEYWORDS.get(name, {}))))

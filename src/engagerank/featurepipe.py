@@ -20,6 +20,7 @@ about one line of the file.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -406,6 +407,13 @@ def _numbers(where: str, obj: dict, key: str) -> np.ndarray:
     if values is None or not np.isfinite(values).all():
         raise ValueError(f"{where}: field {key!r} must be finite numbers, in lists "
                          f"of equal length")
+    # numpy reads "1.5" and true as numbers, so check the JSON values' types
+    items = [obj[key]]
+    for _ in range(values.ndim):
+        items = itertools.chain.from_iterable(items)
+    if not set(map(type, items)) <= {int, float}:
+        raise ValueError(f"{where}: field {key!r} must be numbers, not strings or "
+                         f"booleans")
     return values
 
 

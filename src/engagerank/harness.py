@@ -13,13 +13,14 @@ checkpoint does not record it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
 import math
 import os
 import zipfile
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -33,7 +34,6 @@ logger = logging.getLogger("engagerank")
 
 SAMPLERS = ("sequential", "class_balanced")
 CHECKPOINT_VERSION = "1"
-EVAL_BATCH_SIZE = 256       # rows per eval-mode forward in evaluation
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +133,16 @@ class TrainConfig:
     min_frames: int = featurepipe.DEFAULT_MIN_FRAMES
 
     def __post_init__(self):
+        for name, (kind, optional) in config_field_types().items():
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            # a JSON integer is a valid float; a bool is no number
+            allowed = (int, float) if kind is float else kind
+            if not isinstance(value, allowed) or (isinstance(value, bool)
+                                                  and kind is not bool):
+                raise ValueError(f"{name} must be {kind.__name__}"
+                                 f"{' or None' if optional else ''}, got {value!r}")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if self.ablation not in model_mod.FUSIONS:
@@ -199,6 +209,19 @@ class TrainConfig:
                     speech_dim=6, min_frames=8)
         base.update(overrides)
         return cls(**base)
+
+
+@functools.cache
+def config_field_types() -> dict[str, tuple[type, bool]]:
+    """(type, may be None) of each TrainConfig field, read from its type
+    hints, with ``Optional[X]`` read as X.  The CLI builds its flags from
+    these, and ``TrainConfig`` checks its values against them."""
+    types = {}
+    for name, hint in get_type_hints(TrainConfig).items():
+        args = get_args(hint)
+        types[name] = (next((a for a in args if a is not type(None)), hint),
+                       type(None) in args)
+    return types
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +391,7 @@ def train_epochs(state: TrainState, train_set: Dataset,
                "lr": cosine_lr(state.opt["step"], total_steps, config.lr_start,
                                config.lr_end)}
         if val_batch is not None:
-            scores, _, logits = model_mod.score_batch(state.params, val_batch,
-                                                      EVAL_BATCH_SIZE)
+            scores, _, logits = model_mod.score_batch(state.params, val_batch)
             report = state.val_report = _report(scores, logits, val_labels)
             row["val_acc"] = report.acc
             row["val_avg_acc"] = report.avg_acc
@@ -454,7 +476,7 @@ def evaluate(source, dataset: Dataset, subset: str = "all") -> MetricsReport:
     if not records:
         raise ValueError(f"subset {subset!r} selected no records")
     batch = model_mod.prepare_batch(records, params.config)
-    scores, _, logits = model_mod.score_batch(params, batch, EVAL_BATCH_SIZE)
+    scores, _, logits = model_mod.score_batch(params, batch)
     return _report(scores, logits, np.array([r.label for r in records]))
 
 

@@ -161,10 +161,16 @@ class ScorePool:
         Errors name the offending field, so a corrupt checkpoint fails on load
         rather than inside the loss.
         """
-        pool = cls(int(state["capacity"]))
-        cap = pool.capacity
-        count, nxt = int(state["count"]), int(state["next"])
-        labels = np.asarray(state["labels"], dtype=np.int64)
+        for name in ("capacity", "count", "next"):
+            if type(state[name]) is not int:
+                raise ValueError(f"pool state field {name!r}: {state[name]!r} is not "
+                                 f"an integer")
+        pool = cls(state["capacity"])
+        cap, count, nxt = pool.capacity, state["count"], state["next"]
+        labels = np.asarray(state["labels"])
+        if labels.dtype.kind not in "iu":
+            raise ValueError(f"pool state field 'labels': dtype {labels.dtype} is not "
+                             f"an integer type")
         scores = np.asarray(state["scores"], dtype=np.float64)
         emb = np.asarray(state["embeddings"], dtype=np.float64)
         if not 0 <= count <= cap:
@@ -230,10 +236,10 @@ def pool_init(dataset: Dataset, enc: MomentumEncoder, capacity: int,
     Each class gets capacity // 4 slots; when capacity % 4 is not zero, that
     many classes, drawn from the pool's RNG, get one more.  Classes short on
     records are sampled with replacement.  The distinct picked records are
-    scored by one eval-mode forward of the momentum encoder, and each slot
-    takes its record's score and embedding, so a record picked twice fills
-    byte-identical slots.  A forward's row count can move its scores in the
-    last bit, so they may differ by rounding from a forward over every slot.
+    scored once by the momentum encoder, and each slot takes its record's
+    score and embedding, so a record picked twice fills byte-identical slots.
+    ``score_batch`` scores a record the same in any batch, so these are the
+    bytes a scoring of every slot would give.
     """
     rng = np.random.default_rng(seed)
     base, extra = divmod(capacity, N_CLASSES)

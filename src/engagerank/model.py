@@ -16,12 +16,12 @@ contiguous vector with named views into it.  ``prepare_batch`` turns records
 into a ``Batch`` of stacked arrays.  The temporal encoder runs time-major:
 it moves the (B, 3D, T) batch to (C, T*B) on entry, runs each conv as K
 shifted products over the whole batch, and hands back (B, C, T).  So a
-record's encoding depends on the batch it runs in, in the last bits, while
-the same batch always gives the same bits.  Train-mode forward passes record
-the intermediates needed for an exact backward pass, which accumulates into
-named views of one zeroed gradient vector laid out like that buffer.
-Eval-mode forward passes keep no such caches and cannot be differentiated;
-``score_batch`` is the one eval-mode scoring path over a prepared batch.
+record's bits can move with the row count of its forward.  Train-mode forward
+passes record the intermediates needed for an exact backward pass, which
+accumulates into named views of one zeroed gradient vector laid out like that
+buffer.  Eval-mode forward passes keep no such caches and cannot be
+differentiated.  ``score_batch``, the one eval-mode scoring path, forwards
+tiles of ``TILE_ROWS`` rows, so its outputs do not depend on the batching.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ FUSIONS = ("openface_only", "attention_only", "concat_only", "concat+attention")
 HEADS = ("scalar", "categorical")
 
 CLASS_THRESHOLDS = np.array([-0.5, 0.0, 0.5])
+TILE_ROWS = 32          # rows per eval-mode forward in score_batch (README)
 
 
 @dataclass(frozen=True)
@@ -601,11 +602,10 @@ def forward_batch(chunks: np.ndarray, global_feat: np.ndarray, params: ModelPara
             has_speech = np.ones(b, dtype=bool)
         has_speech = np.asarray(has_speech, dtype=bool)
         if has_speech.any():
-            idx = np.flatnonzero(has_speech)
-            a_score, xprime, a_cache = _audio_forward(fused[idx], speech[idx], meta[idx], params)
-            score = score.copy()
-            score[idx] = a_score
-            audio_used[idx] = True
+            # on every row, so no score depends on how many rows carry speech
+            a_score, xprime, a_cache = _audio_forward(fused, speech, meta, params)
+            score = np.where(has_speech, a_score, score)
+            audio_used = has_speech
             cache["audio"] = a_cache
             embedding = xprime if has_speech.all() else None
 
@@ -653,27 +653,29 @@ def prepare_batch(records: list[SampleRecord], config: ModelConfig) -> Batch:
     return Batch(chunks, gfeat, speech, meta, has_speech)
 
 
-def score_batch(params: ModelParams, batch: Batch, batch_size: Optional[int] = None):
+def score_batch(params: ModelParams, batch: Batch):
     """Eval-mode (scores, embeddings, logits) of a prepared batch.
 
-    Runs one forward over every row, or one per ``batch_size`` rows.  As in
-    ``forward_batch``, the params decide the audio branch: a model with it
-    scores the batch's speech rows through it.  Scores are per record; logits
-    are None without the categorical head; embeddings are the pre-head
-    features the scores used, and None when some records of the batch went
-    through the audio branch and others did not.
+    Rows go through ``forward_batch`` in tiles of ``TILE_ROWS``, the last one
+    filled up with copies of its last row, so a record's outputs have the same
+    bytes in any batch.  The params decide the audio branch, as there.  Scores
+    are per record; logits are None without the categorical head; embeddings
+    are the pre-head features the scores used, and None when some records of
+    the batch went through the audio branch and others did not.
     """
     n = len(batch.chunks)
-    step = n if batch_size is None else batch_size
-    traces = [forward_batch(part.chunks, part.gfeat, params, mode="eval",
-                            speech=part.speech, meta=part.meta, has_speech=part.has_speech)
-              for part in (batch.take(slice(i, i + step)) for i in range(0, n, step))]
-    scores = np.concatenate([t.score for t in traces])
-    audio_used = np.concatenate([t.audio_used for t in traces])
+    full = n - n % TILE_ROWS
+    tiles = [batch.take(slice(i, i + TILE_ROWS)) for i in range(0, full, TILE_ROWS)]
+    if full < n:
+        tiles.append(batch.take(np.minimum(np.arange(full, full + TILE_ROWS), n - 1)))
+    traces = [forward_batch(t.chunks, t.gfeat, params, mode="eval", speech=t.speech,
+                            meta=t.meta, has_speech=t.has_speech) for t in tiles]
+    scores = np.concatenate([t.score for t in traces])[:n]
+    audio_used = np.concatenate([t.audio_used for t in traces])[:n]
     embeddings = (None if audio_used.any() and not audio_used.all()
-                  else np.concatenate([t.embedding for t in traces]))
+                  else np.concatenate([t.embedding for t in traces])[:n])
     logits = (None if params.config.head != "categorical"
-              else np.concatenate([t.logits for t in traces]))
+              else np.concatenate([t.logits for t in traces])[:n])
     return scores, embeddings, logits
 
 

@@ -12,8 +12,8 @@ batch-major one the package ran before its encoder went to one layout over
 the whole batch, with one conv product per record; the package's encoder
 differs from it only by rounding.  The all-slots pool fill is the score
 pool's fill before it forwarded each picked record once; it takes the
-forward as an argument, and the package's fill differs from it only by
-rounding.
+scoring as an argument, and with ``score_batch``, whose bytes for a record
+do not depend on its batch, the package's fill matches it bit for bit.
 """
 import math
 
@@ -288,7 +288,7 @@ def tcn_backward_per_record(dout, caches, params, grads):
 def pool_fill_all_rows(labels, records, capacity, seed, score_records):
     """The score pool's fill as it was before it forwarded each picked record
     once: ceil(capacity/4) draws per class cut to ``capacity``, shuffled, and
-    ``score_records`` (records -> (scores, embeddings), one eval forward) run
+    ``score_records`` (records -> (scores, embeddings), an eval scoring) run
     over every slot, duplicates included.  Returns the slot records, their
     labels, scores and embeddings.  Its draws match the package's fill only
     when capacity is a multiple of 4; otherwise the cut leaves the last class

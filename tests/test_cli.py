@@ -203,6 +203,24 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="config_version"):
             cli._load_config_file(str(none))
 
+    @pytest.mark.parametrize("field, value", [
+        ("detach_margin", "false"), ("seed", "abc"), ("epochs", 4.5)])
+    def test_field_types_checked(self, tmp_path, field, value):
+        """A "false" string would be a truthy detach_margin; it is refused."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"config_version": 1, field: value}))
+        args = cli.build_parser().parse_args(
+            ["train", "--train", "x", "--out-dir", "y", "--config", str(path)])
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            cli.build_train_config(args)
+
+    def test_json_integer_is_a_valid_float(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"config_version": 1, "lr_start": 1, "lr_end": 1}))
+        args = cli.build_parser().parse_args(
+            ["train", "--train", "x", "--out-dir", "y", "--config", str(path)])
+        assert cli.build_train_config(args).lr_start == 1
+
     def test_non_object_rejected(self, tmp_path):
         bad = tmp_path / "list.json"
         bad.write_text("[1, 2]")

@@ -515,9 +515,22 @@ class TestJsonlRoundTrip:
          "field 'audio_meta' must be finite numbers"),
         (3, lambda r: r.update(audio_meta=[0.5] * 6), "audio_meta must have 7 entries"),
         (3, lambda r: r.pop("audio_meta"), "modality fields must co-occur"),
+        # numpy would read these as 1.5 and 1.0; a dtype check misses the bool
+        (3, lambda r: r.update(global_feature=["1.5", 1.0, 2.0]),
+         "field 'global_feature' must be numbers, not strings or booleans"),
+        (3, lambda r: r.update(global_feature=[1.5, True, 2.0]),
+         "field 'global_feature' must be numbers, not strings or booleans"),
+        (3, lambda r: r["frames"][4].__setitem__(1, True),
+         "field 'frames' must be numbers, not strings or booleans"),
+        (3, lambda r: r["speech_embedding"].__setitem__(2, "0.5"),
+         "field 'speech_embedding' must be numbers, not strings or booleans"),
+        (3, lambda r: r["audio_meta"].__setitem__(0, False),
+         "field 'audio_meta' must be numbers, not strings or booleans"),
     ], ids=["no-D", "no-d", "D-string", "speech_dim-float", "frames-ragged",
             "frames-string", "global_feature-string", "latent-list",
-            "audio_meta-null", "audio_meta-short", "audio_meta-absent"])
+            "audio_meta-null", "audio_meta-short", "audio_meta-absent",
+            "global_feature-numeric-string", "global_feature-bool-among-floats",
+            "frames-bool", "speech_embedding-numeric-string", "audio_meta-bool"])
     def test_bad_field_names_path_line_and_field(self, tmp_path, line, edit, problem):
         ds = fp.synth_dataset(n=4, n_channels=2, global_dim=3, n_frames=6,
                               proportions=(1, 1, 1, 1), seed=0, speech_fraction=1.0,

@@ -72,6 +72,20 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="scalar"):
             tiny_train_config(loss="ce", use_audio=True)
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("seed", "abc", "int"), ("epochs", 4.5, "int"), ("batch_size", 4.0, "int"),
+        ("lr_start", True, "float"), ("detach_margin", "no", "bool"),
+        ("seed", True, "int"), ("sampler", 3, "str or None"),
+        ("stage2_epochs", 1.0, "int or None")])
+    def test_field_types(self, field, value, kind):
+        """Each field is checked against its type hint, before any range check."""
+        with pytest.raises(ValueError, match=f"{field} must be {kind}, got"):
+            tiny_train_config(**{field: value})
+
+    def test_int_is_a_float_and_none_is_optional(self):
+        cfg = tiny_train_config(lr_start=1, lr_end=1, sampler=None, stage2_epochs=None)
+        assert cfg.lr_start == 1 and cfg.sampler is None
+
     def test_head_follows_loss(self):
         assert tiny_train_config(loss="mocorank").head == "scalar"
         assert tiny_train_config(loss="mse").head == "scalar"
@@ -655,9 +669,11 @@ class TestCheckpointing:
         self._refused(path, "rng_state", "not a PCG64 state")
 
     @pytest.mark.parametrize("config", [{"bogus": 1}, {"loss": "hinge"},
-                                        {"momentum": 1.5}, 7])
+                                        {"momentum": 1.5}, 7, {"seed": "abc"},
+                                        {"epochs": 4.5}, {"detach_margin": "false"}])
     def test_config(self, tmp_path, config):
-        """An unknown field, an invalid value, or no mapping at all."""
+        """An unknown field, an invalid value, no mapping at all, or a value
+        of another type than the field's."""
         base = self._saved(tmp_path, "config")
         edited = dict(base, **config) if isinstance(config, dict) else config
         path = self._edited_checkpoint(tmp_path, meta_edits={"config": edited})
@@ -771,8 +787,8 @@ class TestTwoStage:
 
     def test_stage_two_pool_scores_each_speech_record_once(self, monkeypatch):
         """Stage 2 fills its pool from the speech subset through the audio
-        branch, forwarding each distinct picked record once; the fill agrees
-        with one forward over every slot up to rounding."""
+        branch, with each distinct picked record once among the real rows it
+        forwards; the fill equals one scoring of every slot bit for bit."""
         data = tiny_data(n=40, speech_fraction=0.5)
         cfg = tiny_train_config(loss="mocorank", epochs=1, stage2_epochs=1,
                                 pool_size=32)
@@ -784,27 +800,32 @@ class TestTwoStage:
                 dataset.labels(), dataset.records, capacity, seed,
                 lambda records: model.score_batch(
                     enc.params, model.prepare_batch(records, enc.params.config))[:2])
-            rows = []
-            monkeypatch.setattr(model, "forward_batch", lambda chunks, *a, **kw: (
-                rows.append(len(chunks)) or real_forward(chunks, *a, **kw)))
+            forwarded = []
+            monkeypatch.setattr(model, "forward_batch", lambda chunks, gfeat, *a, **kw: (
+                forwarded.append(gfeat.copy()) or real_forward(chunks, gfeat, *a, **kw)))
             pool = real_init(dataset, enc, capacity, seed)
             monkeypatch.setattr(model, "forward_batch", real_forward)
-            fills.append((dataset, enc.params.config, rows, oracle, pool.state()))
+            fills.append((dataset, enc.params.config, forwarded, oracle, pool.state()))
             return pool
 
         monkeypatch.setattr(mocorank, "pool_init", pool_init)
         harness.train_two_stage(cfg, data)
         assert len(fills) == 2
-        dataset, model_config, rows, oracle, ring = fills[1]
+        dataset, model_config, forwarded, oracle, ring = fills[1]
         assert model_config.with_audio
         assert [r.id for r in dataset.records] == [r.id for r in data.records
                                                    if r.has_speech]
         slot_records, labels, scores, embeddings = oracle
-        assert rows == [len({id(r) for r in slot_records})]
-        assert rows[0] < cfg.pool_size
+        distinct = list({id(r): r for r in slot_records}.values())
+        assert len(distinct) < cfg.pool_size
+        assert [len(g) for g in forwarded] == [model.TILE_ROWS] * -(-len(distinct)
+                                                                    // model.TILE_ROWS)
+        real_rows = np.concatenate(forwarded)[:len(distinct)]
+        assert sorted(g.tobytes() for g in real_rows) == \
+            sorted(r.global_feature.tobytes() for r in distinct)
         assert ring["labels"].tobytes() == labels.astype(np.int64).tobytes()
-        np.testing.assert_allclose(ring["scores"], scores, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(ring["embeddings"], embeddings, rtol=0, atol=1e-15)
+        assert ring["scores"].tobytes() == scores.tobytes()
+        assert ring["embeddings"].tobytes() == embeddings.tobytes()
 
     def test_requires_speech_records(self):
         with pytest.raises(ValueError, match="no speech records"):

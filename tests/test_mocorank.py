@@ -149,6 +149,11 @@ class TestScorePool:
         ("embeddings", np.full((4, 2), np.nan)),
         ("embeddings", np.ones((3, 2))),
         ("scores", np.array([0.1, np.nan, 0.3, 0.0])),
+        ("count", 3.0),                      # ring positions and sizes are ints
+        ("next", "3"),
+        ("capacity", 4.0),
+        ("count", True),
+        ("labels", np.array([0.0, 1.5, 2.0, 0.0])),
     ])
     def test_state_field_validation(self, field, value):
         pool = mr.ScorePool(4)
@@ -334,7 +339,8 @@ class TestPoolInit:
 
     def test_scores_come_from_the_encoder(self, monkeypatch):
         """The ring holds the encoder's eval-mode forward over the distinct
-        picked records, in one batch, spread to the slots bit for bit."""
+        picked records, as one tile padded with copies of the last, spread
+        to the slots bit for bit."""
         data, enc = self.tiny_setup(proportions=(1.0, 5.0, 5.0, 5.0))
         picked = []
         real = model.prepare_batch
@@ -347,22 +353,30 @@ class TestPoolInit:
         assert len(row) == len(records) < len(slot_records)
         assert set(row) == {id(r) for r in slot_records}
         slots = [row[id(r)] for r in slot_records]
-        chunks, gfeat, *_ = real(records, enc.params.config)
+        tile = records + records[-1:] * (model.TILE_ROWS - len(records))
+        chunks, gfeat, *_ = real(tile, enc.params.config)
         trace = model.forward_batch(chunks, gfeat, enc.params)
         assert pool.labels.tolist() == [r.label for r in slot_records]
         assert pool.scores.tobytes() == trace.score[slots].tobytes()
         assert pool.embeddings.tobytes() == trace.embedding[slots].tobytes()
 
     def test_forwards_each_distinct_record_once(self, monkeypatch):
+        """The real rows of the fill's forwards are its distinct picked
+        records, each once; the rest pad the last tile."""
         data, enc = self.tiny_setup(proportions=(1.0, 5.0, 5.0, 5.0))
         slot_records, *_ = self.all_rows_fill(data, enc, 8, 3)
-        rows = []
+        distinct = list({id(r): r for r in slot_records}.values())
+        forwarded = []
         real = model.forward_batch
-        monkeypatch.setattr(model, "forward_batch", lambda chunks, *a, **kw: (
-            rows.append(len(chunks)) or real(chunks, *a, **kw)))
+        monkeypatch.setattr(model, "forward_batch", lambda chunks, gfeat, *a, **kw: (
+            forwarded.append(gfeat.copy()) or real(chunks, gfeat, *a, **kw)))
         mr.pool_init(data, enc, capacity=8, seed=3)
-        assert rows == [len({id(r) for r in slot_records})]
-        assert rows[0] < 8
+        assert [len(g) for g in forwarded] == [model.TILE_ROWS]
+        real_rows = forwarded[0][:len(distinct)]
+        assert len(distinct) < 8
+        assert sorted(g.tobytes() for g in real_rows) == \
+            sorted(r.global_feature.tobytes() for r in distinct)
+        assert (forwarded[0][len(distinct):] == real_rows[-1]).all()
 
     def test_duplicate_slots_are_byte_identical(self):
         data, enc = self.tiny_setup(proportions=(1.0, 5.0, 5.0, 5.0))
@@ -380,14 +394,14 @@ class TestPoolInit:
 
     @pytest.mark.parametrize("capacity,seed", [(4, 0), (8, 3), (16, 1), (32, 7)])
     def test_matches_the_all_rows_fill(self, capacity, seed):
-        """Slot labels and order are the old fill's bit for bit; scores and
-        embeddings differ from its all-slots forward by rounding at most."""
+        """Slot labels, order, scores and embeddings are the old fill's, which
+        scored every slot, bit for bit."""
         data, enc = self.tiny_setup(n=24, proportions=(1.0, 3.0, 3.0, 5.0))
         pool = mr.pool_init(data, enc, capacity=capacity, seed=seed)
         _, labels, scores, embeddings = self.all_rows_fill(data, enc, capacity, seed)
         assert pool.labels.tobytes() == labels.astype(np.int64).tobytes()
-        np.testing.assert_allclose(pool.scores, scores, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(pool.embeddings, embeddings, rtol=0, atol=1e-15)
+        assert pool.scores.tobytes() == scores.tobytes()
+        assert pool.embeddings.tobytes() == embeddings.tobytes()
 
     @pytest.mark.parametrize("capacity", [5, 6, 7, 10])
     def test_uneven_capacity_shares_the_remainder(self, capacity):

@@ -592,35 +592,100 @@ class TestEvalTraces:
         assert len(calls) == 2 * len(cfg.dilations) - 1
 
 
+def scoring_case(kind, n, seed=3):
+    """(params, batch) of n records for a ``TestScoreBatch`` kind: visual,
+    audio (every record has speech), mixed (about half do) or categorical at
+    the tiny config, or visual at desk shapes."""
+    if kind == "desk":
+        cfg = harness.TrainConfig.desk().model_config()
+        data = fp.synth_dataset(max(n, 4), n_frames=cfg.min_frames + 50, seed=seed)
+        records = data.records[:n]
+    else:
+        cfg = tiny_config(with_audio=kind in ("audio", "mixed"),
+                          head="categorical" if kind == "categorical" else "scalar")
+        fraction = {"audio": 1.0, "mixed": 0.5}.get(kind, 0.0)
+        records = tiny_records(n, seed=seed, speech_fraction=fraction)
+    return model.init_params(cfg, seed=7), model.prepare_batch(records, cfg)
+
+
+def assert_rows_equal(got, want, rows, kind):
+    """``got`` (score_batch outputs) are ``want``'s at ``rows``, byte for byte."""
+    (scores, embeddings, logits), (w_scores, w_embeddings, w_logits) = got, want
+    assert scores.tobytes() == w_scores[rows].tobytes()
+    if kind == "mixed":
+        assert w_embeddings is None
+    else:
+        assert embeddings.tobytes() == w_embeddings[rows].tobytes()
+    if kind == "categorical":
+        assert logits.tobytes() == w_logits[rows].tobytes()
+    else:
+        assert logits is None
+
+
 class TestScoreBatch:
     @pytest.mark.parametrize("kind", ["visual", "audio", "mixed", "categorical"])
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 9, None])
     def test_equals_slice_by_slice_forward(self, kind, k):
-        cfg = tiny_config(with_audio=kind in ("audio", "mixed"),
-                          head="categorical" if kind == "categorical" else "scalar")
-        fraction = {"audio": 1.0, "mixed": 0.5}.get(kind, 0.0)
-        batch = model.prepare_batch(tiny_records(8, seed=3, speech_fraction=fraction), cfg)
-        params = model.init_params(cfg, seed=7)
-        scores, embeddings, logits = model.score_batch(params, batch, batch_size=k)
-        step = k or 8
-        ref = [model.forward_batch(
-                   batch.chunks[i:i + step], batch.gfeat[i:i + step], params,
-                   has_speech=batch.has_speech[i:i + step],
-                   speech=None if batch.speech is None else batch.speech[i:i + step],
-                   meta=None if batch.meta is None else batch.meta[i:i + step])
-               for i in range(0, 8, step)]
-        assert scores.tobytes() == np.concatenate([t.score for t in ref]).tobytes()
+        """A batch of one tile and 9 rows scores byte for byte as its slices
+        of k rows do: below one tile, or at one tile for k None."""
+        n = model.TILE_ROWS + 9
+        params, batch = scoring_case(kind, n)
+        whole = model.score_batch(params, batch)
+        step = k or model.TILE_ROWS
+        for i in range(0, n, step):
+            rows = slice(i, min(i + step, n))
+            part = model.score_batch(params, batch.take(rows))
+            if kind == "mixed":
+                # a slice whose rows agree has one embedding width
+                part = part[0], None, part[2]
+            assert_rows_equal(part, whole, rows, kind)
+
+    @pytest.mark.parametrize("kind", ["visual", "audio", "mixed", "categorical"])
+    def test_forwards_tiles_padded_with_the_last_row(self, kind):
+        """Outputs are those of one eval forward per TILE_ROWS rows, the last
+        tile filled up with copies of its last row."""
+        n = model.TILE_ROWS + 3
+        params, batch = scoring_case(kind, n)
+        tiles = [np.arange(model.TILE_ROWS),
+                 np.minimum(np.arange(model.TILE_ROWS, 2 * model.TILE_ROWS), n - 1)]
+        traces = [model.forward_batch(t.chunks, t.gfeat, params, speech=t.speech,
+                                      meta=t.meta, has_speech=t.has_speech)
+                  for t in (batch.take(rows) for rows in tiles)]
+        scores, embeddings, logits = model.score_batch(params, batch)
+        assert scores.tobytes() == np.concatenate([t.score for t in traces])[:n].tobytes()
         if kind == "mixed":
-            # no single embedding width, even when each slice is uniform
             assert batch.has_speech.any() and not batch.has_speech.all()
             assert embeddings is None
         else:
             assert embeddings.tobytes() == \
-                np.concatenate([t.embedding for t in ref]).tobytes()
+                np.concatenate([t.embedding for t in traces])[:n].tobytes()
         if kind == "categorical":
-            assert logits.tobytes() == np.concatenate([t.logits for t in ref]).tobytes()
+            assert logits.tobytes() == \
+                np.concatenate([t.logits for t in traces])[:n].tobytes()
         else:
             assert logits is None
+
+    @pytest.mark.parametrize("kind", ["visual", "audio", "mixed", "categorical", "desk"])
+    def test_record_bytes_do_not_depend_on_the_batch(self, kind):
+        """Any selection of records, in any order and of any size up to three
+        tiles, scores each record to the bytes it gets in the whole set."""
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        n = 3 * model.TILE_ROWS + 5
+        params, batch = scoring_case(kind, n)
+        whole = model.score_batch(params, batch)
+
+        @hyp.settings(max_examples=25, deadline=None, database=None)
+        @hyp.given(st.lists(st.integers(0, n - 1), min_size=1, max_size=3 * model.TILE_ROWS,
+                            unique=True))
+        def check(rows):
+            rows = np.array(rows)
+            got = model.score_batch(params, batch.take(rows))
+            if kind == "mixed" and got[1] is not None:
+                got = got[0], None, got[2]
+            assert_rows_equal(got, whole, rows, kind)
+
+        check()
 
 
 class TestPrepareBatch:
