@@ -8,11 +8,11 @@ synthesizes imbalanced ordinal datasets for desk-scale experiments.
 
 Summaries are computed for many sequences at once, over time-major blocks
 of records (``chunk_summarize_batch``); the one-sequence calls use the same
-path.  Short sequences are repeat-padded there, one block at a time, so
-padded copies never outnumber one block.  Frames are stored C-ordered
-however they were made or loaded, so a clip gives the same summary bytes
-from a file as from memory, and each summary is bitwise equal to
-summarizing that padded sequence alone, chunk slice by chunk slice.
+path.  Short sequences are read there as if repeat-padded, with no padded
+copy.  Frames are stored C-ordered however they were made or loaded, so a
+clip gives the same summary bytes from a file as from memory, and each
+summary is bitwise equal to summarizing that padded sequence alone, chunk
+slice by chunk slice.
 
 Datasets are read one line at a time, so a load holds its records plus
 about one line of the file.
@@ -179,18 +179,12 @@ def repeat_pad(frames: FrameSequence,
         raise ValueError("empty input")
     if f >= min_frames:
         return frames
-    return FrameSequence(_tile(frames.values, _padded_length(f, min_frames)))
+    return FrameSequence(np.tile(frames.values, (1, math.ceil(min_frames / f))))
 
 
 def _padded_length(f: int, min_frames: int) -> int:
     """Frame count of an F-frame sequence after ``repeat_pad``."""
     return f if f >= min_frames else f * math.ceil(min_frames / f)
-
-
-def _tile(values: np.ndarray, length: int) -> np.ndarray:
-    """C-ordered (D, F) frames repeated whole to ``length`` frames."""
-    f = values.shape[1]
-    return values if f == length else np.tile(values, (1, length // f))
 
 
 #: Records summarized together in one time-major block.  The ufuncs then run
@@ -217,13 +211,13 @@ def chunk_summarize_batch(frames: Sequence[FrameSequence],
     Sequences of one padded length are summarized together, up to
     ``_BLOCK_RECORDS`` at a time, in a time-major buffer of shape (chunk
     size, records, D, chunks): every reduction then runs over rows that span
-    the whole block.  A short sequence is padded only when its block is
-    summarized, so at most one block of padded copies is alive.  Each row is
-    still bitwise what summarizing the padded sequence alone, chunk slice by
-    chunk slice, gives: the sums behind the variance add the frames in the
-    pairwise order numpy's reduction over a chunk slice of C-ordered frames
-    uses, and the few chunks with a zero extreme, where the order decides
-    between +0 and -0, are redone slice by slice.
+    the whole block.  No padded copy is made: the buffer reads padded frame
+    i of a short sequence from its frame i mod F.  Each row is still bitwise
+    what summarizing the padded sequence alone, chunk slice by chunk slice,
+    gives: the sums behind the variance add the frames in the pairwise order
+    numpy's reduction over a chunk slice of C-ordered frames uses, and the
+    few chunks with a zero extreme, where the order decides between +0 and
+    -0, are redone slice by slice.
     """
     if n_chunks <= 0:
         raise ValueError("chunk count must be positive")
@@ -243,26 +237,33 @@ def chunk_summarize_batch(frames: Sequence[FrameSequence],
     for length, members in groups.items():
         for lo in range(0, len(members), _BLOCK_RECORDS):
             rows = members[lo:lo + _BLOCK_RECORDS]
-            out[rows] = _summarize_block([_tile(frames[i].values, length) for i in rows],
+            out[rows] = _summarize_block([frames[i].values for i in rows], length,
                                          n_chunks)
     return out.reshape(len(frames), 3 * d, n_chunks)
 
 
-def _summarize_block(values: list[np.ndarray], n_chunks: int) -> np.ndarray:
-    """(K, 3, D, n_chunks) summaries of K same-shape, C-ordered frame arrays."""
+def _summarize_block(values: list[np.ndarray], length: int, n_chunks: int) -> np.ndarray:
+    """(K, 3, D, n_chunks) summaries of K C-ordered (D, F) frame arrays, each
+    repeated whole to ``length`` frames.  Padded frame i is raw frame i mod F,
+    so no padded copy is made."""
     k = len(values)
-    d, f = values[0].shape
-    base, extra = divmod(f, n_chunks)
+    d = values[0].shape[0]
+    base, extra = divmod(length, n_chunks)
     split = extra * (base + 1)
     out = np.empty((k, 3, d, n_chunks), dtype=np.float64)
-    for chunks, size, frame_span in ((slice(0, extra), base + 1, slice(0, split)),
-                                     (slice(extra, n_chunks), base, slice(split, f))):
+    for chunks, size, first in ((slice(0, extra), base + 1, 0),
+                                (slice(extra, n_chunks), base, split)):
         c = chunks.stop - chunks.start
         if c == 0:
             continue
         t = np.empty((size, k, d, c), dtype=np.float64)
+        frame = first + np.arange(c) * size + np.arange(size)[:, None]   # (size, c)
         for j, v in enumerate(values):
-            t[:, j] = v[:, frame_span].reshape(d, c, size).transpose(2, 0, 1)
+            f = v.shape[1]
+            if f == length:
+                t[:, j] = v[:, first:first + c * size].reshape(d, c, size).transpose(2, 0, 1)
+            else:
+                t[:, j] = v.take(frame % f, axis=1).transpose(1, 0, 2)
         out[:, 0, :, chunks] = np.minimum.reduce(t, axis=0)
         out[:, 1, :, chunks] = np.maximum.reduce(t, axis=0)
         # np.var's steps: mean, deviations squared in place, their mean
@@ -274,10 +275,14 @@ def _summarize_block(values: list[np.ndarray], n_chunks: int) -> np.ndarray:
         var /= size
         out[:, 2, :, chunks] = var
     # Over finite values a min or max depends on the order only through ties
-    # between +0 and -0: redo those chunks with the per-chunk slice.
+    # between +0 and -0: redo those chunks with the per-chunk slice, whose
+    # rows are contiguous frames as in a padded copy.
     for j, ch in zip(*(out[:, :2] == 0).any(axis=(1, 2)).nonzero()):
+        v = values[j]
+        f = v.shape[1]
         start = ch * base + min(ch, extra)
-        chunk = values[j][:, start:start + base + (ch < extra)]
+        stop = start + base + (ch < extra)
+        chunk = v[:, start:stop] if stop <= f else v.take(np.arange(start, stop) % f, axis=1)
         out[j, 0, :, ch] = chunk.min(axis=1)
         out[j, 1, :, ch] = chunk.max(axis=1)
     return out

@@ -87,12 +87,17 @@ class ScorePool:
     def push(self, labels, scores, embeddings) -> "ScorePool":
         """Append a batch, evicting the same number of oldest entries if full.
 
-        ``embeddings`` of None, which ``model.score_batch`` returns for a batch
-        scored partly through the audio branch, is refused.
+        ``labels`` must have an integer dtype; float labels are refused, not
+        truncated.  ``embeddings`` of None, which ``model.score_batch``
+        returns for a batch scored partly through the audio branch, is
+        refused.
         """
         if embeddings is None:
             raise ValueError("cannot pool a mixed visual/audio batch")
-        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+        labels = np.asarray(labels)
+        if labels.dtype.kind not in "iu":
+            raise ValueError(f"labels: dtype {labels.dtype} is not an integer type")
+        labels = labels.astype(np.int64, copy=False).reshape(-1)
         scores = np.asarray(scores, dtype=np.float64).reshape(-1)
         embeddings = np.asarray(embeddings, dtype=np.float64)
         b = labels.size

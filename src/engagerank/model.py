@@ -19,9 +19,11 @@ shifted products over the whole batch, and hands back (B, C, T).  So a
 record's bits can move with the row count of its forward.  Train-mode forward
 passes record the intermediates needed for an exact backward pass, which
 accumulates into named views of one zeroed gradient vector laid out like that
-buffer.  Eval-mode forward passes keep no such caches and cannot be
-differentiated.  ``score_batch``, the one eval-mode scoring path, forwards
-tiles of ``TILE_ROWS`` rows, so its outputs do not depend on the batching.
+buffer.  Those caches hold float64 conv inputs and one-byte ReLU and dropout
+masks; forward and backward apply the masks in place.  Eval-mode forward
+passes keep no such caches and cannot be differentiated.  ``score_batch``,
+the one eval-mode scoring path, forwards tiles of ``TILE_ROWS`` rows, so its
+outputs do not depend on the batching.
 """
 
 from __future__ import annotations
@@ -245,24 +247,35 @@ def _conv_input_grad(dout: np.ndarray, w: np.ndarray, dilation: int, b: int) -> 
     return dx
 
 
-def _dropout_mask(shape, rate: float, train: bool, rng) -> Optional[np.ndarray]:
+def _keep_mask(rate: float, train: bool, rng, shape, axes=None) -> Optional[np.ndarray]:
+    """A one-byte dropout keep mask, ``rng.random(shape) >= rate`` with its
+    axes moved to ``axes``, stored C-ordered; None when nothing drops."""
     if not train or rate <= 0.0:
         return None
     if rng is None:
         raise ValueError("training mode with dropout requires an rng")
-    return (rng.random(shape) >= rate) / (1.0 - rate)
-
-
-def _apply_mask(x, mask):
-    return x if mask is None else x * mask
+    draw = rng.random(shape)
+    if axes is not None:
+        draw = draw.transpose(axes)
+    return np.greater_equal(draw, rate, out=np.empty(draw.shape, dtype=bool))
 
 
 def _time_major_mask(rate: float, train: bool, rng, b: int, ch: int,
                      t: int) -> Optional[np.ndarray]:
-    """A dropout mask drawn as (B, C, T), as a batch-major layer draws it,
-    then moved to the time-major (C, T*B) layout."""
-    mask = _dropout_mask((b, ch, t), rate, train, rng)
-    return None if mask is None else mask.transpose(1, 2, 0).reshape(ch, t * b)
+    """A keep mask drawn as (B, C, T), as a batch-major layer draws it, in
+    the time-major (C, T*B) layout."""
+    keep = _keep_mask(rate, train, rng, (b, ch, t), axes=(1, 2, 0))
+    return None if keep is None else keep.reshape(ch, t * b)
+
+
+def _drop(x: np.ndarray, keep: Optional[np.ndarray], rate: float) -> np.ndarray:
+    """Apply a keep mask to ``x`` in place and return it.  ``keep`` is 0 or 1,
+    so ``x *= keep; x *= 1 / (1 - rate)`` gives the bits of ``x`` times the
+    float mask ``keep / (1 - rate)``, sign of zero included."""
+    if keep is not None:
+        x *= keep
+        x *= 1.0 / (1.0 - rate)
+    return x
 
 
 def _tcn_block_forward(x, params, prefix, dilation, b, train, rng, dropout, keep):
@@ -279,13 +292,13 @@ def _tcn_block_forward(x, params, prefix, dilation, b, train, rng, dropout, keep
     s1 = h1 > 0 if keep else None
     np.maximum(h1, 0.0, out=h1)
     m1 = _time_major_mask(dropout, train, rng, b, o, t)
-    h1 = _apply_mask(h1, m1)
+    _drop(h1, m1, dropout)
     out = _causal_conv(h1, w2, dilation, b)
     out += params[f"{prefix}.conv2.b"][:, None]
     s2 = out > 0 if keep else None
     np.maximum(out, 0.0, out=out)
     m2 = _time_major_mask(dropout, train, rng, b, o, t)
-    out = _apply_mask(out, m2)
+    _drop(out, m2, dropout)
     if f"{prefix}.down.w" in params:
         res = params[f"{prefix}.down.w"] @ x
         res += params[f"{prefix}.down.b"][:, None]
@@ -303,15 +316,24 @@ def _tcn_block_forward(x, params, prefix, dilation, b, train, rng, dropout, keep
 def _tcn_block_backward(dout, cache, params, prefix, b, grads, need_dx=True):
     """Accumulate the block's parameter gradients; return its input gradient
     (time-major, like ``dout``), or None without ``need_dx`` (the network
-    input takes no gradient)."""
+    input takes no gradient).
+
+    Masks and ReLU gates apply in place, to ``dout`` and to the arrays made
+    here; the cache is only read, so a trace can be differentiated twice.
+    """
     dilation = cache["dilation"]
+    rate = params.config.dropout
     w1, w2 = params[f"{prefix}.conv1.w"], params[f"{prefix}.conv2.w"]
-    dpre_out = dout * cache["s_out"]
-    dpre2 = _apply_mask(dpre_out, cache["m2"]) * cache["s2"]
+    dpre_out = dout
+    dpre_out *= cache["s_out"]
+    dpre2 = dpre_out * cache["s2"]
+    _drop(dpre2, cache["m2"], rate)
     _conv_weight_grad(dpre2, cache["h1"], grads[f"{prefix}.conv2.w"], dilation, b)
     grads[f"{prefix}.conv2.b"] += dpre2.sum(axis=1)
-    dh1 = _conv_input_grad(dpre2, w2, dilation, b)
-    dpre1 = _apply_mask(dh1, cache["m1"]) * cache["s1"]
+    dpre1 = _conv_input_grad(dpre2, w2, dilation, b)
+    del dpre2                      # gone before the input gradient is made
+    _drop(dpre1, cache["m1"], rate)
+    dpre1 *= cache["s1"]
     _conv_weight_grad(dpre1, cache["x"], grads[f"{prefix}.conv1.w"], dilation, b)
     grads[f"{prefix}.conv1.b"] += dpre1.sum(axis=1)
     has_down = f"{prefix}.down.w" in params
@@ -407,7 +429,9 @@ def _tcn_backward(dout, caches, params: ModelParams, grads) -> None:
     """Accumulate the encoder's gradients from dLoss/d(B, C, T) encoding."""
     cfg = params.config
     b, ch, t = dout.shape
-    dout = dout.transpose(1, 2, 0).reshape(ch, t * b)
+    # always a copy (a lone record's reshape would be a view): the blocks
+    # gate their gradient in place
+    dout = np.array(dout.transpose(1, 2, 0), order="C").reshape(ch, t * b)
     for i in reversed(range(len(cfg.dilations))):
         dout = _tcn_block_backward(dout, caches[i], params, f"tcn.{i}", b, grads,
                                    need_dx=i > 0)
@@ -425,8 +449,8 @@ def _attention_forward(encoded, global_feat, params: ModelParams, train, rng):
     cache = {}
     if cfg.uses_attention:
         h = _affine_forward(global_feat, params["mlp1.fc1.w"], params["mlp1.fc1.b"])
-        m = _dropout_mask(h.shape, cfg.dropout, train, rng)
-        hd = _apply_mask(h, m)
+        m = _keep_mask(cfg.dropout, train, rng, h.shape)
+        hd = _drop(h, m, cfg.dropout)
         q = _affine_forward(hd, params["mlp1.fc2.w"], params["mlp1.fc2.b"])
         logits = np.einsum("bc,bct->bt", q, encoded)
         attn = _softmax(logits)
@@ -450,7 +474,7 @@ def _attention_backward(dpooled, cache, params: ModelParams, grads):
     dq = np.einsum("bct,bt->bc", encoded, dlogits)
     denc += np.einsum("bc,bt->bct", cache["q"], dlogits)
     _affine_backward(dq, cache["hd"], grads, "mlp1.fc2")
-    dh = _apply_mask(dq @ params["mlp1.fc2.w"], cache["m"])
+    dh = _drop(dq @ params["mlp1.fc2.w"], cache["m"], cfg.dropout)
     _affine_backward(dh, cache["global_feat"], grads, "mlp1.fc1")
     return denc
 
@@ -537,11 +561,12 @@ class Trace:
     """Everything one forward pass produced.
 
     A train-mode trace carries the caches its backward pass reads; the
-    temporal encoder's hold each block's time-major (C, T*B) conv inputs,
-    ReLU masks and dropout masks.  An eval-mode trace carries none (``cache``
-    is None), so ``backward`` and ``relu_signature`` refuse it.  ``encoded``
-    is a (B, C, T) view of the encoder's time-major output; it matches each
-    record's lone encoding up to rounding.
+    temporal encoder's hold each block's time-major (C, T*B) float64 conv
+    inputs and its one-byte (bool) ReLU and dropout keep masks.  Backward
+    only reads them, so it can run twice on one trace.  An eval-mode trace
+    carries none (``cache`` is None), so ``backward`` and ``relu_signature``
+    refuse it.  ``encoded`` is a (B, C, T) view of the encoder's time-major
+    output; it matches each record's lone encoding up to rounding.
     """
 
     config: ModelConfig
@@ -635,8 +660,8 @@ class Batch(NamedTuple):
 def prepare_batch(records: list[SampleRecord], config: ModelConfig) -> Batch:
     """Pad and chunk-summarize records, in one ``chunk_summarize_batch`` call
     on their raw frames at the config's ``min_frames`` floor, into the
-    stacked arrays of a ``Batch``.  Short clips are padded one block at a
-    time inside that call, so no padded copy outlives its block."""
+    stacked arrays of a ``Batch``.  Short clips are read as if padded, with
+    no padded copy."""
     chunks = featurepipe.chunk_summarize_batch(
         [r.frames for r in records], config.n_chunks, config.min_frames)
     gfeat = np.stack([r.global_feature for r in records])
@@ -664,18 +689,21 @@ def score_batch(params: ModelParams, batch: Batch):
     the batch went through the audio branch and others did not.
     """
     n = len(batch.chunks)
-    full = n - n % TILE_ROWS
-    tiles = [batch.take(slice(i, i + TILE_ROWS)) for i in range(0, full, TILE_ROWS)]
-    if full < n:
-        tiles.append(batch.take(np.minimum(np.arange(full, full + TILE_ROWS), n - 1)))
-    traces = [forward_batch(t.chunks, t.gfeat, params, mode="eval", speech=t.speech,
-                            meta=t.meta, has_speech=t.has_speech) for t in tiles]
-    scores = np.concatenate([t.score for t in traces])[:n]
-    audio_used = np.concatenate([t.audio_used for t in traces])[:n]
+    outs = []                      # each tile's outputs; its trace goes at once
+    for lo in range(0, n, TILE_ROWS):
+        rows = (slice(lo, lo + TILE_ROWS) if lo + TILE_ROWS <= n
+                else np.minimum(np.arange(lo, lo + TILE_ROWS), n - 1))
+        t = batch.take(rows)
+        tr = forward_batch(t.chunks, t.gfeat, params, mode="eval", speech=t.speech,
+                           meta=t.meta, has_speech=t.has_speech)
+        outs.append((tr.score, tr.audio_used, tr.embedding, tr.logits))
+    scores, audio_used, embeddings, logits = zip(*outs)
+    scores = np.concatenate(scores)[:n]
+    audio_used = np.concatenate(audio_used)[:n]
     embeddings = (None if audio_used.any() and not audio_used.all()
-                  else np.concatenate([t.embedding for t in traces])[:n])
+                  else np.concatenate(embeddings)[:n])
     logits = (None if params.config.head != "categorical"
-              else np.concatenate([t.logits for t in traces])[:n])
+              else np.concatenate(logits)[:n])
     return scores, embeddings, logits
 
 
@@ -726,8 +754,9 @@ def backward(trace: Trace, params: ModelParams, d_score=None, d_embed=None,
             dfused += d_logits @ params["cat.w"]
 
     dpooled = _concat_backward(dfused, trace.cache["concat"], params, grads)
-    denc = _attention_backward(dpooled, trace.cache["attn"], params, grads)
-    _tcn_backward(denc, trace.cache["tcn"], params, grads)
+    # no name keeps the (B, C, T) gradient once the encoder has its copy
+    _tcn_backward(_attention_backward(dpooled, trace.cache["attn"], params, grads),
+                  trace.cache["tcn"], params, grads)
     return g
 
 

@@ -250,8 +250,8 @@ class TestPrepareBatchMatchesLoop:
 
 
 class TestChunkSummarizePadding:
-    """chunk_summarize_batch pads short clips itself, one block at a time;
-    each row is bitwise repeat_pad followed by summarizing that clip alone."""
+    """chunk_summarize_batch pads short clips itself, reading them as if
+    tiled; each row is bitwise repeat_pad followed by summarizing that clip alone."""
 
     def test_mixed_lengths_match_repeat_pad(self):
         rng = np.random.default_rng(4)
@@ -260,6 +260,18 @@ class TestChunkSummarizePadding:
         # clips of 250 frames cross a block boundary
         lengths = [125, 250, 17, 300, 100, 253, 1, 249] + [125, 250] * 20
         frames = [make_frames(rng.standard_normal((3, f)) * 10.0 ** rng.uniform(-3, 3))
+                  for f in lengths]
+        out = fp.chunk_summarize_batch(frames, 10, min_frames=250)
+        expected = np.stack([chunk_summarize_loop(fp.repeat_pad(fr, 250), 10)
+                             for fr in frames])
+        assert_bitwise(out, expected)
+
+    def test_signed_zero_extremes_across_the_wrap(self):
+        """Chunks that run past a short clip's last frame into its repeat,
+        full of +0 and -0, still match summarizing the padded clip."""
+        rng = np.random.default_rng(8)
+        lengths = [1, 3, 7, 17, 33, 99, 124, 149, 249] * 4
+        frames = [make_frames(rng.choice([0.0, -0.0, 0.0, -0.0, 1.5, -2.0], (3, f)))
                   for f in lengths]
         out = fp.chunk_summarize_batch(frames, 10, min_frames=250)
         expected = np.stack([chunk_summarize_loop(fp.repeat_pad(fr, 250), 10)
@@ -316,6 +328,21 @@ class TestMemory:
             extra.append(peak - sum(a.nbytes for a in batch if a is not None))
         # all 512 padded copies at once would add 448 more clips' worth
         assert extra[1] - extra[0] < 16 * padded_clip
+
+    def test_padding_makes_no_copy(self):
+        """A block of 149-frame clips read as if tiled to 298 frames needs
+        about the working memory of a block of clips 298 frames long."""
+        cfg = model.ModelConfig(n_channels=17, global_dim=4)
+        rng = np.random.default_rng(6)
+        extra = []
+        for f in (149, 298):
+            records = [fp.SampleRecord(id=str(i), frames=make_frames(rng.standard_normal((17, f))),
+                                       global_feature=np.zeros(4), label=i % 4)
+                       for i in range(32)]
+            batch, peak, _ = self.traced(model.prepare_batch, records, cfg)
+            extra.append(peak - sum(a.nbytes for a in batch if a is not None))
+        # the block's 32 padded copies would add 32 clips' worth
+        assert extra[0] - extra[1] < 4 * 17 * 298 * 8
 
 
 class TestSampleRecord:

@@ -103,6 +103,13 @@ class TestScorePool:
         pool.push([0], [0.5], np.ones((1, 3)))
         with pytest.raises(ValueError, match="length changed"):
             pool.push([0], [0.5], np.ones((1, 2)))
+        for labels in ([1.5, 2.9], np.array([1.0, 2.0]), np.array([True, False])):
+            fresh = mr.ScorePool(4)
+            with pytest.raises(ValueError, match="labels: dtype"):
+                fresh.push(labels, [0.1, 0.2], np.ones((2, 3)))
+            assert len(fresh) == 0
+        pool.push(np.array([1, 2], dtype=np.uint8), [0.1, 0.2], np.ones((2, 3)))
+        assert [e.label for e in pool.entries()] == [0, 1, 2]
 
     def test_push_refuses_nan_score(self):
         pool = mr.ScorePool(4)

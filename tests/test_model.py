@@ -592,6 +592,64 @@ class TestEvalTraces:
         assert len(calls) == 2 * len(cfg.dilations) - 1
 
 
+class TestDropoutMasks:
+    """Train traces keep dropout decisions as one-byte keep masks."""
+
+    @staticmethod
+    def _desk_train_trace(b, kind="visual"):
+        cfg = harness.TrainConfig.desk(
+            use_audio=kind == "audio",
+            loss="cb_focal" if kind == "categorical" else "mocorank").model_config()
+        params = model.init_params(cfg, seed=1)
+        rng = np.random.default_rng(b)
+        chunks = rng.standard_normal((b, cfg.chunk_rows, cfg.n_chunks))
+        gfeat = rng.standard_normal((b, cfg.global_dim))
+        speech = rng.standard_normal((b, cfg.speech_dim)) if kind == "audio" else None
+        meta = rng.random((b, fp.AUDIO_META_DIM)) if kind == "audio" else None
+        trace = model.forward_batch(chunks, gfeat, params, mode="train", speech=speech,
+                                    meta=meta, rng=np.random.default_rng(0))
+        return cfg, params, trace
+
+    @pytest.mark.parametrize("b", [32, 20])      # a desk batch and a partial one
+    def test_time_major_mask_is_the_batch_major_draw(self, b):
+        cfg = harness.TrainConfig.desk().model_config()
+        ch, t, rate = cfg.width, cfg.n_chunks, cfg.dropout
+        rng, ref_rng = np.random.default_rng(b), np.random.default_rng(b)
+        keep = model._time_major_mask(rate, True, rng, b, ch, t)
+        want = (ref_rng.random((b, ch, t)) >= rate).transpose(1, 2, 0).reshape(ch, t * b)
+        assert keep.dtype == bool and keep.flags.c_contiguous
+        np.testing.assert_array_equal(keep, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_train_trace_caches_one_byte_masks(self):
+        b = 5
+        cfg, _, trace = self._desk_train_trace(b)
+        n = cfg.n_chunks * b
+        want, in_ch = 0, cfg.chunk_rows
+        for cache in trace.cache["tcn"]:
+            assert cache["m1"].dtype == bool and cache["m2"].dtype == bool
+            # float64 conv inputs x and h1; one byte each for s1, m1, s2, m2, s_out
+            want += (8 * in_ch + 8 * cfg.width + 5 * cfg.width) * n
+            in_ch = cfg.width
+        got = sum(v.nbytes for cache in trace.cache["tcn"] for v in cache.values()
+                  if isinstance(v, np.ndarray))
+        assert got == want
+        assert trace.cache["attn"]["m"].dtype == bool
+
+    @pytest.mark.parametrize("kind", ["visual", "audio", "categorical"])
+    def test_backward_twice_gives_the_same_bytes(self, kind):
+        cfg, params, trace = self._desk_train_trace(20, kind)
+        rng = np.random.default_rng(3)
+        grads = dict(d_embed=rng.standard_normal(trace.embedding.shape))
+        if kind == "categorical":
+            grads["d_logits"] = rng.standard_normal(trace.logits.shape)
+        else:
+            grads["d_score"] = rng.standard_normal(trace.batch_size)
+        first = model.backward(trace, params, **grads)
+        assert first.any()
+        assert model.backward(trace, params, **grads).tobytes() == first.tobytes()
+
+
 def scoring_case(kind, n, seed=3):
     """(params, batch) of n records for a ``TestScoreBatch`` kind: visual,
     audio (every record has speech), mixed (about half do) or categorical at
