@@ -30,7 +30,7 @@ assert np.array_equal(padded.values[:, 7], padded.values[:, 0])
 
 # Four chunks out of 14 frames: 14 = 4*3 + 2, so the first two chunks get an
 # extra frame (sizes 4, 4, 3, 3).
-summary = fp.chunk_summarize(padded, n_chunks=4)
+summary = fp.chunk_summarize_batch([padded], n_chunks=4)[0]
 print("chunk summary shape (3 stats x channels, chunks):", summary.shape)
 
 # Row layout: per-channel minima first, then maxima, then variances.
@@ -59,8 +59,8 @@ assert len(loaded.records) == len(dataset.records)
 np.testing.assert_array_equal(loaded.records[5].global_feature,
                               dataset.records[5].global_feature)
 print("JSONL round trip preserved", len(loaded.records), "records")
-# Frames are stored C-ordered however they were made or read, so a reloaded
-# record summarizes to the same bytes as the one in memory.
+# A summary depends only on a clip's frame values, so a reloaded record
+# summarizes to the same bytes as the one in memory.
 for original, reloaded in zip(dataset.records, loaded.records):
     assert (fp.prepare_record(reloaded, n_chunks=2, min_frames=12).tobytes()
             == fp.prepare_record(original, n_chunks=2, min_frames=12).tobytes())

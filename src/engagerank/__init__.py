@@ -20,7 +20,6 @@ from .featurepipe import (
     FrameSequence,
     SampleRecord,
     apportion,
-    chunk_summarize,
     chunk_summarize_batch,
     class_balanced_sampler,
     latent_band,

@@ -63,7 +63,10 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 def _load_config_file(path: str) -> dict:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"config file {path!r}: malformed JSON ({err})") from err
     if not isinstance(data, dict):
         raise ValueError(f"config file {path!r} must hold a JSON object")
     version = data.pop("config_version", None)

@@ -7,12 +7,11 @@ scoring model consumes, reads and writes the JSON-lines dataset format, and
 synthesizes imbalanced ordinal datasets for desk-scale experiments.
 
 Summaries are computed for many sequences at once, over time-major blocks
-of records (``chunk_summarize_batch``); the one-sequence calls use the same
-path.  Short sequences are read there as if repeat-padded, with no padded
-copy.  Frames are stored C-ordered however they were made or loaded, so a
-clip gives the same summary bytes from a file as from memory, and each
-summary is bitwise equal to summarizing that padded sequence alone, chunk
-slice by chunk slice.
+of records (``chunk_summarize_batch``); ``prepare_record`` uses the same
+path for one record.  Short sequences are read there as if repeat-padded,
+with no padded copy.  Each statistic folds a chunk's frames in time order,
+so a summary depends only on its own sequence's values: not on how they
+were stored or loaded, nor on the sequences summarized beside it.
 
 Datasets are read one line at a time, so a load holds its records plus
 about one line of the file.
@@ -210,14 +209,13 @@ def chunk_summarize_batch(frames: Sequence[FrameSequence],
 
     Sequences of one padded length are summarized together, up to
     ``_BLOCK_RECORDS`` at a time, in a time-major buffer of shape (chunk
-    size, records, D, chunks): every reduction then runs over rows that span
-    the whole block.  No padded copy is made: the buffer reads padded frame
-    i of a short sequence from its frame i mod F.  Each row is still bitwise
-    what summarizing the padded sequence alone, chunk slice by chunk slice,
-    gives: the sums behind the variance add the frames in the pairwise order
-    numpy's reduction over a chunk slice of C-ordered frames uses, and the
-    few chunks with a zero extreme, where the order decides between +0 and
-    -0, are redone slice by slice.
+    size, records, D, chunks): every ufunc call then runs over a row that
+    spans the whole block.  No padded copy is made: the buffer reads padded
+    frame i of a short sequence from its frame i mod F.  Each statistic is
+    one fold over a chunk's frames in time order, one call per frame: the
+    min, the max, the sum behind the mean and the sum of squared deviations
+    from that mean.  So a row is bitwise the same whichever sequences share
+    its block.
     """
     if n_chunks <= 0:
         raise ValueError("chunk count must be positive")
@@ -264,65 +262,27 @@ def _summarize_block(values: list[np.ndarray], length: int, n_chunks: int) -> np
                 t[:, j] = v[:, first:first + c * size].reshape(d, c, size).transpose(2, 0, 1)
             else:
                 t[:, j] = v.take(frame % f, axis=1).transpose(1, 0, 2)
-        out[:, 0, :, chunks] = np.minimum.reduce(t, axis=0)
-        out[:, 1, :, chunks] = np.maximum.reduce(t, axis=0)
-        # np.var's steps: mean, deviations squared in place, their mean
-        mean = _pairwise_sum(t)
+        out[:, 0, :, chunks] = _fold(np.minimum, t)
+        out[:, 1, :, chunks] = _fold(np.maximum, t)
+        mean = _fold(np.add, t)
         mean /= size
         t -= mean
         t *= t
-        var = _pairwise_sum(t)
+        var = _fold(np.add, t)
         var /= size
         out[:, 2, :, chunks] = var
-    # Over finite values a min or max depends on the order only through ties
-    # between +0 and -0: redo those chunks with the per-chunk slice, whose
-    # rows are contiguous frames as in a padded copy.
-    for j, ch in zip(*(out[:, :2] == 0).any(axis=(1, 2)).nonzero()):
-        v = values[j]
-        f = v.shape[1]
-        start = ch * base + min(ch, extra)
-        stop = start + base + (ch < extra)
-        chunk = v[:, start:stop] if stop <= f else v.take(np.arange(start, stop) % f, axis=1)
-        out[j, 0, :, ch] = chunk.min(axis=1)
-        out[j, 1, :, ch] = chunk.max(axis=1)
     return out
 
 
-def _pairwise_sum(t: np.ndarray) -> np.ndarray:
-    """numpy's pairwise summation over axis 0, for every column at once.
+def _fold(ufunc: np.ufunc, t: np.ndarray) -> np.ndarray:
+    """``ufunc`` folded over the rows of ``t`` in order: (t[0] op t[1]) op t[2] ...
 
-    Below 8 rows a plain sum; up to 128 rows eight running sums over the
-    rows by residue mod 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
-    then the leftover rows in order; beyond that the rows split in two at a
-    multiple of 8 near the middle and the halves are summed alike.
-    """
-    n = len(t)
-    if n < 8:
-        return np.add.reduce(t, axis=0)
-    if n > 128:
-        half = n // 2
-        half -= half % 8
-        total = _pairwise_sum(t[:half])
-        total += _pairwise_sum(t[half:])
-        return total
-    whole = n - n % 8
-    r = np.add.reduce(t[:whole].reshape(whole // 8, 8, *t.shape[1:]), axis=0)
-    r[::2] += r[1::2]
-    r[::4] += r[2::4]
-    total = r[0]
-    total += r[4]
-    for row in t[whole:]:
-        total += row
-    return total
-
-
-def chunk_summarize(frames: FrameSequence, n_chunks: int = DEFAULT_CHUNKS) -> np.ndarray:
-    """Chunk-summarize one frame sequence: (3D, n_chunks).
-
-    The one-sequence call of ``chunk_summarize_batch``, which describes the
-    chunks and the statistics.
-    """
-    return chunk_summarize_batch([frames], n_chunks)[0]
+    One call per row fixes the order, which ``ufunc.reduce`` leaves to numpy
+    (it sums a lone column pairwise)."""
+    acc = t[0].copy()
+    for row in t[1:]:
+        ufunc(acc, row, out=acc)
+    return acc
 
 
 def prepare_record(record: SampleRecord, n_chunks: int = DEFAULT_CHUNKS,

@@ -157,10 +157,14 @@ class TrainConfig:
             raise ValueError("batch size must be in 1..pool_size")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
+        if self.stage2_epochs is not None and self.stage2_epochs < 1:
+            raise ValueError(f"stage2_epochs must be at least 1 or None, "
+                             f"got {self.stage2_epochs!r}")
         if not 0.0 < self.momentum < 1.0:
             raise ValueError("momentum must be in (0, 1)")
         if self.use_audio and self.head == "categorical":
             raise ValueError("audio training requires a scalar-head loss")
+        self.model_config()     # the model's own checks, before any data loads
 
     @property
     def head(self) -> str:
@@ -431,7 +435,8 @@ def train_two_stage(config: TrainConfig, train_set: Dataset,
                          n_channels=train_set.n_channels,
                          global_dim=train_set.global_dim)
     stage2_cfg = replace(config, use_audio=True,
-                         epochs=config.stage2_epochs or config.epochs)
+                         epochs=config.epochs if config.stage2_epochs is None
+                         else config.stage2_epochs)
     visual = state.params
     params = model_mod.init_params(stage2_cfg.model_config(), seed=config.seed)
     if params.layout[:len(visual.layout)] != visual.layout:   # audio tensors last
@@ -543,18 +548,21 @@ def load_checkpoint(path: str) -> TrainState:
 
     Parameters and momentum parameters are read in the layout ``init_params``
     gives the recorded model config, and every field is checked on load: a
-    bad one, such as a non-finite parameter or AdamW moment or a negative
-    AdamW ``v``, raises a ValueError naming the path and the field.  The
-    momentum encoder runs at ``config.momentum`` and the centers move at
-    ``mocorank.CENTER_RATE``, as in a fresh run; older files that also store
-    ``enc_momentum`` and ``centers_alpha`` load with both ignored, and so do
-    those whose model_config holds ``strict_pad: false``.  The pool must have
-    the capacity ``config.pool_size`` gives.
+    bad one, such as a non-finite parameter or AdamW moment, a negative
+    AdamW ``v`` or a meta field of the wrong JSON type, raises a ValueError
+    naming the path and the field.  The momentum encoder runs at
+    ``config.momentum`` and the centers move at ``mocorank.CENTER_RATE``, as
+    in a fresh run; older files that also store ``enc_momentum`` and
+    ``centers_alpha`` load with both ignored, and so do those whose
+    model_config holds ``strict_pad: false``.  The pool must have the
+    capacity ``config.pool_size`` gives.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"][()]))
             loaded = {k: data[k] for k in data.files if k != "meta"}
+        if not isinstance(meta, dict):
+            raise ValueError(f"meta {meta!r} is not a JSON object")
     except (zipfile.BadZipFile, OSError, KeyError, ValueError) as err:
         size = os.path.getsize(path) if os.path.exists(path) else 0
         raise ValueError(
@@ -568,10 +576,14 @@ def load_checkpoint(path: str) -> TrainState:
     def corrupt(field, problem):
         return ValueError(f"corrupt checkpoint {path!r}: field {field!r}: {problem}")
 
-    def need(source, name, prefix=""):
+    def need(source, name, prefix="", kind=None):
         if name not in source:
             raise corrupt(prefix + name, "missing")
-        return source[name]
+        value = source[name]
+        if kind is not None and not isinstance(value, kind):
+            raise corrupt(prefix + name, f"{value!r} is not a JSON "
+                                         f"{'object' if kind is dict else 'array'}")
+        return value
 
     def count(name):
         value = need(meta, name)
@@ -579,7 +591,8 @@ def load_checkpoint(path: str) -> TrainState:
             raise corrupt(name, f"{value!r} is not an integer >= 0")
         return value
 
-    config_d, mcfg_d = need(meta, "config"), need(meta, "model_config")
+    config_d = need(meta, "config", kind=dict)
+    mcfg_d = need(meta, "model_config", kind=dict)
     try:
         config = TrainConfig(**config_d)
     except (TypeError, ValueError) as err:
@@ -616,7 +629,9 @@ def load_checkpoint(path: str) -> TrainState:
     if key is not None:
         raise corrupt("model_config", f"{key} is {have[key]!r}, but config gives "
                                       f"{want[key]!r}")
-    frozen_keys = tuple(need(meta, "frozen_keys"))
+    frozen_keys = need(meta, "frozen_keys", kind=list)
+    if not all(isinstance(k, str) for k in frozen_keys):
+        raise corrupt("frozen_keys", f"{frozen_keys!r} is not a JSON array of strings")
     missing = [k for k in frozen_keys if k not in params]
     if missing:
         raise corrupt("frozen_keys", f"names {missing[0]!r}, which the model does not have")
@@ -635,7 +650,7 @@ def load_checkpoint(path: str) -> TrainState:
     except (TypeError, ValueError, KeyError, OverflowError) as err:
         raise corrupt("rng_state", f"not a PCG64 state ({err!r})") from err
     state = TrainState(config=config, params=params, opt=opt, rng=rng,
-                       epoch=count("epoch"), frozen_keys=frozen_keys)
+                       epoch=count("epoch"), frozen_keys=tuple(frozen_keys))
     for name, want in (("has_enc", config.needs_pool), ("has_pool", config.needs_pool),
                        ("has_centers", config.needs_centers)):
         if need(meta, name) is not want:
@@ -643,7 +658,7 @@ def load_checkpoint(path: str) -> TrainState:
     width = mcfg.score_embed_dim
     if config.needs_pool:
         state.enc = MomentumEncoder(params=load_params("momentum"))
-        pool_meta = need(meta, "pool")
+        pool_meta = need(meta, "pool", kind=dict)
         ring = {k: need(loaded, f"pool__{k}") for k in ("labels", "scores", "embeddings")}
         ring.update({k: need(pool_meta, k, "pool.") for k in ("count", "next", "capacity")})
         if ring["capacity"] != config.pool_size:

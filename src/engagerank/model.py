@@ -69,6 +69,8 @@ class ModelConfig:
             raise ValueError(f"head must be one of {HEADS}, got {self.head!r}")
         if self.with_audio and self.head != "scalar":
             raise ValueError("the audio branch requires the scalar head")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
 
     @property
     def chunk_rows(self) -> int:

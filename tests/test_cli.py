@@ -227,6 +227,18 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="JSON object"):
             cli._load_config_file(str(bad))
 
+    def test_malformed_json_names_the_file(self, tmp_path):
+        bad = tmp_path / "broken.json"
+        bad.write_text('{"config_version": 1, "epochs": }')
+        with pytest.raises(ValueError, match="broken.json.*malformed JSON.*line 1"):
+            cli._load_config_file(str(bad))
+
+    def test_bad_dropout_fails_before_data_loads(self, tmp_path):
+        """The train file does not exist, so only an early check names the flag."""
+        with pytest.raises(ValueError, match="dropout"):
+            run_cli("train", "--train", str(tmp_path / "absent.jsonl"),
+                    "--out-dir", str(tmp_path / "run"), "--dropout", "1.5")
+
 
 # a valid, non-default value for each TrainConfig field the command line sets
 NON_DEFAULT = dict(

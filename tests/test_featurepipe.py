@@ -13,17 +13,29 @@ def make_frames(values):
 
 
 def chunk_summarize_loop(frames, n_chunks):
-    """Reference: summarize one chunk slice at a time."""
-    d = frames.n_channels
-    base, extra = divmod(frames.n_frames, n_chunks)
+    """Reference: fold each chunk's frames one at a time, in time order, into
+    the min, the max, the sum behind the mean and the sum of squared
+    deviations from that mean."""
+    values = frames.values
+    d = values.shape[0]
+    base, extra = divmod(values.shape[1], n_chunks)
     out = np.empty((3 * d, n_chunks), dtype=np.float64)
     start = 0
     for t in range(n_chunks):
         size = base + (1 if t < extra else 0)
-        chunk = frames.values[:, start:start + size]
-        out[:d, t] = chunk.min(axis=1)
-        out[d:2 * d, t] = chunk.max(axis=1)
-        out[2 * d:, t] = chunk.var(axis=1)
+        cols = [values[:, i] for i in range(start, start + size)]
+        lo = hi = total = cols[0]
+        for col in cols[1:]:
+            lo = np.minimum(lo, col)
+            hi = np.maximum(hi, col)
+            total = total + col
+        mean = total / size
+        squares = (cols[0] - mean) * (cols[0] - mean)
+        for col in cols[1:]:
+            squares = squares + (col - mean) * (col - mean)
+        out[:d, t] = lo
+        out[d:2 * d, t] = hi
+        out[2 * d:, t] = squares / size
         start += size
     return out
 
@@ -78,34 +90,34 @@ class TestChunkSummarize:
     def test_variance_is_population_variance(self):
         """A chunk holding {1,2,3} reports variance 2/3, not 1."""
         f = make_frames(np.array([[1.0, 2.0, 3.0]]))
-        out = fp.chunk_summarize(f, n_chunks=1)
+        out = fp.chunk_summarize_batch([f], n_chunks=1)[0]
         np.testing.assert_allclose(out[:, 0], [1.0, 3.0, 2.0 / 3.0])
 
     def test_output_shape(self):
         f = make_frames(np.zeros((4, 30)))
-        out = fp.chunk_summarize(f, n_chunks=10)
+        out = fp.chunk_summarize_batch([f], n_chunks=10)[0]
         assert out.shape == (12, 10)
 
     def test_remainder_goes_to_leading_chunks(self):
         # 7 frames in 3 chunks -> sizes 3, 2, 2
         f = make_frames(np.arange(7, dtype=float)[None, :])
-        out = fp.chunk_summarize(f, n_chunks=3)
+        out = fp.chunk_summarize_batch([f], n_chunks=3)[0]
         np.testing.assert_allclose(out[0], [0.0, 3.0, 5.0])   # chunk minima
         np.testing.assert_allclose(out[1], [2.0, 4.0, 6.0])   # chunk maxima
 
     def test_too_few_frames(self):
         f = make_frames(np.zeros((2, 4)))
         with pytest.raises(ValueError, match="too few frames"):
-            fp.chunk_summarize(f, n_chunks=5)
+            fp.chunk_summarize_batch([f], n_chunks=5)
 
     def test_chunk_count_positive(self):
         f = make_frames(np.zeros((2, 4)))
         with pytest.raises(ValueError):
-            fp.chunk_summarize(f, n_chunks=0)
+            fp.chunk_summarize_batch([f], n_chunks=0)
 
     def test_constant_signal_zero_variance(self):
         f = make_frames(np.full((2, 20), 3.5))
-        out = fp.chunk_summarize(f, n_chunks=4)
+        out = fp.chunk_summarize_batch([f], n_chunks=4)[0]
         np.testing.assert_allclose(out[4:], 0.0)
         np.testing.assert_allclose(out[:4], 3.5)
 
@@ -113,7 +125,7 @@ class TestChunkSummarize:
         """Rows stack min block, then max block, then variance block."""
         rng = np.random.default_rng(1)
         vals = rng.standard_normal((3, 24))
-        out = fp.chunk_summarize(make_frames(vals), n_chunks=2)
+        out = fp.chunk_summarize_batch([make_frames(vals)], n_chunks=2)[0]
         first, second = vals[:, :12], vals[:, 12:]
         np.testing.assert_allclose(out[0:3, 0], first.min(axis=1))
         np.testing.assert_allclose(out[3:6, 0], first.max(axis=1))
@@ -121,7 +133,7 @@ class TestChunkSummarize:
 
 
 class TestChunkSummarizeMatchesLoop:
-    """The blocked reductions are bitwise those of the per-chunk loop."""
+    """The blocked folds are bitwise those of the per-frame loop."""
 
     @pytest.mark.parametrize("d,f,n_chunks", [
         (17, 300, 10),    # divisible
@@ -129,7 +141,9 @@ class TestChunkSummarizeMatchesLoop:
         (3, 7, 3),
         (4, 10, 10),      # F == n_chunks: single-frame chunks
         (5, 33, 1),       # one chunk
-        (1, 129, 4),      # inner length past the pairwise-sum block
+        (1, 129, 4),      # one channel: the 33-frame chunk is a lone column
+        (1, 200, 1),      # a lone column past numpy's 128-row pairwise block;
+        (1, 300, 1),      # at 200 frames these values give equal bits either way
     ])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_layouts(self, d, f, n_chunks, order):
@@ -137,7 +151,7 @@ class TestChunkSummarizeMatchesLoop:
         vals = np.asarray(rng.standard_normal((d, f)) * 50.0 + 7.0, order=order)
         frames = make_frames(vals)
         assert frames.values.flags.c_contiguous
-        assert_bitwise(fp.chunk_summarize(frames, n_chunks),
+        assert_bitwise(fp.chunk_summarize_batch([frames], n_chunks)[0],
                        chunk_summarize_loop(frames, n_chunks))
 
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -146,7 +160,7 @@ class TestChunkSummarizeMatchesLoop:
         for f in (1, 9, 37, 100, 249):
             vals = np.asarray(rng.standard_normal((17, f)), order=order)
             padded = fp.repeat_pad(make_frames(vals), min_frames=250)
-            assert_bitwise(fp.chunk_summarize(padded),
+            assert_bitwise(fp.chunk_summarize_batch([padded])[0],
                            chunk_summarize_loop(padded, fp.DEFAULT_CHUNKS))
 
     def test_hypothesis_sweep(self):
@@ -162,7 +176,7 @@ class TestChunkSummarizeMatchesLoop:
             scale = 10.0 ** rng.uniform(-3, 3)
             vals = np.asarray(rng.standard_normal((d, f)) * scale, order=order)
             frames = make_frames(vals)
-            assert_bitwise(fp.chunk_summarize(frames, n_chunks),
+            assert_bitwise(fp.chunk_summarize_batch([frames], n_chunks)[0],
                            chunk_summarize_loop(frames, n_chunks))
 
         check()
@@ -182,7 +196,7 @@ class TestChunkSummarizeMatchesLoop:
             vals = np.asarray(rng.choice([0.0, -0.0, 0.0, -0.0, 1.5, -2.0], (d, f)),
                               order=order)
             frames = make_frames(vals)
-            assert_bitwise(fp.chunk_summarize(frames, n_chunks),
+            assert_bitwise(fp.chunk_summarize_batch([frames], n_chunks)[0],
                            chunk_summarize_loop(frames, n_chunks))
 
         check()

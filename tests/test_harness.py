@@ -68,6 +68,17 @@ class TestTrainConfig:
             with pytest.raises(ValueError, match="momentum"):
                 tiny_train_config(momentum=bad)
 
+    def test_model_config_checked_up_front(self):
+        """A dropout the model refuses fails when the config is built."""
+        with pytest.raises(ValueError, match="dropout"):
+            tiny_train_config(dropout=1.0)
+
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_stage2_epochs_at_least_one(self, epochs):
+        """0 would otherwise read as "as many as stage 1"."""
+        with pytest.raises(ValueError, match="stage2_epochs must be at least 1"):
+            tiny_train_config(stage2_epochs=epochs)
+
     def test_audio_needs_scalar_loss(self):
         with pytest.raises(ValueError, match="scalar"):
             tiny_train_config(loss="ce", use_audio=True)
@@ -705,6 +716,21 @@ class TestCheckpointing:
         instead of failing later inside training."""
         path = self._edited_checkpoint(tmp_path, meta_edits={name: value}, loss=loss)
         self._refused(path, name, re.escape(f"{value}, but loss '{loss}' gives {not value}"))
+
+    @pytest.mark.parametrize("name, value", [
+        ("frozen_keys", 5), ("frozen_keys", "tcn.0.conv1.w"), ("frozen_keys", [["a"]]),
+        ("model_config", 7), ("model_config", ["width"]), ("pool", 5)])
+    def test_wrong_json_type(self, tmp_path, name, value):
+        """A string of frozen keys is not read one character at a time."""
+        path = self._edited_checkpoint(tmp_path, meta_edits={name: value})
+        self._refused(path, name, ".* is not a JSON")
+
+    def test_meta_not_an_object(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, meta=json.dumps([1]))
+        with pytest.raises(ValueError, match="corrupt checkpoint.*not a JSON object"):
+            harness.load_checkpoint(str(path))
 
     def test_valid_frozen_keys_still_load(self, tmp_path):
         path = self._edited_checkpoint(

@@ -43,6 +43,13 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="scalar"):
             tiny_config(with_audio=True, head="categorical")
 
+    @pytest.mark.parametrize("rate", [1.0, 1.5, -0.3, float("nan")])
+    def test_dropout_outside_unit_interval(self, rate):
+        """1.0 would divide by zero at the first step, 1.5 scale activations
+        by -2 and -0.3 train with no dropout."""
+        with pytest.raises(ValueError, match=r"dropout must be in \[0, 1\)"):
+            tiny_config(dropout=rate)
+
     def test_embed_dim_doubles_with_concat(self):
         assert tiny_config(fusion="openface_only").embed_dim == 4
         assert tiny_config(fusion="attention_only").embed_dim == 4
