@@ -53,21 +53,35 @@ assert [e.label for e in pool.entries()] == [2, 3, 1, 1]
 # ---------------------------------------------------------------------------
 # 3. Margins widen with the label gap and with embedding similarity
 # ---------------------------------------------------------------------------
+# For a label gap d of 1, 2 or 3 the margin is 0.5 (d - 1) + 0.5 (cos + 1) / 2,
+# where cos is the cosine of the two embeddings.
+def margin(d, e1, e2):
+    cos = e1 @ e2 / (np.linalg.norm(e1) * np.linalg.norm(e2))
+    return 0.5 * (d - 1) + 0.5 * (cos + 1) / 2
+
+
 e = np.array([1.0, 0.0])
 for other, name in [(np.array([1.0, 0.0]), "parallel"),
                     (np.array([0.0, 1.0]), "orthogonal"),
                     (np.array([-1.0, 0.0]), "opposite")]:
-    ladder = [mocorank.margin(d, e, other) for d in (1, 2, 3)]
+    ladder = [margin(d, e, other) for d in (1, 2, 3)]
     print(f"margins vs {name:>10} embedding:",
           " ".join(f"{m:.2f}" for m in ladder))
 
 # Parallel embeddings (cos = 1) demand the widest margins: 0.5, 1.0, 1.5.
-np.testing.assert_allclose(
-    [mocorank.margin(d, e, e) for d in (1, 2, 3)], [0.5, 1.0, 1.5])
+np.testing.assert_allclose([margin(d, e, e) for d in (1, 2, 3)], [0.5, 1.0, 1.5])
 # Opposite embeddings (cos = -1) already look different, so the score gap
 # may shrink by 0.5 at every rung.
-np.testing.assert_allclose(
-    [mocorank.margin(d, e, -e) for d in (1, 2, 3)], [0.0, 0.5, 1.0])
+np.testing.assert_allclose([margin(d, e, -e) for d in (1, 2, 3)], [0.0, 0.5, 1.0])
+
+# The library has no separate margin function: against a one-entry pool at
+# an equal score, the loss of a sample d classes higher is exactly its margin.
+other = np.array([0.6, 0.8])
+one = mocorank.ScorePool(1).push([0], [0.2], other[None])
+for d in (1, 2, 3):
+    loss, _, _ = mocorank.multi_margin_loss(np.array([0.2]), np.array([d]),
+                                            e[None], one)
+    np.testing.assert_allclose(loss, margin(d, e, other), rtol=1e-12)
 
 # ---------------------------------------------------------------------------
 # 4. One loss evaluation, checked against the definition
@@ -81,10 +95,19 @@ embeds = rng.standard_normal((3, 3))
 loss, d_scores, d_embeds = mocorank.multi_margin_loss(
     scores, labels, embeds, pool)
 
+# A same-label pair pays |s1 - s2|; otherwise the higher-labelled sample must
+# outscore the lower one by the margin, and the pair pays the shortfall.
+def pair_term(l1, s1, e1, l2, s2, e2):
+    if l1 == l2:
+        return abs(s1 - s2)
+    return margin(abs(l1 - l2), e1, e2) - np.sign(l1 - l2) * (s1 - s2)
+
+
 total = 0.0
 for i in range(3):
     for entry in pool.entries():
-        term = mocorank.pairwise_term(labels[i], scores[i], embeds[i], entry)
+        term = pair_term(labels[i], scores[i], embeds[i],
+                         entry.label, entry.score, entry.embedding)
         total += max(term, 0.0)
 brute = total / (3 * len(pool))
 np.testing.assert_allclose(loss, brute, rtol=1e-12)
@@ -102,7 +125,7 @@ assert d_scores[0] > 0 and d_scores[1] < 0
 # With a pool entry of the same class at score -0.1, a sample at 0.5 pays
 # |0.5 - (-0.1)| even though no ranking is violated.
 entry = pool.entries()[2]
-term = mocorank.pairwise_term(1, 0.5, embeds[0], entry)
+term = pair_term(1, 0.5, embeds[0], entry.label, entry.score, entry.embedding)
 np.testing.assert_allclose(term, 0.6)
 print(f"same-label residual at scores 0.5 vs {entry.score:.1f}: {term:.1f}")
 
@@ -122,7 +145,5 @@ assert (counts == 2).all()
 records = data.records[:4]
 enc_scores, enc_embeds, _ = model.score_batch(
     enc.params, model.prepare_batch(records, enc.params.config))
-entries = [mocorank.ScorePoolEntry(r.label, s, e)
-           for r, s, e in zip(records, enc_scores, enc_embeds)]
-pool = pool.push_entries(entries)
+pool = pool.push(np.array([r.label for r in records]), enc_scores, enc_embeds)
 print("pool ages after one training push: 4 fresh entries, 4 survivors")

@@ -24,7 +24,6 @@ from .featurepipe import (
     class_balanced_sampler,
     latent_band,
     load_records,
-    prepare_record,
     repeat_pad,
     save_records,
     sequential_batches,
@@ -63,11 +62,9 @@ from .mocorank import (
     cb_focal_loss,
     ce_loss,
     center_loss,
-    margin,
     momentum_update,
     mse_loss,
     multi_margin_loss,
-    pairwise_term,
     pool_init,
 )
 from .model import (
@@ -75,16 +72,12 @@ from .model import (
     ModelConfig,
     ModelParams,
     Trace,
-    attention_fuse,
     backward,
     classify,
-    concat_fuse,
     forward_batch,
     init_params,
     prepare_batch,
     score_batch,
-    score_head,
-    temporal_encoder,
 )
 
 __version__ = "0.1.0"

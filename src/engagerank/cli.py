@@ -6,7 +6,9 @@ TrainConfig's fields, built from the dataclass: field ``x_y`` is the flag
 ``--x-y``, except ``n_channels``, which is ``--channels``; the data paths
 come from --train and --val instead.  Any of them may instead come from a
 JSON config file (--config), with explicit command-line flags taking
-precedence over file values.  ENGAGERANK_LOG_LEVEL controls log verbosity.
+precedence over file values.  A ValueError from bad input prints one
+``engagerank: error:`` line on stderr and exits 2, as argparse does for a
+bad flag.  ENGAGERANK_LOG_LEVEL controls log verbosity.
 """
 
 from __future__ import annotations
@@ -144,17 +146,10 @@ def _load_train_val(config: TrainConfig):
 
 
 def cmd_train(args) -> int:
+    """train and train-two-stage: ``args.trainer`` is the harness loop."""
     config = build_train_config(args, train_path=args.train, val_path=args.val)
     train_set, val_set = _load_train_val(config)
-    state, history = harness.train(config, train_set, val_set)
-    _write_run_outputs(args.out_dir, state, history)
-    return 0
-
-
-def cmd_train_two_stage(args) -> int:
-    config = build_train_config(args, train_path=args.train, val_path=args.val)
-    train_set, val_set = _load_train_val(config)
-    state, history = harness.train_two_stage(config, train_set, val_set)
+    state, history = args.trainer(config, train_set, val_set)
     _write_run_outputs(args.out_dir, state, history)
     return 0
 
@@ -243,16 +238,16 @@ def build_parser() -> argparse.ArgumentParser:
                    default=featurepipe.SPEECH_DIM)
     p.set_defaults(func=cmd_synth)
 
-    for name, func, extra_help in (
-            ("train", cmd_train, "train a model"),
-            ("train-two-stage", cmd_train_two_stage,
+    for name, trainer, extra_help in (
+            ("train", harness.train, "train a model"),
+            ("train-two-stage", harness.train_two_stage,
              "visual stage then frozen-visual audio stage")):
         p = sub.add_parser(name, help=extra_help)
         p.add_argument("--train", required=True, help="training JSONL")
         p.add_argument("--val", help="validation JSONL")
         p.add_argument("--out-dir", required=True, dest="out_dir")
         _add_train_flags(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_train, trainer=trainer)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
@@ -293,8 +288,13 @@ def main(argv=None) -> int:
     logging.basicConfig(
         level=os.environ.get("ENGAGERANK_LOG_LEVEL", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as err:
+        print(f"{parser.prog}: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

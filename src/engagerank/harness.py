@@ -489,20 +489,12 @@ def evaluate(source, dataset: Dataset, subset: str = "all") -> MetricsReport:
 # Checkpointing
 # ---------------------------------------------------------------------------
 
-def _config_to_jsonable(config) -> dict:
-    d = dataclasses.asdict(config)
-    for k, v in d.items():
-        if isinstance(v, tuple):
-            d[k] = list(v)
-    return d
-
-
 def save_checkpoint(state: TrainState, path: str) -> None:
     """Write the whole TrainState to a versioned npz container."""
     meta = {
         "version": CHECKPOINT_VERSION,
-        "config": _config_to_jsonable(state.config),
-        "model_config": _config_to_jsonable(state.params.config),
+        "config": dataclasses.asdict(state.config),
+        "model_config": dataclasses.asdict(state.params.config),
         "epoch": state.epoch,
         "opt_step": state.opt["step"],
         "rng_state": state.rng.bit_generator.state,

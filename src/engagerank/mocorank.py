@@ -34,6 +34,22 @@ MIDPOINTS = np.array([-0.75, -0.25, 0.25, 0.75])
 CENTER_RATE = 0.5                  # center_loss's mean-shift step
 
 
+def _check_rows(labels: np.ndarray, scores: np.ndarray, embeddings: np.ndarray,
+                field: str) -> None:
+    """Refuse pool rows with non-integer or out-of-range labels, out-of-range
+    scores or non-finite embeddings.  ``field.format(name)`` starts each
+    error, so it names the offending array."""
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"{field.format('labels')}dtype {labels.dtype} is not an "
+                         f"integer type")
+    if np.any((labels < 0) | (labels >= N_CLASSES)):
+        raise ValueError(f"{field.format('labels')}label outside 0..{N_CLASSES - 1}")
+    if not np.all(np.abs(scores) <= 1.0 + SCORE_TOL):
+        raise ValueError(f"{field.format('scores')}score out of range")
+    if not np.all(np.isfinite(embeddings)):
+        raise ValueError(f"{field.format('embeddings')}non-finite value")
+
+
 @dataclass
 class ScorePoolEntry:
     label: int
@@ -41,13 +57,9 @@ class ScorePoolEntry:
     embedding: np.ndarray
 
     def __post_init__(self):
-        if not 0 <= int(self.label) < N_CLASSES:
-            raise ValueError(f"label must be 0..{N_CLASSES - 1}, got {self.label}")
-        if not abs(self.score) <= 1.0 + SCORE_TOL:
-            raise ValueError("score out of range")
         self.embedding = np.asarray(self.embedding, dtype=np.float64)
-        if not np.all(np.isfinite(self.embedding)):
-            raise ValueError("pool embedding must be finite")
+        _check_rows(np.asarray(self.label), np.asarray(self.score, dtype=np.float64),
+                    self.embedding, "{}: ")
 
 
 class ScorePool:
@@ -72,17 +84,17 @@ class ScorePool:
 
     @property
     def labels(self) -> np.ndarray:
-        return self._labels[:self._count] if not self.full else self._labels
+        return self._labels[:self._count]
 
     @property
     def scores(self) -> np.ndarray:
-        return self._scores[:self._count] if not self.full else self._scores
+        return self._scores[:self._count]
 
     @property
     def embeddings(self) -> np.ndarray:
         if self._embeddings is None:
             raise ValueError("empty pool")
-        return self._embeddings[:self._count] if not self.full else self._embeddings
+        return self._embeddings[:self._count]
 
     def push(self, labels, scores, embeddings) -> "ScorePool":
         """Append a batch, evicting the same number of oldest entries if full.
@@ -95,11 +107,10 @@ class ScorePool:
         if embeddings is None:
             raise ValueError("cannot pool a mixed visual/audio batch")
         labels = np.asarray(labels)
-        if labels.dtype.kind not in "iu":
-            raise ValueError(f"labels: dtype {labels.dtype} is not an integer type")
-        labels = labels.astype(np.int64, copy=False).reshape(-1)
         scores = np.asarray(scores, dtype=np.float64).reshape(-1)
         embeddings = np.asarray(embeddings, dtype=np.float64)
+        _check_rows(labels, scores, embeddings, "{}: ")
+        labels = labels.astype(np.int64, copy=False).reshape(-1)
         b = labels.size
         if b == 0:
             return self
@@ -108,12 +119,6 @@ class ScorePool:
                 f"cannot push {b} entries into a pool of capacity {self.capacity}")
         if scores.shape != (b,) or embeddings.shape[0] != b or embeddings.ndim != 2:
             raise ValueError("labels, scores, and embeddings must agree in batch size")
-        if np.any((labels < 0) | (labels >= N_CLASSES)):
-            raise ValueError(f"label must be 0..{N_CLASSES - 1}")
-        if not np.all(np.abs(scores) <= 1.0 + SCORE_TOL):
-            raise ValueError("score out of range")
-        if not np.all(np.isfinite(embeddings)):
-            raise ValueError("pool embedding must be finite")
         if self._embeddings is None:
             self._embeddings = np.zeros((self.capacity, embeddings.shape[1]))
         elif embeddings.shape[1] != self._embeddings.shape[1]:
@@ -126,11 +131,6 @@ class ScorePool:
         self._next = int((self._next + b) % self.capacity)
         self._count = min(self._count + b, self.capacity)
         return self
-
-    def push_entries(self, entries: list[ScorePoolEntry]) -> "ScorePool":
-        return self.push(np.array([e.label for e in entries]),
-                         np.array([e.score for e in entries]),
-                         np.stack([e.embedding for e in entries]))
 
     def entries(self) -> list[ScorePoolEntry]:
         """Current contents, oldest first."""
@@ -173,9 +173,6 @@ class ScorePool:
         pool = cls(state["capacity"])
         cap, count, nxt = pool.capacity, state["count"], state["next"]
         labels = np.asarray(state["labels"])
-        if labels.dtype.kind not in "iu":
-            raise ValueError(f"pool state field 'labels': dtype {labels.dtype} is not "
-                             f"an integer type")
         scores = np.asarray(state["scores"], dtype=np.float64)
         emb = np.asarray(state["embeddings"], dtype=np.float64)
         if not 0 <= count <= cap:
@@ -187,19 +184,14 @@ class ScorePool:
             if arr.shape != (cap,):
                 raise ValueError(f"pool state field {name!r}: shape {arr.shape}, "
                                  f"expected ({cap},)")
-        if np.any((labels[:count] < 0) | (labels[:count] >= N_CLASSES)):
-            raise ValueError(f"pool state field 'labels': live label outside "
-                             f"0..{N_CLASSES - 1}")
-        if not np.all(np.abs(scores[:count]) <= 1.0 + SCORE_TOL):
-            raise ValueError("pool state field 'scores': live score out of range")
         if emb.size and (emb.ndim != 2 or emb.shape[0] != cap):
             raise ValueError(f"pool state field 'embeddings': shape {emb.shape}, "
                              f"expected ({cap}, dim)")
         if count and not emb.size:
             raise ValueError("pool state field 'embeddings': missing for a "
                              "non-empty pool")
-        if not np.all(np.isfinite(emb)):
-            raise ValueError("pool state field 'embeddings': non-finite value")
+        # slots past count are never read, but every embedding slot is checked
+        _check_rows(labels[:count], scores[:count], emb, "pool state field {!r}: ")
         pool._labels[...] = labels
         pool._scores[...] = scores
         if emb.size:
@@ -294,32 +286,6 @@ def _warn_zero_norm(*dead: np.ndarray) -> None:
     if any(d.any() for d in dead):
         warnings.warn("zero-norm embedding; cosine taken as 0", RuntimeWarning,
                       stacklevel=3)
-
-
-def margin(diff: int, e1: np.ndarray, e2: np.ndarray) -> float:
-    """Margin for a label gap of diff, adapted to the embeddings' cosine.
-
-    With c = (cos+1)/2 the margins are 0.5c, 0.5 + 0.5c, and 1.0 + 0.5c for
-    gaps of 1, 2, and 3.
-    """
-    if diff not in (1, 2, 3):
-        raise ValueError("label difference must be 1, 2, or 3")
-    e1 = np.array(e1, dtype=np.float64).reshape(1, -1)
-    e2 = np.array(e2, dtype=np.float64).reshape(1, -1)
-    _warn_zero_norm(_unit_rows(e1, e1)[1], _unit_rows(e2, e2)[1])
-    c = (float(e1[0] @ e2[0]) + 1.0) / 2.0
-    return 0.5 * (diff - 1) + 0.5 * c
-
-
-def pairwise_term(l1: int, s1: float, e1: np.ndarray, entry: ScorePoolEntry) -> float:
-    """Raw (un-hinged) ranking residual of one sample against one pool entry."""
-    l2, s2 = int(entry.label), entry.score
-    if l1 == l2:
-        return abs(s1 - s2)
-    m = margin(abs(l1 - l2), e1, entry.embedding)
-    if l1 > l2:
-        return m - (s1 - s2)
-    return m - (s2 - s1)
 
 
 def _label_order(labels: np.ndarray, *minor_keys: np.ndarray):
@@ -487,11 +453,7 @@ def cb_focal_loss(logits: np.ndarray, labels: np.ndarray, class_counts,
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     b = labels.size
 
-    if beta == 0.0:
-        class_w = np.ones(N_CLASSES)
-    else:
-        class_w = (1.0 - beta) / (1.0 - beta ** counts)
-    w = class_w[labels]
+    w = ((1.0 - beta) / (1.0 - beta ** counts))[labels]
 
     logp = _log_softmax(logits)
     p = np.exp(logp)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -233,11 +234,27 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="broken.json.*malformed JSON.*line 1"):
             cli._load_config_file(str(bad))
 
-    def test_bad_dropout_fails_before_data_loads(self, tmp_path):
-        """The train file does not exist, so only an early check names the flag."""
-        with pytest.raises(ValueError, match="dropout"):
-            run_cli("train", "--train", str(tmp_path / "absent.jsonl"),
-                    "--out-dir", str(tmp_path / "run"), "--dropout", "1.5")
+    def test_bad_dropout_fails_before_data_loads(self, tmp_path, monkeypatch, capsys):
+        """A bad value is one error line naming the flag and exit status 2,
+        and the data is never read."""
+        loaded = []
+        monkeypatch.setattr(featurepipe, "load_records", loaded.append)
+        code = run_cli("train", "--train", str(tmp_path / "absent.jsonl"),
+                       "--out-dir", str(tmp_path / "run"), "--dropout", "1.5")
+        err = capsys.readouterr().err
+        assert code == 2 and loaded == []
+        assert err.startswith("engagerank: error: ") and err.count("\n") == 1
+        assert "dropout" in err
+
+    def test_malformed_config_file_through_main(self, tmp_path, capsys):
+        bad = tmp_path / "broken.json"
+        bad.write_text('{"config_version": 1, "epochs": }')
+        code = run_cli("train", "--train", "x", "--out-dir", str(tmp_path / "run"),
+                       "--config", str(bad))
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert re.match(r"engagerank: error: config file '.*broken\.json': "
+                        r"malformed JSON", err)
 
 
 # a valid, non-default value for each TrainConfig field the command line sets

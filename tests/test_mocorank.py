@@ -17,6 +17,15 @@ def entry(label, score, embedding):
                              embedding=np.asarray(embedding, dtype=np.float64))
 
 
+def one_pair_loss(label, score, embedding, pool_label, pool_score, pool_embedding):
+    """``multi_margin_loss`` of one sample against a one-entry pool: the
+    hinged pair term."""
+    pool = mr.ScorePool(1).push([pool_label], [pool_score], [pool_embedding])
+    loss, _, _ = mr.multi_margin_loss(np.array([score]), np.array([label]),
+                                      np.array([embedding], dtype=np.float64), pool)
+    return loss
+
+
 def random_instance(rng, b=None, p=None, dim=None):
     """A random batch plus a filled pool, scores safely inside [-1, 1]."""
     b = b or int(rng.integers(1, 9))
@@ -108,6 +117,8 @@ class TestScorePool:
             with pytest.raises(ValueError, match="labels: dtype"):
                 fresh.push(labels, [0.1, 0.2], np.ones((2, 3)))
             assert len(fresh) == 0
+        with pytest.raises(ValueError, match="labels: dtype"):
+            pool.push(np.zeros(0), np.zeros(0), np.zeros((0, 3)))
         pool.push(np.array([1, 2], dtype=np.uint8), [0.1, 0.2], np.ones((2, 3)))
         assert [e.label for e in pool.entries()] == [0, 1, 2]
 
@@ -161,6 +172,7 @@ class TestScorePool:
         ("capacity", 4.0),
         ("count", True),
         ("labels", np.array([0.0, 1.5, 2.0, 0.0])),
+        ("embeddings", np.vstack([np.ones((3, 2)), [[np.nan, 1.0]]])),   # dead slot
     ])
     def test_state_field_validation(self, field, value):
         pool = mr.ScorePool(4)
@@ -433,60 +445,60 @@ class TestPoolInit:
 
 
 class TestMargin:
-    def test_gap_validation(self):
-        for bad in (0, 4, -1):
-            with pytest.raises(ValueError, match="1, 2, or 3"):
-                mr.margin(bad, np.ones(2), np.ones(2))
+    """With equal scores, a label gap of d against a one-entry pool costs
+    exactly the margin 0.5 (d - 1) + 0.5 (cos + 1) / 2."""
+
+    @staticmethod
+    def margin(d, e1, e2):
+        return one_pair_loss(d, 0.0, e1, 0, 0.0, e2)
 
     def test_aligned_embeddings(self):
         e = np.array([2.0, 0.0])
         np.testing.assert_allclose(
-            [mr.margin(d, e, 3.0 * e) for d in (1, 2, 3)], [0.5, 1.0, 1.5])
+            [self.margin(d, e, 3.0 * e) for d in (1, 2, 3)], [0.5, 1.0, 1.5])
 
     def test_opposed_embeddings(self):
         e = np.array([1.0, 1.0])
         np.testing.assert_allclose(
-            [mr.margin(d, e, -e) for d in (1, 2, 3)], [0.0, 0.5, 1.0],
+            [self.margin(d, e, -e) for d in (1, 2, 3)], [0.0, 0.5, 1.0],
             atol=1e-15)
 
     def test_orthogonal_embeddings(self):
-        assert mr.margin(2, np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.75
+        assert self.margin(2, np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.75
 
     def test_zero_embedding_warns_and_counts_as_orthogonal(self):
         with pytest.warns(RuntimeWarning, match="zero-norm"):
-            m = mr.margin(2, np.zeros(3), np.ones(3))
+            m = self.margin(2, np.zeros(3), np.ones(3))
         assert m == 0.75
 
 
 class TestPairwiseTerm:
     def test_higher_against_lower(self):
-        e1 = np.array([1.0, 0.0])
-        pe = entry(1, 0.0, [0.0, 1.0])          # orthogonal: cos = 0, M2 = 0.75
-        assert mr.pairwise_term(3, 0.4, e1, pe) == pytest.approx(0.35, abs=1e-15)
+        # orthogonal: cos = 0, M2 = 0.75
+        loss = one_pair_loss(3, 0.4, [1.0, 0.0], 1, 0.0, [0.0, 1.0])
+        assert loss == pytest.approx(0.35, abs=1e-15)
 
     def test_same_label_zero_residual(self):
-        assert mr.pairwise_term(2, 0.3, np.ones(2), entry(2, 0.3, np.ones(2))) == 0.0
+        assert one_pair_loss(2, 0.3, np.ones(2), 2, 0.3, np.ones(2)) == 0.0
 
     def test_lower_against_higher(self):
-        e1 = np.array([1.0, 1.0])
-        pe = entry(2, 0.1, [2.0, 2.0])          # aligned: cos = 1, M1 = 0.5
-        assert mr.pairwise_term(1, 0.6, e1, pe) == pytest.approx(1.0, abs=1e-15)
+        # aligned: cos = 1, M1 = 0.5
+        loss = one_pair_loss(1, 0.6, [1.0, 1.0], 2, 0.1, [2.0, 2.0])
+        assert loss == pytest.approx(1.0, abs=1e-15)
 
 
 class TestMultiMarginLoss:
     def test_two_pair_hand_value(self):
         """One sample against a two-entry pool: terms 0.35 and 1.0, mean 0.675."""
         pool = mr.ScorePool(2)
-        pool.push_entries([entry(1, 0.0, [0.0, 1.0]),
-                           entry(2, 0.9, [1.0, 0.0])])
+        pool.push([1, 2], [0.0, 0.9], [[0.0, 1.0], [1.0, 0.0]])
         loss, _, _ = mr.multi_margin_loss(np.array([0.4]), np.array([3]),
                                           np.array([[1.0, 0.0]]), pool)
         assert loss == pytest.approx(0.675, abs=1e-15)
 
     def test_slack_everywhere_means_zero_gradients(self):
         pool = mr.ScorePool(2)
-        pool.push_entries([entry(3, 0.9, [1.0, 0.0]),
-                           entry(0, -0.9, [-1.0, 0.0])])
+        pool.push([3, 0], [0.9, -0.9], [[1.0, 0.0], [-1.0, 0.0]])
         loss, d_s, d_e = mr.multi_margin_loss(np.array([0.9]), np.array([3]),
                                               np.array([[1.0, 0.0]]), pool)
         assert loss == 0.0
@@ -616,7 +628,8 @@ class TestMultiMarginLoss:
         rng = np.random.default_rng(1)
         scores, labels, embeddings, pool = random_instance(rng, b=4, p=8, dim=3)
         doubled = mr.ScorePool(16)
-        doubled.push_entries(pool.entries() + pool.entries())
+        doubled.push(np.tile(pool.labels, 2), np.tile(pool.scores, 2),
+                     np.tile(pool.embeddings, (2, 1)))
         a = mr.multi_margin_loss(scores, labels, embeddings, pool)
         b = mr.multi_margin_loss(scores, labels, embeddings, doubled)
         assert a[0] == pytest.approx(b[0], rel=1e-12)
@@ -685,14 +698,14 @@ class TestMultiMarginLoss:
 
     def test_exact_zero_residual_has_zero_subgradient(self):
         pool = mr.ScorePool(1)
-        pool.push_entries([entry(2, 0.3, [1.0, 0.0])])
+        pool.push([2], [0.3], [[1.0, 0.0]])
         loss, d_s, _ = mr.multi_margin_loss(np.array([0.3]), np.array([2]),
                                             np.array([[0.0, 1.0]]), pool)
         assert loss == 0.0 and d_s[0] == 0.0
 
     def test_zero_norm_batch_embedding(self):
         pool = mr.ScorePool(1)
-        pool.push_entries([entry(0, -0.7, [1.0, 0.0])])
+        pool.push([0], [-0.7], [[1.0, 0.0]])
         with pytest.warns(RuntimeWarning, match="zero-norm"):
             loss, _, d_e = mr.multi_margin_loss(np.array([0.2]), np.array([2]),
                                                 np.array([[0.0, 0.0]]), pool)
