@@ -1,14 +1,15 @@
 """Command-line entry points.
 
 Subcommands: synth, train, train-two-stage, eval, grad-check, bench-losses,
-icc.  The training flags of train, train-two-stage and bench-losses are
-TrainConfig's fields, built from the dataclass: field ``x_y`` is the flag
-``--x-y``, except ``n_channels``, which is ``--channels``; the data paths
-come from --train and --val instead.  Any of them may instead come from a
-JSON config file (--config), with explicit command-line flags taking
-precedence over file values.  A ValueError from bad input prints one
-``engagerank: error:`` line on stderr and exits 2, as argparse does for a
-bad flag.  ENGAGERANK_LOG_LEVEL controls log verbosity.
+icc.  The synth flags are ``featurepipe.synth_dataset``'s arguments with its
+defaults, but ``--n`` (3000) and ``--out``.  The training flags of train,
+train-two-stage and bench-losses are TrainConfig's fields, but the data
+paths, which come from --train and --val.  Argument or field ``x_y`` is the
+flag ``--x-y``, except ``--channels`` and ``--frames`` for ``n_channels`` and
+``n_frames``.  A JSON config file (--config) may set training fields, under
+explicit flags.  Bad input (a ValueError) or a missing or unreadable file
+(an OSError) prints one ``engagerank: error:`` line on stderr and exits 2,
+as argparse does for a bad flag.  ENGAGERANK_LOG_LEVEL sets log verbosity.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
+import inspect
 import json
 import logging
 import os
 import sys
+from collections import abc
 from pathlib import Path
+from typing import get_origin, get_type_hints
 
 import numpy as np
 
@@ -33,34 +36,49 @@ CONFIG_VERSION = 1
 # TrainConfig fields the CLI and config files may set
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 _PRESETS = {"desk": TrainConfig.desk, "paper": TrainConfig.paper_scale}
-# the one renamed flag, and the keywords a flag takes beyond its type
-_FLAG_NAMES = {"n_channels": "--channels"}
+# the renamed flags, and the keywords a flag takes beyond its type
+_FLAG_NAMES = {"n_channels": "--channels", "n_frames": "--frames"}
 _FLAG_KEYWORDS = {"loss": {"choices": LOSSES}, "sampler": {"choices": harness.SAMPLERS},
                   "ablation": {"choices": model.FUSIONS},
                   "init_from": {"help": "checkpoint to initialize parameters from"}}
 
 
-@functools.cache
-def _train_flags() -> tuple:
-    """(flag, add_argument keywords) of each TrainConfig field but the data
-    paths, which the commands take as --train and --val."""
-    flags = []
-    # Optional[X] parses as X; None stands for "not given"
-    for name, (kind, _) in harness.config_field_types().items():
-        if name in ("train_path", "val_path"):
-            continue
+def comma_floats(text: str) -> tuple:
+    """A comma list of numbers, such as ``346,2208,8469,1170``."""
+    return tuple(float(x) for x in text.split(","))
+
+
+def _add_flags(p: argparse.ArgumentParser, kinds: dict) -> None:
+    """A flag for each ``name: type``; one not given is None, so what it
+    feeds keeps its own default.  A bool takes ``--x-y`` and ``--no-x-y``."""
+    for name, kind in kinds.items():
         kw = {"action": argparse.BooleanOptionalAction} if kind is bool else {"type": kind}
-        flags.append((_FLAG_NAMES.get(name, "--" + name.replace("_", "-")),
-                      dict(kw, dest=name, **_FLAG_KEYWORDS.get(name, {}))))
-    return tuple(flags)
+        p.add_argument(_FLAG_NAMES.get(name, "--" + name.replace("_", "-")), dest=name,
+                       **kw, **_FLAG_KEYWORDS.get(name, {}))
+
+
+def _synth_kinds() -> dict:
+    """The type of each synth_dataset argument but ``n``, whose default is
+    the CLI's own; a sequence parses as a comma list.  The hints are read
+    through any wrapper that keeps the function as ``__wrapped__``."""
+    hints = get_type_hints(inspect.unwrap(featurepipe.synth_dataset))
+    return {name: comma_floats if get_origin(hint) is abc.Sequence else hint
+            for name, hint in hints.items() if name not in ("n", "return")}
+
+
+def _given(args: argparse.Namespace, names) -> dict:
+    """Each given flag's value among ``names``; a name with no flag is not given."""
+    return {k: getattr(args, k) for k in names if getattr(args, k, None) is not None}
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    """--config, --preset and a flag for each TrainConfig field but the data
+    paths, which come from --train and --val; Optional[X] parses as X."""
     p.add_argument("--config", help="JSON config file (see README for schema)")
     p.add_argument("--preset", choices=list(_PRESETS),
                    help="base preset applied before config file and flags")
-    for flag, kw in _train_flags():
-        p.add_argument(flag, **kw)
+    _add_flags(p, {name: kind for name, (kind, _) in harness.config_field_types().items()
+                   if name not in ("train_path", "val_path")})
 
 
 def _load_config_file(path: str) -> dict:
@@ -88,10 +106,7 @@ def build_train_config(args: argparse.Namespace, train_path=None,
     merged: dict = {}
     if args.config:
         merged.update(_load_config_file(args.config))
-    for name in _CONFIG_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            merged[name] = value
+    merged.update(_given(args, _CONFIG_FIELDS))
     if train_path is not None:
         merged["train_path"] = train_path
     if val_path is not None:
@@ -123,14 +138,7 @@ def _write_run_outputs(out_dir: str, state, history) -> None:
 
 
 def cmd_synth(args) -> int:
-    proportions = tuple(int(x) for x in args.proportions.split(","))
-    dataset = featurepipe.synth_dataset(
-        n=args.n, n_channels=args.channels, global_dim=args.global_dim,
-        n_frames=args.frames, proportions=proportions, noise=args.noise,
-        seed=args.seed, split=args.split, speech_fraction=args.speech_fraction,
-        speech_dim=args.speech_dim, saturation=args.saturation,
-        modulation=args.modulation, warp=args.warp,
-        label_flip=args.label_flip)
+    dataset = featurepipe.synth_dataset(n=args.n, **_given(args, _synth_kinds()))
     featurepipe.save_records(dataset, args.out)
     print(f"wrote {len(dataset.records)} records to {args.out} "
           f"(class counts {dataset.class_counts().tolist()})")
@@ -170,8 +178,8 @@ def cmd_eval(args) -> int:
 def cmd_grad_check(args) -> int:
     config = TrainConfig.tiny(use_audio=args.audio)
     losses = args.losses.split(",") if args.losses else None
-    report = harness.grad_check(config, n_params_max=args.max_params,
-                                tolerance=args.tolerance, losses=losses)
+    report = harness.grad_check(config, losses=losses,
+                                **_given(args, ("n_params_max", "tolerance")))
     print(json.dumps(report, indent=2))
     return 0 if report["passed"] else 1
 
@@ -219,23 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic JSONL dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=3000)
-    p.add_argument("--channels", type=int, default=featurepipe.DEFAULT_CHANNELS)
-    p.add_argument("--global-dim", type=int, dest="global_dim",
-                   default=featurepipe.DEFAULT_GLOBAL_DIM)
-    p.add_argument("--frames", type=int, default=300)
-    p.add_argument("--proportions",
-                   default=",".join(str(x) for x in featurepipe.REFERENCE_PROPORTIONS))
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--saturation", type=float, default=0.0)
-    p.add_argument("--modulation", type=float, default=0.0)
-    p.add_argument("--warp", type=float, default=0.0)
-    p.add_argument("--label-flip", type=float, dest="label_flip", default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split", default="train")
-    p.add_argument("--speech-fraction", type=float, dest="speech_fraction",
-                   default=0.0)
-    p.add_argument("--speech-dim", type=int, dest="speech_dim",
-                   default=featurepipe.SPEECH_DIM)
+    _add_flags(p, _synth_kinds())
     p.set_defaults(func=cmd_synth)
 
     for name, trainer, extra_help in (
@@ -252,15 +244,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--subset", choices=["all", "speech_only"], default="all")
+    p.add_argument("--subset", choices=harness.SUBSETS, default="all")
     p.add_argument("--metrics-out", dest="metrics_out")
     p.add_argument("--recall-out", dest="recall_out")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("grad-check",
                        help="finite-difference check of all loss gradients")
-    p.add_argument("--max-params", type=int, dest="max_params", default=1000)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--max-params", type=int, dest="n_params_max")
+    p.add_argument("--tolerance", type=float)
     p.add_argument("--losses", help="comma list (default: all)")
     p.add_argument("--audio", action="store_true",
                    help="check the audio branch (scalar losses only)")
@@ -292,7 +284,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         print(f"{parser.prog}: error: {err}", file=sys.stderr)
         return 2
 

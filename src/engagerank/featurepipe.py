@@ -103,8 +103,8 @@ class SampleRecord:
                 isinstance(label, numbers.Integral)
                 or isinstance(label, (float, np.floating)) and label.is_integer()):
             raise ValueError(f"label must be an integer, got {label!r}")
-        if int(label) not in (0, 1, 2, 3):
-            raise ValueError(f"label must be in 0..3, got {label!r}")
+        if not 0 <= int(label) < N_CLASSES:
+            raise ValueError(f"label must be in 0..{N_CLASSES - 1}, got {label!r}")
         self.label = int(label)
         if (self.speech_embedding is None) != (self.audio_meta is None):
             raise ValueError("modality fields must co-occur")
@@ -616,7 +616,7 @@ def synth_dataset(n: int, n_channels: int = DEFAULT_CHANNELS, global_dim: int = 
 
 def latent_band(u) -> np.ndarray:
     """Class band of a latent scalar: the label synth_dataset assigns."""
-    return np.clip(np.digitize(u, LATENT_EDGES[1:-1]), 0, N_CLASSES - 1)
+    return np.digitize(u, LATENT_EDGES[1:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .mocorank import ClassCenters, MomentumEncoder, ScorePool
 logger = logging.getLogger("engagerank")
 
 SAMPLERS = ("sequential", "class_balanced")
+SUBSETS = ("all", "speech_only")        # which records evaluate scores
 CHECKPOINT_VERSION = "1"
 
 
@@ -193,10 +194,9 @@ class TrainConfig:
 
     @classmethod
     def desk(cls, **overrides) -> "TrainConfig":
-        """Small preset sized for laptop-scale runs and the test suite."""
-        base = dict(batch_size=32, pool_size=256, epochs=60, width=32)
-        base.update(overrides)
-        return cls(**base)
+        """Small preset sized for laptop-scale runs and the test suite: the
+        dataclass defaults."""
+        return cls(**overrides)
 
     @classmethod
     def paper_scale(cls, **overrides) -> "TrainConfig":
@@ -468,13 +468,13 @@ def _report(scores: np.ndarray, logits: Optional[np.ndarray],
 def evaluate(source, dataset: Dataset, subset: str = "all") -> MetricsReport:
     """Deterministic eval-mode scoring of a dataset into a MetricsReport.
 
-    ``source`` is a TrainState or ModelParams.  ``subset`` may be "all" or
-    "speech_only".  A model with the audio branch scores speech-bearing
+    ``source`` is a TrainState or ModelParams.  ``subset`` is one of
+    ``SUBSETS``.  A model with the audio branch scores speech-bearing
     records through the audio head and the rest visually.
     """
     params = source.params if isinstance(source, TrainState) else source
-    if subset not in ("all", "speech_only"):
-        raise ValueError("subset must be 'all' or 'speech_only'")
+    if subset not in SUBSETS:
+        raise ValueError(f"subset must be one of {SUBSETS}, got {subset!r}")
     records = dataset.records
     if subset == "speech_only":
         records = [r for r in records if r.has_speech]
@@ -538,28 +538,29 @@ def save_checkpoint(state: TrainState, path: str) -> None:
 def load_checkpoint(path: str) -> TrainState:
     """Read a checkpoint written by save_checkpoint; bit-exact restore.
 
-    Parameters and momentum parameters are read in the layout ``init_params``
-    gives the recorded model config, and every field is checked on load: a
-    bad one, such as a non-finite parameter or AdamW moment, a negative
-    AdamW ``v`` or a meta field of the wrong JSON type, raises a ValueError
-    naming the path and the field.  The momentum encoder runs at
+    The layout comes from the stored config: parameters are read in the
+    layout of ``config.model_config()``, which the stored model_config must
+    match key for key.  A bad field, such as a non-finite parameter or AdamW
+    moment, a negative AdamW ``v`` or a meta field of the wrong JSON type,
+    raises a ValueError naming the path and the field; a missing path or a
+    directory raises the OSError naming it.  The momentum encoder runs at
     ``config.momentum`` and the centers move at ``mocorank.CENTER_RATE``, as
     in a fresh run; older files that also store ``enc_momentum`` and
     ``centers_alpha`` load with both ignored, and so do those whose
     model_config holds ``strict_pad: false``.  The pool must have the
     capacity ``config.pool_size`` gives.
     """
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"][()]))
-            loaded = {k: data[k] for k in data.files if k != "meta"}
-        if not isinstance(meta, dict):
-            raise ValueError(f"meta {meta!r} is not a JSON object")
-    except (zipfile.BadZipFile, OSError, KeyError, ValueError) as err:
-        size = os.path.getsize(path) if os.path.exists(path) else 0
-        raise ValueError(
-            f"corrupt checkpoint {path!r}: {err} (read failed within "
-            f"{size}-byte file)") from err
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh, allow_pickle=False) as data:
+                meta = json.loads(str(data["meta"][()]))
+                loaded = {k: data[k] for k in data.files if k != "meta"}
+            if not isinstance(meta, dict):
+                raise ValueError(f"meta {meta!r} is not a JSON object")
+        except (zipfile.BadZipFile, EOFError, OSError, KeyError, ValueError) as err:
+            raise ValueError(
+                f"corrupt checkpoint {path!r}: {err} (read failed within "
+                f"{os.fstat(fh.fileno()).st_size}-byte file)") from err
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ValueError(
             f"unsupported checkpoint version {meta.get('version')!r}; "
@@ -584,21 +585,24 @@ def load_checkpoint(path: str) -> TrainState:
         return value
 
     config_d = need(meta, "config", kind=dict)
-    mcfg_d = need(meta, "model_config", kind=dict)
+    have = dict(need(meta, "model_config", kind=dict))
     try:
         config = TrainConfig(**config_d)
     except (TypeError, ValueError) as err:
         raise corrupt("config", err) from err
-    dilations = need(mcfg_d, "dilations", "model_config.")
-    try:
-        mcfg_d = dict(mcfg_d, dilations=tuple(dilations))
-        # older files record the removed strict padding, always off
-        if mcfg_d.pop("strict_pad", False) is not False:
-            raise ValueError("strict_pad padding is no longer supported")
-        mcfg = model_mod.ModelConfig(**mcfg_d)
-        layout = model_mod.init_params(mcfg).layout
-    except (TypeError, ValueError) as err:
-        raise corrupt("model_config", err) from err
+    mcfg = config.model_config()
+    # older files record the removed strict padding, always off
+    if have.pop("strict_pad", False) is not False:
+        raise corrupt("model_config", "strict_pad padding is no longer supported")
+    # the config's model as JSON stores it, tuples as lists
+    want = json.loads(json.dumps(dataclasses.asdict(mcfg)))
+    for key, value in want.items():
+        if need(have, key, "model_config.") != value:
+            raise corrupt("model_config", f"{key} is {have[key]!r}, but config gives "
+                                          f"{value!r}")
+    if len(have) > len(want):
+        raise corrupt("model_config", f"unknown keys {sorted(have.keys() - want.keys())}")
+    layout = model_mod.init_params(mcfg).layout
 
     def finite(name):
         if not np.isfinite(loaded[name]).all():
@@ -610,17 +614,12 @@ def load_checkpoint(path: str) -> TrainState:
             name = f"{prefix}__{key}"
             arrays[key] = need(loaded, name)
             if arrays[key].shape != shape:
-                raise corrupt(name, f"shape {arrays[key].shape}, but model_config "
+                raise corrupt(name, f"shape {arrays[key].shape}, but config "
                                     f"gives {shape}")
             finite(name)
         return model_mod.ModelParams(mcfg, arrays)
 
     params = load_params("param")
-    have, want = dataclasses.asdict(mcfg), dataclasses.asdict(config.model_config())
-    key = next((k for k in have if have[k] != want[k]), None)
-    if key is not None:
-        raise corrupt("model_config", f"{key} is {have[key]!r}, but config gives "
-                                      f"{want[key]!r}")
     frozen_keys = need(meta, "frozen_keys", kind=list)
     if not all(isinstance(k, str) for k in frozen_keys):
         raise corrupt("frozen_keys", f"{frozen_keys!r} is not a JSON array of strings")

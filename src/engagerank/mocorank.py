@@ -27,10 +27,9 @@ from typing import Optional
 import numpy as np
 
 from . import model as model_mod
-from .featurepipe import Dataset, N_CLASSES
+from .featurepipe import LATENT_EDGES, Dataset, N_CLASSES
 
-SCORE_TOL = 1e-9
-MIDPOINTS = np.array([-0.75, -0.25, 0.25, 0.75])
+MIDPOINTS = (LATENT_EDGES[:-1] + LATENT_EDGES[1:]) / 2   # each class band's midpoint
 CENTER_RATE = 0.5                  # center_loss's mean-shift step
 
 
@@ -44,7 +43,7 @@ def _check_rows(labels: np.ndarray, scores: np.ndarray, embeddings: np.ndarray,
                          f"integer type")
     if np.any((labels < 0) | (labels >= N_CLASSES)):
         raise ValueError(f"{field.format('labels')}label outside 0..{N_CLASSES - 1}")
-    if not np.all(np.abs(scores) <= 1.0 + SCORE_TOL):
+    if not np.all(np.abs(scores) <= 1.0 + model_mod.SCORE_TOL):
         raise ValueError(f"{field.format('scores')}score out of range")
     if not np.all(np.isfinite(embeddings)):
         raise ValueError(f"{field.format('embeddings')}non-finite value")

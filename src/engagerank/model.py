@@ -41,7 +41,8 @@ from .featurepipe import AUDIO_META_DIM, SampleRecord
 FUSIONS = ("openface_only", "attention_only", "concat_only", "concat+attention")
 HEADS = ("scalar", "categorical")
 
-CLASS_THRESHOLDS = np.array([-0.5, 0.0, 0.5])
+CLASS_THRESHOLDS = featurepipe.LATENT_EDGES[1:-1]   # the synthetic class bands' inner edges
+SCORE_TOL = 1e-9        # rounding a score in [-1, 1] may carry
 TILE_ROWS = 32          # rows per eval-mode forward in score_batch (README)
 
 
@@ -49,10 +50,10 @@ TILE_ROWS = 32          # rows per eval-mode forward in score_batch (README)
 class ModelConfig:
     """Shapes and switches of the scoring network."""
 
-    n_channels: int = 17          # per-frame feature channels (chunk input is 3x this)
-    n_chunks: int = 10
+    n_channels: int = featurepipe.DEFAULT_CHANNELS  # per-frame channels (chunk input is 3x)
+    n_chunks: int = featurepipe.DEFAULT_CHUNKS
     width: int = 64               # channels of the temporal encoder and fusion MLPs
-    global_dim: int = 64
+    global_dim: int = featurepipe.DEFAULT_GLOBAL_DIM
     speech_dim: int = featurepipe.SPEECH_DIM
     dropout: float = 0.1
     kernel_size: int = 3
@@ -280,24 +281,25 @@ def _drop(x: np.ndarray, keep: Optional[np.ndarray], rate: float) -> np.ndarray:
     return x
 
 
-def _tcn_block_forward(x, params, prefix, dilation, b, train, rng, dropout, keep):
-    """One residual block on time-major (C, T*B) activations; with ``keep``
+def _tcn_block_forward(x, params, prefix, dilation, b, train, rng):
+    """One residual block on time-major (C, T*B) activations; in training
     also the cache its backward needs.
 
     Bias, ReLU and residual add in place into each conv's fresh output.
     """
+    dropout = params.config.dropout
     w1, w2 = params[f"{prefix}.conv1.w"], params[f"{prefix}.conv2.w"]
     o = w1.shape[0]
     t = x.shape[1] // b
     h1 = _causal_conv(x, w1, dilation, b)
     h1 += params[f"{prefix}.conv1.b"][:, None]
-    s1 = h1 > 0 if keep else None
+    s1 = h1 > 0 if train else None
     np.maximum(h1, 0.0, out=h1)
     m1 = _time_major_mask(dropout, train, rng, b, o, t)
     _drop(h1, m1, dropout)
     out = _causal_conv(h1, w2, dilation, b)
     out += params[f"{prefix}.conv2.b"][:, None]
-    s2 = out > 0 if keep else None
+    s2 = out > 0 if train else None
     np.maximum(out, 0.0, out=out)
     m2 = _time_major_mask(dropout, train, rng, b, o, t)
     _drop(out, m2, dropout)
@@ -307,9 +309,9 @@ def _tcn_block_forward(x, params, prefix, dilation, b, train, rng, dropout, keep
         out += res
     else:
         out += x
-    s_out = out > 0 if keep else None
+    s_out = out > 0 if train else None
     np.maximum(out, 0.0, out=out)
-    if not keep:
+    if not train:
         return out, None
     return out, {"x": x, "dilation": dilation, "s1": s1, "m1": m1, "h1": h1,
                  "s2": s2, "m2": m2, "s_out": s_out}
@@ -408,10 +410,10 @@ def temporal_encoder(chunks, params: ModelParams) -> np.ndarray:
     records: a record's encoding matches its lone encoding in all but the
     last bits, and the same batch always gives the same bits.
     """
-    return _tcn_forward(chunks, params, False, None, keep=False)[0]
+    return _tcn_forward(chunks, params, False, None)[0]
 
 
-def _tcn_forward(x, params: ModelParams, train, rng, keep):
+def _tcn_forward(x, params: ModelParams, train, rng):
     """(B, 3D, T) chunks -> (B, C, T) encoding, run as (C, T*B) in between."""
     cfg = params.config
     b, rows, t = x.shape
@@ -421,8 +423,7 @@ def _tcn_forward(x, params: ModelParams, train, rng, keep):
     x = x.transpose(1, 2, 0).reshape(rows, t * b)
     caches = []
     for i, dil in enumerate(cfg.dilations):
-        x, cache = _tcn_block_forward(x, params, f"tcn.{i}", dil, b, train, rng,
-                                      cfg.dropout, keep)
+        x, cache = _tcn_block_forward(x, params, f"tcn.{i}", dil, b, train, rng)
         caches.append(cache)
     return x.reshape(-1, t, b).transpose(2, 0, 1), caches
 
@@ -524,7 +525,7 @@ def classify(score):
     exactly 0 is ENGAGED, exactly 0.5 is HIGHLY_ENGAGED.
     """
     s = np.asarray(score, dtype=np.float64)
-    if not np.all(np.abs(s) <= 1.0 + 1e-9):
+    if not np.all(np.abs(s) <= 1.0 + SCORE_TOL):
         raise ValueError("score out of range")
     levels = np.digitize(s, CLASS_THRESHOLDS, right=False)
     if np.isscalar(score) or s.ndim == 0:
@@ -575,7 +576,6 @@ class Trace:
     mode: str
     encoded: np.ndarray            # (B, C, T)
     attn: np.ndarray               # (B, T)
-    pooled: np.ndarray             # (B, C)
     fused: np.ndarray              # (B, embed_dim) visual pre-head feature
     score: np.ndarray              # (B,) final score per record
     embedding: Optional[np.ndarray]  # (B, E) pre-head feature the score used
@@ -606,7 +606,7 @@ def forward_batch(chunks: np.ndarray, global_feat: np.ndarray, params: ModelPara
     global_feat = np.asarray(global_feat, dtype=np.float64)
     train = mode == "train"
     cfg = params.config
-    encoded, tcn_caches = _tcn_forward(chunks, params, train, rng, keep=train)
+    encoded, tcn_caches = _tcn_forward(chunks, params, train, rng)
     pooled, attn, attn_cache = _attention_forward(encoded, global_feat, params, train, rng)
     fused, concat_cache = _concat_forward(global_feat, pooled, params)
 
@@ -636,8 +636,8 @@ def forward_batch(chunks: np.ndarray, global_feat: np.ndarray, params: ModelPara
             cache["audio"] = a_cache
             embedding = xprime if has_speech.all() else None
 
-    return Trace(config=cfg, mode=mode, encoded=encoded, attn=attn, pooled=pooled,
-                 fused=fused, score=score, embedding=embedding, logits=logits,
+    return Trace(config=cfg, mode=mode, encoded=encoded, attn=attn, fused=fused,
+                 score=score, embedding=embedding, logits=logits,
                  audio_used=audio_used, cache=cache if train else None)
 
 

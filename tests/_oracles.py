@@ -262,11 +262,11 @@ def _tcn_block_per_record_backward(dout, cache, params, prefix, grads, need_dx):
     return dx
 
 
-def tcn_forward_per_record(x, params, train, rng, keep):
+def tcn_forward_per_record(x, params, train, rng):
     """Batch-major temporal encoder: (B,3D,T) -> ((B,C,T), per-block caches).
 
     Takes the arguments of the package's ``model._tcn_forward`` so it can
-    stand in for it; caches are kept whatever ``keep`` says.
+    stand in for it; caches are kept whatever ``train`` says.
     """
     cfg = params.config
     caches = []

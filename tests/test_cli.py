@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import re
 
@@ -27,7 +28,63 @@ TINY_FLAGS = ("--batch-size", "8", "--pool-size", "16", "--epochs", "2",
               "--min-frames", "8")
 
 
+# a valid, non-default value for each synth_dataset argument but n
+SYNTH_NON_DEFAULT = dict(
+    n_channels=3, global_dim=5, n_frames=12, proportions=(1.0, 2.0, 3.0, 4.5),
+    noise=0.2, seed=3, split="test", speech_fraction=0.5, speech_dim=6,
+    saturation=1.5, modulation=0.5, warp=0.5, label_flip=0.1)
+
+
+def subparser(command):
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if a.dest == "command").choices[command]
+
+
 class TestSynth:
+    def test_every_argument_has_a_flag(self):
+        """Each synth_dataset argument has a flag; all but --n are None when
+        not given, so synth_dataset's defaults are the only ones."""
+        params = inspect.signature(featurepipe.synth_dataset).parameters
+        assert set(SYNTH_NON_DEFAULT) == set(params) - {"n"}
+        actions = {a.dest: a for a in subparser("synth")._actions}
+        for name in params:
+            assert flag(name) in actions[name].option_strings
+            assert actions[name].default == (3000 if name == "n" else None)
+
+    def test_values_reach_synth_dataset(self, tmp_path, monkeypatch):
+        """Each flag reaches synth_dataset, also through a wrapper that keeps
+        the function only as ``__wrapped__``, as a tracing wrapper does."""
+        calls = []
+        real = featurepipe.synth_dataset
+
+        def recording(n, **kwargs):
+            calls.append(dict(kwargs, n=n))
+            return real(n, **kwargs)
+
+        recording.__wrapped__ = real
+        monkeypatch.setattr(featurepipe, "synth_dataset", recording)
+        argv = ["synth", "--out", str(tmp_path / "x.jsonl"), "--n", "10"]
+        defaults = inspect.signature(real).parameters
+        for name, value in SYNTH_NON_DEFAULT.items():
+            assert defaults[name].default != value, name
+            text = ",".join(map(str, value)) if name == "proportions" else str(value)
+            argv += [flag(name), text]
+        assert run_cli(*argv) == 0
+        assert calls == [dict(SYNTH_NON_DEFAULT, n=10)]
+
+    def test_defaults_come_from_synth_dataset(self, tmp_path):
+        """Given only --out and --n, synth writes the bytes of the library's
+        defaults."""
+        run_cli("synth", "--out", str(tmp_path / "cli.jsonl"), "--n", "6")
+        featurepipe.save_records(featurepipe.synth_dataset(n=6), str(tmp_path / "lib.jsonl"))
+        assert (tmp_path / "cli.jsonl").read_bytes() == (tmp_path / "lib.jsonl").read_bytes()
+
+    def test_bad_proportions_name_the_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("synth", "--out", str(tmp_path / "x.jsonl"), "--proportions", "1,a,1,1")
+        assert exit_info.value.code == 2
+        assert "argument --proportions: invalid" in capsys.readouterr().err
+
     def test_writes_loadable_jsonl(self, tmp_path, capsys):
         path = synth_file(tmp_path / "data.jsonl")
         out = capsys.readouterr().out
@@ -272,7 +329,8 @@ COMMAND_ARGS = {"train": ["train", "--train", "x", "--out-dir", "y"],
 
 
 def flag(name):
-    return "--channels" if name == "n_channels" else "--" + name.replace("_", "-")
+    renamed = {"n_channels": "--channels", "n_frames": "--frames"}
+    return renamed.get(name, "--" + name.replace("_", "-"))
 
 
 @pytest.mark.parametrize("command", list(COMMAND_ARGS))
@@ -282,9 +340,7 @@ class TestTrainFlags:
     def test_every_field_has_a_flag(self, command):
         fields = {f.name for f in dataclasses.fields(harness.TrainConfig)}
         assert set(NON_DEFAULT) == fields - {"train_path", "val_path"}
-        parser = cli.build_parser()
-        sub = next(a for a in parser._actions if a.dest == "command").choices[command]
-        options = {a.dest: a.option_strings for a in sub._actions}
+        options = {a.dest: a.option_strings for a in subparser(command)._actions}
         for name in NON_DEFAULT:
             assert flag(name) in options[name]
 
@@ -306,6 +362,31 @@ class TestTrainFlags:
                 argv = COMMAND_ARGS[command] + [prefix + flag(name)[2:]]
                 config = cli.build_train_config(cli.build_parser().parse_args(argv))
                 assert getattr(config, name) is value
+
+
+class TestFileErrors:
+    """A missing or unreadable file is one error line and exit status 2."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["train", "--train", "{tmp}/absent.jsonl", "--out-dir", "{tmp}/run"],
+         "absent.jsonl"),
+        (["train", "--train", "x", "--out-dir", "{tmp}/run", "--config",
+          "{tmp}/absent.json"], "absent.json"),
+        (["icc", "--ratings", "{tmp}/absent.csv"], "absent.csv"),
+        (["synth", "--n", "4", "--channels", "2", "--global-dim", "5", "--frames", "12",
+          "--out", "{tmp}/no_dir/x.jsonl"], "no_dir"),
+        (["eval", "--checkpoint", "{tmp}/absent.npz", "--data", "x"], "absent.npz"),
+        (["eval", "--checkpoint", "{tmp}", "--data", "x"], "Is a directory"),
+        (["eval", "--checkpoint", "{tmp}/empty.npz", "--data", "x"],
+         "corrupt checkpoint .*empty.npz")],
+        ids=["train-data", "config", "ratings", "synth-out", "checkpoint",
+             "checkpoint-dir", "checkpoint-empty"])
+    def test_one_error_line(self, tmp_path, capsys, argv, named):
+        (tmp_path / "empty.npz").write_bytes(b"")
+        code = run_cli(*[a.format(tmp=tmp_path) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("engagerank: error: ") and re.search(named, err)
 
 
 class TestGradCheckCommand:

@@ -582,16 +582,29 @@ class TestCheckpointing:
         assert f"corrupt checkpoint '{path}'" in str(err.value)
 
     def test_params_against_model_config(self, tmp_path):
-        """A model_config wider than its params is refused, not trained."""
+        """A model_config wider than its params and its config is refused,
+        not trained: the config builds the model, and the stored
+        model_config must agree with it."""
         mcfg = self._saved(tmp_path, "model_config")
         path = self._edited_checkpoint(tmp_path, meta_edits={
             "model_config": dict(mcfg, width=mcfg["width"] + 1)})
-        self._refused(path, "param__tcn.0.conv1.w", "shape .*model_config gives")
+        self._refused(path, "model_config", "width is 5, but config gives 4")
+
+    def test_param_shape_against_config(self, tmp_path):
+        path = self._edited_checkpoint(
+            tmp_path, array_edits={"param__head.w": np.zeros(3)})
+        self._refused(path, "param__head.w", "shape .*, but config gives")
 
     def test_momentum_params_against_model_config(self, tmp_path):
         path = self._edited_checkpoint(
             tmp_path, array_edits={"momentum__head.w": np.zeros(3)})
         self._refused(path, "momentum__head.w", "shape")
+
+    def test_missing_model_config_key(self, tmp_path):
+        mcfg = self._saved(tmp_path, "model_config")
+        del mcfg["min_frames"]
+        path = self._edited_checkpoint(tmp_path, meta_edits={"model_config": mcfg})
+        self._refused(path, "model_config.min_frames", "missing")
 
     @pytest.mark.parametrize("name,value", [
         ("param__head.w", np.inf), ("momentum__head.w", np.inf),
@@ -745,6 +758,20 @@ class TestCheckpointing:
             np.savez(fh, meta=json.dumps({"version": "2"}))
         with pytest.raises(ValueError, match="unsupported checkpoint version"):
             harness.load_checkpoint(str(path))
+
+    def test_empty_file_is_corrupt(self, tmp_path):
+        path = tmp_path / "empty.npz"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match="corrupt checkpoint .*empty.npz.*0-byte"):
+            harness.load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("name", ["absent.npz", "."])
+    def test_missing_path_or_directory_is_an_os_error(self, tmp_path, name):
+        """A path that holds no file is no corrupt checkpoint: the OSError
+        that names it goes to the caller."""
+        path = str(tmp_path / name)
+        with pytest.raises(OSError, match=re.escape(path)):
+            harness.load_checkpoint(path)
 
     def test_corrupt_file_reports_path_and_size(self, tmp_path):
         path = tmp_path / "broken.npz"

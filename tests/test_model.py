@@ -198,9 +198,8 @@ class TestTemporalEncoder:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((8, cfg.chunk_rows, cfg.n_chunks))
         dout = rng.standard_normal((8, cfg.width, cfg.n_chunks))
-        out, caches = model._tcn_forward(x, params, True, np.random.default_rng(5), keep=True)
-        ref, ref_caches = tcn_forward_per_record(x, params, True, np.random.default_rng(5),
-                                                 keep=True)
+        out, caches = model._tcn_forward(x, params, True, np.random.default_rng(5))
+        ref, ref_caches = tcn_forward_per_record(x, params, True, np.random.default_rng(5))
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
         grads, ref_grads = np.zeros(params.n_params), np.zeros(params.n_params)
         model._tcn_backward(dout, caches, params, params.unflatten(grads))
@@ -384,11 +383,13 @@ class TestStageFunctions:
         pooled, attn = model.attention_fuse(encoded, gfeat, params)
         fused = model.concat_fuse(gfeat, pooled, params)
         score = model.score_head(fused, params)
-        for name, got in (("encoded", encoded), ("attn", attn), ("pooled", pooled),
-                          ("fused", fused), ("score", score)):
+        for name, got in (("encoded", encoded), ("attn", attn), ("fused", fused),
+                          ("score", score)):
             want = getattr(trace, name)
             assert got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
+        # every fusion ends its fused feature with the pooled encoding
+        assert pooled.tobytes() == trace.fused[:, -pooled.shape[1]:].tobytes()
 
 
 class TestClassify:
