@@ -137,17 +137,23 @@ def _validate_audio_meta(meta: np.ndarray) -> None:
 
 @dataclass
 class Dataset:
-    """An ordered collection of records with a split tag."""
+    """An ordered collection of records with a split tag.  ``n_channels`` and
+    ``global_dim`` are those its records share; an empty set has the defaults."""
 
     records: list[SampleRecord]
     split: str = "train"
-    n_channels: int = DEFAULT_CHANNELS
-    global_dim: int = DEFAULT_GLOBAL_DIM
+    n_channels: int = field(init=False)
+    global_dim: int = field(init=False)
 
     def __post_init__(self):
         ids = [r.id for r in self.records]
         if len(set(ids)) != len(ids):
             raise ValueError("record ids must be unique within a dataset")
+        dims = {(r.frames.n_channels, r.global_feature.size) for r in self.records}
+        if len(dims) > 1:
+            raise ValueError(f"record dims (channels, global_dim) differ: {sorted(dims)}")
+        self.n_channels, self.global_dim = dims.pop() if dims else (DEFAULT_CHANNELS,
+                                                                    DEFAULT_GLOBAL_DIM)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -333,7 +339,7 @@ def load_records(path, split: str = "train") -> Dataset:
             obj = _parse_json_line(path, lineno, line)
             records.append(_record_from_json(f"{path}: line {lineno}", obj, n_channels,
                                              global_dim, speech_dim))
-    return Dataset(records, split=split, n_channels=n_channels, global_dim=global_dim)
+    return Dataset(records, split=split)
 
 
 def _decode_line(path, lineno: int, raw: bytes) -> str:
@@ -516,12 +522,9 @@ def synth_dataset(n: int, n_channels: int = DEFAULT_CHANNELS, global_dim: int = 
     Deterministic given ``seed``: the linear maps are drawn once, then records
     are generated in order.
     """
-    proportions = np.asarray(proportions, dtype=np.float64)
-    if np.any(proportions < 0) or proportions.sum() <= 0:
-        raise ValueError("proportions must be non-negative with positive sum")
+    counts = apportion(proportions, n)
     if n < np.count_nonzero(proportions):
         raise ValueError("need at least one record per class when all proportions positive")
-    counts = apportion(proportions, n)
     rng = np.random.default_rng(seed)
 
     # Fixed maps from the latent to each modality.  Frames are given a weaker
@@ -611,7 +614,7 @@ def synth_dataset(n: int, n_channels: int = DEFAULT_CHANNELS, global_dim: int = 
         flipped = np.clip(labels + np.where(flip, step, 0), 0, N_CLASSES - 1)
         for rec, fl in zip(records, flipped):
             rec.label = int(fl)
-    return Dataset(records, split=split, n_channels=n_channels, global_dim=global_dim)
+    return Dataset(records, split=split)
 
 
 def latent_band(u) -> np.ndarray:
@@ -671,6 +674,5 @@ def split_dataset(dataset: Dataset, fractions=(0.7, 0.1, 0.2), seed: int = 0
     out = []
     for part, tag in zip(parts, ("train", "val", "test")):
         part = sorted(part)
-        out.append(Dataset([dataset.records[i] for i in part], split=tag,
-                           n_channels=dataset.n_channels, global_dim=dataset.global_dim))
+        out.append(Dataset([dataset.records[i] for i in part], split=tag))
     return tuple(out)

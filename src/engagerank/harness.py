@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import inspect
 import json
 import logging
 import math
@@ -152,17 +153,18 @@ class TrainConfig:
             raise ValueError(f"sampler must be one of {SAMPLERS}")
         if not self.lr_start >= self.lr_end > 0:
             raise ValueError("learning rates must satisfy lr_start >= lr_end > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be at least 1")
+        for name in ("batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
         if self.needs_pool and self.batch_size > self.pool_size:
             raise ValueError("batch size must be in 1..pool_size")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
         if self.stage2_epochs is not None and self.stage2_epochs < 1:
             raise ValueError(f"stage2_epochs must be at least 1 or None, "
                              f"got {self.stage2_epochs!r}")
         if not 0.0 < self.momentum < 1.0:
             raise ValueError("momentum must be in (0, 1)")
+        if not 0.0 <= self.cb_beta < 1.0:
+            raise ValueError(f"cb_beta must be in [0, 1), got {self.cb_beta!r}")
         if self.use_audio and self.head == "categorical":
             raise ValueError("audio training requires a scalar-head loss")
         self.model_config()     # the model's own checks, before any data loads
@@ -431,9 +433,7 @@ def train_two_stage(config: TrainConfig, train_set: Dataset,
     for row in state.history:
         row["stage"] = 1
 
-    speech_set = Dataset(records=speech_records, split=train_set.split,
-                         n_channels=train_set.n_channels,
-                         global_dim=train_set.global_dim)
+    speech_set = Dataset(records=speech_records, split=train_set.split)
     stage2_cfg = replace(config, use_audio=True,
                          epochs=config.epochs if config.stage2_epochs is None
                          else config.stage2_epochs)
@@ -538,12 +538,14 @@ def save_checkpoint(state: TrainState, path: str) -> None:
 def load_checkpoint(path: str) -> TrainState:
     """Read a checkpoint written by save_checkpoint; bit-exact restore.
 
-    The layout comes from the stored config: parameters are read in the
-    layout of ``config.model_config()``, which the stored model_config must
-    match key for key.  A bad field, such as a non-finite parameter or AdamW
-    moment, a negative AdamW ``v`` or a meta field of the wrong JSON type,
-    raises a ValueError naming the path and the field; a missing path or a
-    directory raises the OSError naming it.  The momentum encoder runs at
+    The layout comes from the stored config: parameters and momentum
+    parameters are read in ``model.param_layout(config.model_config())``, and
+    the stored model_config must match that model key for key.  Every float
+    array stored must be float64, of the shape the config gives and finite.
+    A bad field, such as an array that breaks this rule, a negative AdamW
+    ``v`` or a meta field of the wrong JSON type, raises a ValueError naming
+    the path and the field; a missing path or a directory raises the OSError
+    naming it.  The momentum encoder runs at
     ``config.momentum`` and the centers move at ``mocorank.CENTER_RATE``, as
     in a fresh run; older files that also store ``enc_momentum`` and
     ``centers_alpha`` load with both ignored, and so do those whose
@@ -602,22 +604,20 @@ def load_checkpoint(path: str) -> TrainState:
                                           f"{value!r}")
     if len(have) > len(want):
         raise corrupt("model_config", f"unknown keys {sorted(have.keys() - want.keys())}")
-    layout = model_mod.init_params(mcfg).layout
-
-    def finite(name):
-        if not np.isfinite(loaded[name]).all():
+    def array(name, shape):
+        value = need(loaded, name)
+        if value.dtype != np.float64:
+            raise corrupt(name, f"dtype {value.dtype}, but checkpoints store float64")
+        if value.shape != shape:
+            raise corrupt(name, f"shape {value.shape}, but config gives {shape}")
+        if not np.isfinite(value).all():
             raise corrupt(name, "non-finite value")
+        return value
 
     def load_params(prefix):
-        arrays = {}
-        for key, shape in layout:
-            name = f"{prefix}__{key}"
-            arrays[key] = need(loaded, name)
-            if arrays[key].shape != shape:
-                raise corrupt(name, f"shape {arrays[key].shape}, but config "
-                                    f"gives {shape}")
-            finite(name)
-        return model_mod.ModelParams(mcfg, arrays)
+        return model_mod.ModelParams(
+            mcfg, {key: array(f"{prefix}__{key}", shape)
+                   for key, shape in model_mod.param_layout(mcfg)})
 
     params = load_params("param")
     frozen_keys = need(meta, "frozen_keys", kind=list)
@@ -626,14 +626,10 @@ def load_checkpoint(path: str) -> TrainState:
     missing = [k for k in frozen_keys if k not in params]
     if missing:
         raise corrupt("frozen_keys", f"names {missing[0]!r}, which the model does not have")
-    for name in ("opt__m", "opt__v"):
-        if need(loaded, name).shape != (params.n_params,):
-            raise corrupt(name, f"shape {loaded[name].shape}, expected ({params.n_params},)")
-        finite(name)
-    if (loaded["opt__v"] < 0).any():
+    opt = {"m": array("opt__m", (params.n_params,)),
+           "v": array("opt__v", (params.n_params,)), "step": count("opt_step")}
+    if (opt["v"] < 0).any():
         raise corrupt("opt__v", "negative value")
-    opt = {"m": loaded["opt__m"].copy(), "v": loaded["opt__v"].copy(),
-           "step": count("opt_step")}
     rng_state = need(meta, "rng_state")
     rng = np.random.default_rng()
     try:
@@ -650,25 +646,19 @@ def load_checkpoint(path: str) -> TrainState:
     if config.needs_pool:
         state.enc = MomentumEncoder(params=load_params("momentum"))
         pool_meta = need(meta, "pool", kind=dict)
-        ring = {k: need(loaded, f"pool__{k}") for k in ("labels", "scores", "embeddings")}
-        ring.update({k: need(pool_meta, k, "pool.") for k in ("count", "next", "capacity")})
+        ring = {k: need(pool_meta, k, "pool.") for k in ("count", "next", "capacity")}
         if ring["capacity"] != config.pool_size:
             raise corrupt("pool.capacity", f"{ring['capacity']!r}, but config gives "
                                            f"pool_size {config.pool_size}")
-        emb = ring["embeddings"]
-        if emb.ndim == 2 and emb.size and emb.shape[1] != width:
-            raise corrupt("pool__embeddings", f"width {emb.shape[1]}, but the model's "
-                                              f"embeddings have width {width}")
+        ring.update(labels=need(loaded, "pool__labels"),
+                    scores=array("pool__scores", (config.pool_size,)),
+                    embeddings=array("pool__embeddings", (config.pool_size, width)))
         try:
             state.pool = ScorePool.from_state(ring)
         except ValueError as err:
             raise ValueError(f"corrupt checkpoint {path!r}: {err}") from err
     if config.needs_centers:
-        values = need(loaded, "centers__values")
-        if values.shape != (N_CLASSES, width):
-            raise corrupt("centers__values", f"shape {values.shape}, expected "
-                                             f"{(N_CLASSES, width)}")
-        state.centers = ClassCenters(values=values.copy())
+        state.centers = ClassCenters(values=array("centers__values", (N_CLASSES, width)))
     return state
 
 
@@ -764,18 +754,19 @@ def grad_check_loss(config: TrainConfig, n_params_max: int = 1000,
             "passed": bool(max_err < tolerance)}
 
 
-def grad_check(config: Optional[TrainConfig] = None, n_params_max: int = 1000,
-               tolerance: float = 1e-4, losses=None) -> dict:
-    """Run grad_check_loss for each requested loss; report per-loss errors."""
+def grad_check(config: Optional[TrainConfig] = None, losses=None, **check) -> dict:
+    """Run grad_check_loss, given ``check`` (n_params_max, tolerance), for each
+    requested loss; report per-loss errors and the tolerance used."""
     config = config or TrainConfig.tiny()
+    tolerance = check.setdefault(
+        "tolerance", inspect.signature(grad_check_loss).parameters["tolerance"].default)
     if losses is None:
         losses = [l for l in LOSSES
                   if not (config.use_audio and l in CATEGORICAL_LOSSES)]
     results = {}
     for loss in losses:
         cfg = replace(config, loss=loss, sampler=None)
-        results[loss] = grad_check_loss(cfg, n_params_max=n_params_max,
-                                        tolerance=tolerance)
+        results[loss] = grad_check_loss(cfg, **check)
         logger.info("grad check %s: max_rel_err=%.3e skipped=%d", loss,
                     results[loss]["max_rel_err"], results[loss]["n_skipped"])
     return {"tolerance": tolerance, "losses": results,

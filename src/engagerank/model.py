@@ -28,6 +28,8 @@ outputs do not depend on the batching.
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 from copy import copy as shallow_copy
 from dataclasses import dataclass, replace
@@ -36,7 +38,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import featurepipe
-from .featurepipe import AUDIO_META_DIM, SampleRecord
+from .featurepipe import AUDIO_META_DIM, N_CLASSES, SampleRecord
 
 FUSIONS = ("openface_only", "attention_only", "concat_only", "concat+attention")
 HEADS = ("scalar", "categorical")
@@ -72,6 +74,9 @@ class ModelConfig:
             raise ValueError("the audio branch requires the scalar head")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
+        for name in ("width", "n_chunks", "n_channels", "global_dim", "speech_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
 
     @property
     def chunk_rows(self) -> int:
@@ -107,12 +112,9 @@ class ModelParams:
         self.config = config
         arrays = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
         self.layout = tuple((k, v.shape) for k, v in arrays.items())
-        self.slices: dict[str, slice] = {}
-        offset = 0
-        for k, v in arrays.items():
-            self.slices[k] = slice(offset, offset + v.size)
-            offset += v.size
-        self.n_params = offset
+        ends = list(itertools.accumulate((v.size for v in arrays.values()), initial=0))
+        self.slices = {k: slice(a, b) for k, a, b in zip(arrays, ends, ends[1:])}
+        self.n_params = ends[-1]
         self.vector = np.concatenate([v.ravel() for v in arrays.values()])
         self._views = self.unflatten(self.vector)
 
@@ -162,45 +164,39 @@ class ModelParams:
         return [k for k in self.slices if not k.startswith("audio.")]
 
 
-def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
-    """Seeded initialization: N(0, 1/fan_in) weights, zero biases."""
-    rng = np.random.default_rng(seed)
-
-    def w(shape, fan_in):
-        return rng.standard_normal(shape) / np.sqrt(fan_in)
-
-    arrays: dict[str, np.ndarray] = {}
-    c, k = config.width, config.kernel_size
-    in_ch = config.chunk_rows
+def param_layout(config: ModelConfig) -> tuple:
+    """The (key, shape) pairs of the model's tensors, in vector order."""
+    c, k, in_ch, sd = config.width, config.kernel_size, config.chunk_rows, config.speech_dim
+    layout = []
     for i, _ in enumerate(config.dilations):
-        arrays[f"tcn.{i}.conv1.w"] = w((c, in_ch, k), in_ch * k)
-        arrays[f"tcn.{i}.conv1.b"] = np.zeros(c)
-        arrays[f"tcn.{i}.conv2.w"] = w((c, c, k), c * k)
-        arrays[f"tcn.{i}.conv2.b"] = np.zeros(c)
+        layout += [(f"tcn.{i}.conv1.w", (c, in_ch, k)), (f"tcn.{i}.conv1.b", (c,)),
+                   (f"tcn.{i}.conv2.w", (c, c, k)), (f"tcn.{i}.conv2.b", (c,))]
         if in_ch != c:
-            arrays[f"tcn.{i}.down.w"] = w((c, in_ch), in_ch)
-            arrays[f"tcn.{i}.down.b"] = np.zeros(c)
+            layout += [(f"tcn.{i}.down.w", (c, in_ch)), (f"tcn.{i}.down.b", (c,))]
         in_ch = c
-    if config.uses_attention:
-        arrays["mlp1.fc1.w"] = w((c, config.global_dim), config.global_dim)
-        arrays["mlp1.fc1.b"] = np.zeros(c)
-        arrays["mlp1.fc2.w"] = w((c, c), c)
-        arrays["mlp1.fc2.b"] = np.zeros(c)
-    if config.uses_concat:
-        arrays["mlp2.fc1.w"] = w((c, config.global_dim), config.global_dim)
-        arrays["mlp2.fc1.b"] = np.zeros(c)
-        arrays["mlp2.fc2.w"] = w((c, c), c)
-        arrays["mlp2.fc2.b"] = np.zeros(c)
+    for mlp, used in (("mlp1", config.uses_attention), ("mlp2", config.uses_concat)):
+        if used:
+            layout += [(f"{mlp}.fc1.w", (c, config.global_dim)), (f"{mlp}.fc1.b", (c,)),
+                       (f"{mlp}.fc2.w", (c, c)), (f"{mlp}.fc2.b", (c,))]
     if config.head == "scalar":
-        arrays["head.w"] = w(config.embed_dim, config.embed_dim)
+        layout.append(("head.w", (config.embed_dim,)))
     else:
-        arrays["cat.w"] = w((featurepipe.N_CLASSES, config.embed_dim), config.embed_dim)
-        arrays["cat.b"] = np.zeros(featurepipe.N_CLASSES)
+        layout += [("cat.w", (N_CLASSES, config.embed_dim)), ("cat.b", (N_CLASSES,))]
     if config.with_audio:
-        arrays["audio.fc.w"] = w((config.speech_dim, config.speech_dim), config.speech_dim)
-        arrays["audio.fc.b"] = np.zeros(config.speech_dim)
-        arrays["audio.head.w"] = w(config.audio_embed_dim, config.audio_embed_dim)
-    return ModelParams(config, arrays)
+        layout += [("audio.fc.w", (sd, sd)), ("audio.fc.b", (sd,)),
+                   ("audio.head.w", (config.audio_embed_dim,))]
+    return tuple(layout)
+
+
+def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
+    """Seeded initialization over ``param_layout``: zero biases, and weights
+    drawn in order from N(0, 1/fan_in), fan_in the product of the shape after
+    its first axis, or the length of a 1-D weight."""
+    rng = np.random.default_rng(seed)
+    return ModelParams(config, {
+        key: np.zeros(shape) if key.endswith(".b")
+        else rng.standard_normal(shape) / np.sqrt(math.prod(shape[1:] or shape))
+        for key, shape in param_layout(config)})
 
 
 # ---------------------------------------------------------------------------
@@ -663,15 +659,25 @@ def prepare_batch(records: list[SampleRecord], config: ModelConfig) -> Batch:
     """Pad and chunk-summarize records, in one ``chunk_summarize_batch`` call
     on their raw frames at the config's ``min_frames`` floor, into the
     stacked arrays of a ``Batch``.  Short clips are read as if padded, with
-    no padded copy."""
+    no padded copy.  A record whose frame channels, global feature or speech
+    embedding differ in size from the config's is refused, naming the field."""
+    want = (config.n_channels, config.global_dim, config.speech_dim)
+    for r in records:
+        have = (r.frames.n_channels, r.global_feature.size,
+                r.speech_embedding.size if r.has_speech else config.speech_dim)
+        if have != want:
+            i = next(i for i in range(3) if have[i] != want[i])
+            field, name = (("frames", "n_channels"), ("global_feature", "global_dim"),
+                           ("speech_embedding", "speech_dim"))[i]
+            raise ValueError(f"record {r.id!r}: field {field!r} gives {name} {have[i]}, "
+                             f"but the model's is {want[i]}")
     chunks = featurepipe.chunk_summarize_batch(
         [r.frames for r in records], config.n_chunks, config.min_frames)
     gfeat = np.stack([r.global_feature for r in records])
     speech = meta = None
     has_speech = np.array([r.has_speech for r in records])
     if has_speech.any():
-        sd = next(r.speech_embedding.size for r in records if r.has_speech)
-        speech = np.zeros((len(records), sd))
+        speech = np.zeros((len(records), config.speech_dim))
         meta = np.zeros((len(records), AUDIO_META_DIM))
         for i, r in enumerate(records):
             if r.has_speech:

@@ -13,7 +13,9 @@ the whole batch, with one conv product per record; the package's encoder
 differs from it only by rounding.  The all-slots pool fill is the score
 pool's fill before it forwarded each picked record once; it takes the
 scoring as an argument, and with ``score_batch``, whose bytes for a record
-do not depend on its batch, the package's fill matches it bit for bit.
+do not depend on its batch, the package's fill matches it bit for bit.  The
+initializer is the package's from before it drew over one (key, shape)
+table, with every fan-in written out.
 """
 import math
 
@@ -308,3 +310,47 @@ def pool_fill_all_rows(labels, records, capacity, seed, score_records):
     scores, embeddings = score_records(slot_records)
     return (slot_records, np.array([labels[picked[i]] for i in order]), scores,
             embeddings)
+
+
+def init_params_by_hand(config, seed):
+    """Seeded (key, array) pairs in vector order: each weight draws
+    N(0, 1/fan_in) from one generator in turn, each bias is zero."""
+    rng = np.random.default_rng(seed)
+    c, k, d = config.width, config.kernel_size, config.global_dim
+    sd, in_ch = config.speech_dim, 3 * config.n_channels
+    concat = config.fusion in ("concat_only", "concat+attention")
+    embed = 2 * c if concat else c
+    out = []
+
+    def weight(key, shape, fan_in):
+        out.append((key, rng.standard_normal(shape) / np.sqrt(fan_in)))
+
+    def bias(key, n):
+        out.append((key, np.zeros(n)))
+
+    for i in range(len(config.dilations)):
+        weight(f"tcn.{i}.conv1.w", (c, in_ch, k), in_ch * k)
+        bias(f"tcn.{i}.conv1.b", c)
+        weight(f"tcn.{i}.conv2.w", (c, c, k), c * k)
+        bias(f"tcn.{i}.conv2.b", c)
+        if in_ch != c:
+            weight(f"tcn.{i}.down.w", (c, in_ch), in_ch)
+            bias(f"tcn.{i}.down.b", c)
+        in_ch = c
+    for mlp, used in (("mlp1", config.fusion in ("attention_only", "concat+attention")),
+                      ("mlp2", concat)):
+        if used:
+            weight(f"{mlp}.fc1.w", (c, d), d)
+            bias(f"{mlp}.fc1.b", c)
+            weight(f"{mlp}.fc2.w", (c, c), c)
+            bias(f"{mlp}.fc2.b", c)
+    if config.head == "scalar":
+        weight("head.w", (embed,), embed)
+    else:
+        weight("cat.w", (4, embed), embed)
+        bias("cat.b", 4)
+    if config.with_audio:
+        weight("audio.fc.w", (sd, sd), sd)
+        bias("audio.fc.b", sd)
+        weight("audio.head.w", (embed + sd + 7,), embed + sd + 7)
+    return out

@@ -247,10 +247,8 @@ class TestAcceptance:
     def test_criterion_7_determinism_and_persistence(self, tmp_path):
         data = fp.synth_dataset(48, n_channels=2, global_dim=5, n_frames=12,
                                 noise=0.4, seed=3, speech_dim=6)
-        train = fp.Dataset(data.records[:36], split="train",
-                           n_channels=2, global_dim=5)
-        val = fp.Dataset(data.records[36:], split="val",
-                         n_channels=2, global_dim=5)
+        train = fp.Dataset(data.records[:36], split="train")
+        val = fp.Dataset(data.records[36:], split="val")
         cfg = harness.TrainConfig(batch_size=8, pool_size=16, epochs=4,
                                   n_channels=2, global_dim=5, width=4,
                                   n_chunks=4, dropout=0.1, speech_dim=6,

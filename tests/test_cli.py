@@ -389,6 +389,40 @@ class TestFileErrors:
         assert err.startswith("engagerank: error: ") and re.search(named, err)
 
 
+class TestShapeErrors:
+    """A shape setting the model cannot take, or data of other dims than the
+    config gives, is one error line and exit status 2, before any step."""
+
+    @pytest.mark.parametrize("command, extra, named", [
+        ("train", ["--width", "0"], "width must be at least 1, got 0"),
+        ("train", ["--width", "-1"], "width must be at least 1, got -1"),
+        ("train", ["--n-chunks", "0"], "n_chunks must be at least 1, got 0"),
+        ("train", ["--loss", "cb_focal", "--cb-beta", "1.0"],
+         re.escape("cb_beta must be in [0, 1), got 1.0")),
+        ("train", ["--channels", "3"],
+         "field 'frames' gives n_channels 2, but the model's is 3"),
+        ("train", ["--global-dim", "4"],
+         "field 'global_feature' gives global_dim 5, but the model's is 4"),
+        ("train-two-stage", ["--speech-dim", "7"],
+         "field 'speech_embedding' gives speech_dim 6, but the model's is 7")],
+        ids=["width-0", "width-negative", "chunks-0", "cb-beta-1", "channels",
+             "global-dim", "speech-dim"])
+    def test_one_error_line(self, tmp_path, capsys, monkeypatch, command, extra, named):
+        data = synth_file(tmp_path / "d.jsonl", speech_fraction=1.0)
+        capsys.readouterr()
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(harness, "adamw_step", no_step)
+        code = run_cli(command, "--train", data, "--out-dir", str(tmp_path / "run"),
+                       *TINY_FLAGS, *extra)
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("engagerank: error: ") and re.search(named, err)
+        assert not (tmp_path / "run" / "checkpoint.npz").exists()
+
+
 class TestGradCheckCommand:
     def test_passing_run_exits_zero(self, capsys):
         code = run_cli("grad-check", "--losses", "mse")

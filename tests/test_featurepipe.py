@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -253,7 +254,7 @@ class TestPrepareBatchMatchesLoop:
                 records.append(fp.SampleRecord(id=str(i), frames=make_frames(vals),
                                                global_feature=np.zeros(2), label=i % 4))
             listed = [records[i] for i in rng.integers(n, size=n + rng.integers(n + 1))]
-            cfg = model.ModelConfig(n_channels=d, n_chunks=n_chunks)
+            cfg = model.ModelConfig(n_channels=d, n_chunks=n_chunks, global_dim=2)
             chunks, *_ = model.prepare_batch(listed, cfg)
             expected = np.stack([
                 chunk_summarize_loop(fp.repeat_pad(r.frames, cfg.min_frames), n_chunks)
@@ -440,7 +441,7 @@ class TestJsonlRoundTrip:
             for r in ds.records:
                 r.id = f"{r.id}-{f}"
             records.extend(ds.records)
-        memory = fp.Dataset(records, n_channels=2, global_dim=5)
+        memory = fp.Dataset(records)
         path = tmp_path / "data.jsonl"
         fp.save_records(memory, path)
         back = fp.load_records(path)
@@ -461,6 +462,41 @@ class TestJsonlRoundTrip:
         header = json.loads(path.read_text().splitlines()[0])
         assert header["schema"] == fp.SCHEMA_NAME
         assert header["D"] == 2 and header["d"] == 3
+
+    def test_dims_come_from_the_records(self, tmp_path):
+        """A dataset built from records reports and saves their dims, so the
+        file it writes loads back."""
+        ds = fp.synth_dataset(n=8, n_channels=2, global_dim=3, n_frames=6,
+                              proportions=(1, 1, 1, 1), seed=0)
+        built = fp.Dataset(ds.records[:5], split="val")
+        assert (built.n_channels, built.global_dim) == (2, 3)
+        path = tmp_path / "data.jsonl"
+        fp.save_records(built, path)
+        back = fp.load_records(path)
+        assert [r.id for r in back.records] == [r.id for r in built.records]
+        assert (back.n_channels, back.global_dim) == (2, 3)
+
+    def test_records_must_share_dims(self):
+        a = fp.synth_dataset(n=4, n_channels=2, global_dim=3, n_frames=6, seed=0)
+        b = fp.synth_dataset(n=4, n_channels=3, global_dim=3, n_frames=6, seed=1)
+        for r in b.records:
+            r.id = f"b{r.id}"
+        with pytest.raises(ValueError, match=re.escape(
+                "record dims (channels, global_dim) differ: [(2, 3), (3, 3)]")):
+            fp.Dataset(a.records + b.records)
+
+    def test_empty_dataset_saves_a_header_with_the_defaults(self, tmp_path):
+        """A header-only file of any dims loads as an empty dataset, which has
+        the default dims and saves as a header-only file with them."""
+        path = tmp_path / "empty.jsonl"
+        path.write_text(json.dumps({"schema": fp.SCHEMA_NAME, "D": 2, "d": 3}) + "\n")
+        empty = fp.load_records(path)
+        defaults = (fp.DEFAULT_CHANNELS, fp.DEFAULT_GLOBAL_DIM)
+        assert len(empty) == 0 and (empty.n_channels, empty.global_dim) == defaults
+        fp.save_records(empty, path)
+        assert path.read_text().splitlines() == [json.dumps(
+            {"schema": fp.SCHEMA_NAME, "D": defaults[0], "d": defaults[1]})]
+        assert len(fp.load_records(path)) == 0
 
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -4,6 +4,7 @@ Each loss drives the full small network so every layer's gradient is
 exercised end to end; the kink guard discards coordinates whose central
 difference straddles a ReLU or hinge boundary.
 """
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -58,6 +59,19 @@ class TestGradCheckDriver:
         report = harness.grad_check(harness.TrainConfig.tiny(use_audio=True))
         assert set(report["losses"]) == set(AUDIO_LOSSES)
         assert report["passed"]
+
+    def test_defaults_come_from_grad_check_loss(self):
+        """grad_check restates no default: the tolerance it reports, and
+        checks with, is grad_check_loss's unless given, and both settings
+        reach grad_check_loss."""
+        default = inspect.signature(harness.grad_check_loss).parameters["tolerance"].default
+        report = harness.grad_check(losses=["mse"])
+        assert report["tolerance"] == default
+        assert report["passed"] == (report["losses"]["mse"]["max_rel_err"] < default)
+        strict = harness.grad_check(losses=["mse"], tolerance=0.0)
+        assert strict["tolerance"] == 0.0 and not strict["passed"]
+        with pytest.raises(ValueError, match="over the 100 cap"):
+            harness.grad_check(losses=["mse"], n_params_max=100)
 
     def test_block_errors_cover_every_tensor(self):
         cfg = harness.TrainConfig.tiny(loss="mse")

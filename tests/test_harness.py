@@ -68,6 +68,13 @@ class TestTrainConfig:
             with pytest.raises(ValueError, match="momentum"):
                 tiny_train_config(momentum=bad)
 
+    @pytest.mark.parametrize("beta", [1.0, -0.1, 1.5])
+    def test_cb_beta_in_unit_interval(self, beta):
+        """Refused when the config is built, not at the first cb_focal step."""
+        with pytest.raises(ValueError, match=re.escape(f"cb_beta must be in [0, 1), "
+                                                       f"got {beta}")):
+            tiny_train_config(loss="cb_focal", cb_beta=beta)
+
     def test_model_config_checked_up_front(self):
         """A dropout the model refuses fails when the config is built."""
         with pytest.raises(ValueError, match="dropout"):
@@ -557,7 +564,8 @@ class TestCheckpointing:
     @pytest.mark.parametrize("name", ["opt__m", "opt__v"])
     def test_moment_length_names_path_and_field(self, tmp_path, name):
         path = self._edited_checkpoint(tmp_path, array_edits={name: np.zeros(3)})
-        with pytest.raises(ValueError, match=f"'{name}'.*expected") as err:
+        with pytest.raises(ValueError, match=f"'{name}': shape .*, but config "
+                                             f"gives") as err:
             harness.load_checkpoint(str(path))
         assert "ckpt.npz" in str(err.value)
 
@@ -672,7 +680,30 @@ class TestCheckpointing:
         emb = self._saved(tmp_path, "pool__embeddings")
         path = self._edited_checkpoint(
             tmp_path, array_edits={"pool__embeddings": emb[:, 1:]})
-        self._refused(path, "pool__embeddings", "width")
+        self._refused(path, "pool__embeddings",
+                      re.escape(f"shape {emb[:, 1:].shape}, but config gives {emb.shape}"))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_every_float_array_must_be_float64(self, tmp_path, dtype):
+        """Each stored float array of a center-loss checkpoint, saved as
+        another dtype, is refused naming the path and the field: int64 AdamW
+        moments would fail only at the first step, float32 ones train on in
+        float32."""
+        path = self._edited_checkpoint(tmp_path, loss="mocorank+center")
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"][()]))
+            arrays = {k: data[k] for k in data.files if k != "meta"}
+        names = [n for n in arrays if n != "pool__labels"]
+        assert {n.split("__")[0] for n in names} == {"param", "momentum", "opt",
+                                                      "centers", "pool"}
+        assert len(names) == 2 * len(meta["param_keys"]) + 5
+        edited = tmp_path / "edited.npz"
+        for name in names:
+            with open(edited, "wb") as fh:
+                np.savez(fh, meta=json.dumps(meta),
+                         **dict(arrays, **{name: arrays[name].astype(dtype)}))
+            self._refused(edited, name, f"dtype {np.dtype(dtype)}, but checkpoints "
+                                        f"store float64")
 
     def test_centers_shape(self, tmp_path):
         path = self._edited_checkpoint(tmp_path, loss="mocorank+center",

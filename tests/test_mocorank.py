@@ -344,7 +344,7 @@ class TestPoolInit:
     def test_missing_class_rejected(self):
         data, enc = self.tiny_setup()
         kept = [r for r in data.records if r.label != 0]
-        culled = fp.Dataset(kept, split="train", n_channels=2, global_dim=5)
+        culled = fp.Dataset(kept, split="train")
         with pytest.raises(ValueError, match="missing"):
             mr.pool_init(culled, enc, capacity=8, seed=0)
 

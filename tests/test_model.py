@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from engagerank import featurepipe as fp
 from engagerank import harness, model
 
 from _oracles import (causal_cols_padded, causal_cols_padded_backward,
-                      tcn_backward_per_record, tcn_forward_per_record)
+                      init_params_by_hand, tcn_backward_per_record,
+                      tcn_forward_per_record)
 
 
 # How far a record's encoding may move with the batch it runs in; observed
@@ -50,6 +53,15 @@ class TestModelConfig:
         with pytest.raises(ValueError, match=r"dropout must be in \[0, 1\)"):
             tiny_config(dropout=rate)
 
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("name", ["width", "n_chunks", "n_channels", "global_dim",
+                                      "speech_dim"])
+    def test_dims_at_least_one(self, name, value):
+        """A zero width would build and train a model of no channels, and a
+        negative one fail inside numpy."""
+        with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
+            tiny_config(**{name: value})
+
     def test_embed_dim_doubles_with_concat(self):
         assert tiny_config(fusion="openface_only").embed_dim == 4
         assert tiny_config(fusion="attention_only").embed_dim == 4
@@ -91,6 +103,21 @@ class TestInitParams:
         params = model.init_params(tiny_config(with_audio=True))
         audio = set(params.keys()) - set(params.visual_keys())
         assert audio == {"audio.fc.w", "audio.fc.b", "audio.head.w"}
+
+    @pytest.mark.parametrize("head, with_audio", [("scalar", False), ("categorical", False),
+                                                  ("scalar", True)])
+    @pytest.mark.parametrize("fusion", model.FUSIONS)
+    def test_matches_the_hand_written_fan_ins(self, fusion, head, with_audio):
+        """Bytewise the oracle's draws at two seeds, 1-D head weights
+        included, and laid out as ``param_layout`` gives."""
+        cfg = tiny_config(fusion=fusion, head=head, with_audio=with_audio)
+        for seed in (0, 7):
+            params = model.init_params(cfg, seed=seed)
+            expected = init_params_by_hand(cfg, seed)
+            assert params.layout == model.param_layout(cfg)
+            assert [(k, v.shape) for k, v in expected] == list(params.layout)
+            for key, value in expected:
+                assert params[key].tobytes() == value.tobytes(), key
 
 
 class TestParamsFlat:
@@ -765,3 +792,17 @@ class TestPrepareBatch:
         chunks, gfeat, *_ = model.prepare_batch(listed, cfg)
         assert chunks.tobytes() == expected.tobytes()
         assert gfeat.tobytes() == np.stack([r.global_feature for r in listed]).tobytes()
+
+    @pytest.mark.parametrize("field, name, have", [
+        ("frames", "n_channels", 2), ("global_feature", "global_dim", 5),
+        ("speech_embedding", "speech_dim", 6)])
+    def test_dims_against_config(self, field, name, have):
+        """A record of other dims than the config's is refused, naming the
+        record, the field and both values, not left to fail in a matmul."""
+        records = tiny_records(4, speech_fraction=0.5)
+        cfg = tiny_config(**{name: have + 1})
+        first = next(r for r in records if field != "speech_embedding" or r.has_speech)
+        with pytest.raises(ValueError, match=re.escape(
+                f"record {first.id!r}: field {field!r} gives {name} {have}, but the "
+                f"model's is {have + 1}")):
+            model.prepare_batch(records, cfg)
