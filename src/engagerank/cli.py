@@ -4,12 +4,13 @@ Subcommands: synth, train, train-two-stage, eval, grad-check, bench-losses,
 icc.  The synth flags are ``featurepipe.synth_dataset``'s arguments with its
 defaults, but ``--n`` (3000) and ``--out``.  The training flags of train,
 train-two-stage and bench-losses are TrainConfig's fields, but the data
-paths, which come from --train and --val.  Argument or field ``x_y`` is the
-flag ``--x-y``, except ``--channels`` and ``--frames`` for ``n_channels`` and
-``n_frames``.  A JSON config file (--config) may set training fields, under
-explicit flags.  Bad input (a ValueError) or a missing or unreadable file
-(an OSError) prints one ``engagerank: error:`` line on stderr and exits 2,
-as argparse does for a bad flag.  ENGAGERANK_LOG_LEVEL sets log verbosity.
+paths, which come from --train and --val; the model's input widths come from
+the training data.  Argument or field ``x_y`` is the flag ``--x-y``, except
+``--channels`` and ``--frames`` for synth's ``n_channels`` and ``n_frames``.
+A JSON config file (--config) may set training fields, under explicit flags.
+Bad input (a ValueError) or a missing or unreadable file (an OSError) prints
+one ``engagerank: error:`` line on stderr and exits 2, as argparse does for
+a bad flag.  ENGAGERANK_LOG_LEVEL sets log verbosity.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ CONFIG_VERSION = 1
 # TrainConfig fields the CLI and config files may set
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 _PRESETS = {"desk": TrainConfig.desk, "paper": TrainConfig.paper_scale}
-# the renamed flags, and the keywords a flag takes beyond its type
+# synth's renamed flags, and the keywords a flag takes beyond its type
 _FLAG_NAMES = {"n_channels": "--channels", "n_frames": "--frames"}
 _FLAG_KEYWORDS = {"loss": {"choices": LOSSES}, "sampler": {"choices": harness.SAMPLERS},
                   "ablation": {"choices": model.FUSIONS},

@@ -137,23 +137,27 @@ def _validate_audio_meta(meta: np.ndarray) -> None:
 
 @dataclass
 class Dataset:
-    """An ordered collection of records with a split tag.  ``n_channels`` and
-    ``global_dim`` are those its records share; an empty set has the defaults."""
+    """An ordered collection of records with a split tag.  Its widths, a model's
+    input widths, are those its records share, else 17, 64 and ``SPEECH_DIM``."""
 
     records: list[SampleRecord]
     split: str = "train"
     n_channels: int = field(init=False)
     global_dim: int = field(init=False)
+    speech_dim: int = field(init=False)
 
     def __post_init__(self):
-        ids = [r.id for r in self.records]
-        if len(set(ids)) != len(ids):
+        records = self.records
+        if len({r.id for r in records}) != len(records):
             raise ValueError("record ids must be unique within a dataset")
-        dims = {(r.frames.n_channels, r.global_feature.size) for r in self.records}
-        if len(dims) > 1:
-            raise ValueError(f"record dims (channels, global_dim) differ: {sorted(dims)}")
-        self.n_channels, self.global_dim = dims.pop() if dims else (DEFAULT_CHANNELS,
-                                                                    DEFAULT_GLOBAL_DIM)
+        for name, default, widths in (
+                ("n_channels", DEFAULT_CHANNELS, {r.frames.n_channels for r in records}),
+                ("global_dim", DEFAULT_GLOBAL_DIM, {r.global_feature.size for r in records}),
+                ("speech_dim", SPEECH_DIM,
+                 {r.speech_embedding.size for r in records if r.has_speech})):
+            if len(widths) > 1:
+                raise ValueError(f"records differ in {name}: {sorted(widths)}")
+            setattr(self, name, widths.pop() if widths else default)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -433,11 +437,8 @@ def save_records(dataset: Dataset, path) -> None:
     """Write a dataset in the JSON-lines format that load_records reads."""
     with open(path, "w", encoding="utf-8") as fh:
         header = {"schema": SCHEMA_NAME, "D": dataset.n_channels, "d": dataset.global_dim}
-        dims = {r.speech_embedding.shape[0] for r in dataset.records if r.has_speech}
-        if dims and dims != {SPEECH_DIM}:
-            if len(dims) > 1:
-                raise ValueError("records disagree on speech embedding width")
-            header["speech_dim"] = int(dims.pop())
+        if dataset.speech_dim != SPEECH_DIM:
+            header["speech_dim"] = dataset.speech_dim
         fh.write(json.dumps(header) + "\n")
         for rec in dataset.records:
             obj = {

@@ -36,6 +36,7 @@ logger = logging.getLogger("engagerank")
 SAMPLERS = ("sequential", "class_balanced")
 SUBSETS = ("all", "speech_only")        # which records evaluate scores
 CHECKPOINT_VERSION = "1"
+WIDTHS = ("n_channels", "global_dim", "speech_dim")    # the model's input widths
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +101,7 @@ CATEGORICAL_LOSSES = tuple(k for k, v in LOSS_TABLE.items() if v.head == "catego
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything a training run depends on, seed included."""
+    """Everything a training run depends on, seed included, but the data."""
 
     loss: str = "mocorank"
     batch_size: int = 32
@@ -126,12 +127,9 @@ class TrainConfig:
     stage2_epochs: Optional[int] = None
     init_from: Optional[str] = None
     # model shape
-    n_channels: int = featurepipe.DEFAULT_CHANNELS
-    global_dim: int = featurepipe.DEFAULT_GLOBAL_DIM
     width: int = 32
     n_chunks: int = featurepipe.DEFAULT_CHUNKS
     dropout: float = 0.1
-    speech_dim: int = featurepipe.SPEECH_DIM
     min_frames: int = featurepipe.DEFAULT_MIN_FRAMES
 
     def __post_init__(self):
@@ -167,7 +165,7 @@ class TrainConfig:
             raise ValueError(f"cb_beta must be in [0, 1), got {self.cb_beta!r}")
         if self.use_audio and self.head == "categorical":
             raise ValueError("audio training requires a scalar-head loss")
-        self.model_config()     # the model's own checks, before any data loads
+        self.model_config(Dataset([]))     # the model's own checks, before any data loads
 
     @property
     def head(self) -> str:
@@ -187,12 +185,12 @@ class TrainConfig:
             return self.sampler
         return "class_balanced" if self.head == "categorical" else "sequential"
 
-    def model_config(self) -> model_mod.ModelConfig:
+    def model_config(self, data) -> model_mod.ModelConfig:
+        """The model this config trains on ``data``, whose ``WIDTHS`` it takes."""
         return model_mod.ModelConfig(
-            n_channels=self.n_channels, n_chunks=self.n_chunks, width=self.width,
-            global_dim=self.global_dim, speech_dim=self.speech_dim,
-            dropout=self.dropout, fusion=self.ablation, head=self.head,
-            with_audio=self.use_audio, min_frames=self.min_frames)
+            **{name: getattr(data, name) for name in WIDTHS}, n_chunks=self.n_chunks,
+            width=self.width, dropout=self.dropout, fusion=self.ablation,
+            head=self.head, with_audio=self.use_audio, min_frames=self.min_frames)
 
     @classmethod
     def desk(cls, **overrides) -> "TrainConfig":
@@ -209,10 +207,9 @@ class TrainConfig:
 
     @classmethod
     def tiny(cls, **overrides) -> "TrainConfig":
-        """Sub-1000-parameter preset for finite-difference gradient checks."""
-        base = dict(batch_size=4, pool_size=8, epochs=1, n_channels=2,
-                    global_dim=5, width=4, n_chunks=4, dropout=0.0,
-                    speech_dim=6, min_frames=8)
+        """Sub-1000-parameter preset for the gradient checks on ``_tiny_dataset``."""
+        base = dict(batch_size=4, pool_size=8, epochs=1, width=4, n_chunks=4,
+                    dropout=0.0, min_frames=8)
         base.update(overrides)
         return cls(**base)
 
@@ -309,7 +306,7 @@ def init_train_state(config: TrainConfig, train_set: Dataset) -> TrainState:
                 f"use_audio needs speech on every training record, but {n_speech} "
                 f"of {len(train_set)} have it; train mixed sets with train-two-stage")
     rng = np.random.default_rng(config.seed)
-    params = model_mod.init_params(config.model_config(), seed=config.seed)
+    params = model_mod.init_params(config.model_config(train_set), seed=config.seed)
     if config.init_from is not None:
         donor = load_checkpoint(config.init_from).params
         if donor.layout != params.layout:
@@ -438,7 +435,7 @@ def train_two_stage(config: TrainConfig, train_set: Dataset,
                          epochs=config.epochs if config.stage2_epochs is None
                          else config.stage2_epochs)
     visual = state.params
-    params = model_mod.init_params(stage2_cfg.model_config(), seed=config.seed)
+    params = model_mod.init_params(stage2_cfg.model_config(train_set), seed=config.seed)
     if params.layout[:len(visual.layout)] != visual.layout:   # audio tensors last
         raise ValueError("visual parameter layout is not a prefix of the multimodal one")
     params.vector[:visual.n_params] = visual.vector
@@ -538,19 +535,19 @@ def save_checkpoint(state: TrainState, path: str) -> None:
 def load_checkpoint(path: str) -> TrainState:
     """Read a checkpoint written by save_checkpoint; bit-exact restore.
 
-    The layout comes from the stored config: parameters and momentum
-    parameters are read in ``model.param_layout(config.model_config())``, and
-    the stored model_config must match that model key for key.  Every float
-    array stored must be float64, of the shape the config gives and finite.
-    A bad field, such as an array that breaks this rule, a negative AdamW
-    ``v`` or a meta field of the wrong JSON type, raises a ValueError naming
-    the path and the field; a missing path or a directory raises the OSError
-    naming it.  The momentum encoder runs at
+    The model is the stored config's on the ``WIDTHS`` the stored
+    model_config gives (integers of at least 1), whose other keys must match
+    it; parameters and momentum parameters are read in its ``param_layout``.
+    Every float array stored must be float64, finite and of the shape the
+    config gives.  A bad field, such as an array that breaks this rule, a
+    negative AdamW ``v`` or a meta field of the wrong JSON type, raises a
+    ValueError naming the path and the field; a missing path or a directory
+    raises the OSError naming it.  The momentum encoder runs at
     ``config.momentum`` and the centers move at ``mocorank.CENTER_RATE``, as
-    in a fresh run; older files that also store ``enc_momentum`` and
-    ``centers_alpha`` load with both ignored, and so do those whose
-    model_config holds ``strict_pad: false``.  The pool must have the
-    capacity ``config.pool_size`` gives.
+    in a fresh run; older files that also store ``enc_momentum``,
+    ``centers_alpha`` or, in config, the widths load with them ignored, and
+    so do those whose model_config holds ``strict_pad: false``.  The pool
+    must have the capacity ``config.pool_size`` gives.
     """
     with open(path, "rb") as fh:
         try:
@@ -580,19 +577,20 @@ def load_checkpoint(path: str) -> TrainState:
                                          f"{'object' if kind is dict else 'array'}")
         return value
 
-    def count(name):
-        value = need(meta, name)
-        if type(value) is not int or value < 0:
-            raise corrupt(name, f"{value!r} is not an integer >= 0")
+    def count(source, name, prefix="", least=0):
+        value = need(source, name, prefix)
+        if type(value) is not int or value < least:
+            raise corrupt(prefix + name, f"{value!r} is not an integer >= {least}")
         return value
 
-    config_d = need(meta, "config", kind=dict)
+    config_d = {k: v for k, v in need(meta, "config", kind=dict).items() if k not in WIDTHS}
     have = dict(need(meta, "model_config", kind=dict))
     try:
         config = TrainConfig(**config_d)
     except (TypeError, ValueError) as err:
         raise corrupt("config", err) from err
-    mcfg = config.model_config()
+    mcfg = replace(config.model_config(Dataset([])), **{
+        key: count(have, key, "model_config.", least=1) for key in WIDTHS})
     # older files record the removed strict padding, always off
     if have.pop("strict_pad", False) is not False:
         raise corrupt("model_config", "strict_pad padding is no longer supported")
@@ -627,7 +625,7 @@ def load_checkpoint(path: str) -> TrainState:
     if missing:
         raise corrupt("frozen_keys", f"names {missing[0]!r}, which the model does not have")
     opt = {"m": array("opt__m", (params.n_params,)),
-           "v": array("opt__v", (params.n_params,)), "step": count("opt_step")}
+           "v": array("opt__v", (params.n_params,)), "step": count(meta, "opt_step")}
     if (opt["v"] < 0).any():
         raise corrupt("opt__v", "negative value")
     rng_state = need(meta, "rng_state")
@@ -637,7 +635,7 @@ def load_checkpoint(path: str) -> TrainState:
     except (TypeError, ValueError, KeyError, OverflowError) as err:
         raise corrupt("rng_state", f"not a PCG64 state ({err!r})") from err
     state = TrainState(config=config, params=params, opt=opt, rng=rng,
-                       epoch=count("epoch"), frozen_keys=tuple(frozen_keys))
+                       epoch=count(meta, "epoch"), frozen_keys=tuple(frozen_keys))
     for name, want in (("has_enc", config.needs_pool), ("has_pool", config.needs_pool),
                        ("has_centers", config.needs_centers)):
         if need(meta, name) is not want:
@@ -667,12 +665,11 @@ def load_checkpoint(path: str) -> TrainState:
 # ---------------------------------------------------------------------------
 
 def _tiny_dataset(config: TrainConfig) -> Dataset:
+    """2/5/6-wide data, with speech on every record when ``config.use_audio``."""
     return featurepipe.synth_dataset(
-        n=max(16, 4 * config.batch_size), n_channels=config.n_channels,
-        global_dim=config.global_dim, n_frames=config.min_frames + 4,
-        proportions=(1, 1, 1, 1), noise=0.3, seed=0,
-        speech_fraction=1.0 if config.use_audio else 0.0,
-        speech_dim=config.speech_dim)
+        n=max(16, 4 * config.batch_size), n_channels=2, global_dim=5,
+        n_frames=config.min_frames + 4, proportions=(1, 1, 1, 1), noise=0.3, seed=0,
+        speech_fraction=1.0 if config.use_audio else 0.0, speech_dim=6)
 
 
 def _margin_kinks(scores, labels, embeddings, pool: ScorePool) -> list:
@@ -685,18 +682,18 @@ def _margin_kinks(scores, labels, embeddings, pool: ScorePool) -> list:
 def grad_check_loss(config: TrainConfig, n_params_max: int = 1000,
                     tolerance: float = 1e-4) -> dict:
     """Finite-difference check of the full network under config.loss, at
-    seed-0 parameters and data.
+    seed-0 parameters and ``_tiny_dataset``'s data.
 
     The step h balances truncation against float64 cancellation; below
     ~1e-5 the audio-branch losses (larger raw values) go round-off limited.
     """
     config = replace(config, dropout=0.0)
     h = 5e-5
-    params = model_mod.init_params(config.model_config(), seed=0)
+    ds = _tiny_dataset(config)
+    params = model_mod.init_params(config.model_config(ds), seed=0)
     if params.n_params > n_params_max:
         raise ValueError(
             f"model has {params.n_params} parameters, over the {n_params_max} cap")
-    ds = _tiny_dataset(config)
     chunks, gfeat, speech, meta, has_speech = model_mod.prepare_batch(
         ds.records[:config.batch_size], params.config)
     labels = ds.labels()[:config.batch_size]

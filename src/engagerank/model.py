@@ -488,9 +488,6 @@ def _concat_forward(global_feat, pooled, params: ModelParams):
     cfg = params.config
     if not cfg.uses_concat:
         return pooled, {"z_dim": 0}
-    if global_feat.shape[1] != cfg.global_dim:
-        raise ValueError(
-            f"global feature must have length {cfg.global_dim}, got {global_feat.shape[1]}")
     pre = _affine_forward(global_feat, params["mlp2.fc1.w"], params["mlp2.fc1.b"])
     h = np.maximum(pre, 0.0)
     z = _affine_forward(h, params["mlp2.fc2.w"], params["mlp2.fc2.b"])
@@ -602,6 +599,9 @@ def forward_batch(chunks: np.ndarray, global_feat: np.ndarray, params: ModelPara
     global_feat = np.asarray(global_feat, dtype=np.float64)
     train = mode == "train"
     cfg = params.config
+    if global_feat.shape[1] != cfg.global_dim:
+        raise ValueError(f"global feature has global_dim {global_feat.shape[1]}, but "
+                         f"the model's is {cfg.global_dim}")
     encoded, tcn_caches = _tcn_forward(chunks, params, train, rng)
     pooled, attn, attn_cache = _attention_forward(encoded, global_feat, params, train, rng)
     fused, concat_cache = _concat_forward(global_feat, pooled, params)
@@ -640,8 +640,8 @@ def forward_batch(chunks: np.ndarray, global_feat: np.ndarray, params: ModelPara
 class Batch(NamedTuple):
     """Records prepared for the batched forward: one row per record.
 
-    ``speech`` and ``meta`` are None when no record carries speech; rows of
-    records without speech are zero.
+    ``speech`` and ``meta`` are None when no record carries speech or the
+    model has no audio branch; rows of records without speech are zero.
     """
 
     chunks: np.ndarray             # (B, 3D, T) chunk summaries
@@ -660,11 +660,12 @@ def prepare_batch(records: list[SampleRecord], config: ModelConfig) -> Batch:
     on their raw frames at the config's ``min_frames`` floor, into the
     stacked arrays of a ``Batch``.  Short clips are read as if padded, with
     no padded copy.  A record whose frame channels, global feature or speech
-    embedding differ in size from the config's is refused, naming the field."""
+    embedding differ in size from the config's is refused, naming the field;
+    a visual model reads no speech, leaving ``speech`` and ``meta`` None."""
     want = (config.n_channels, config.global_dim, config.speech_dim)
     for r in records:
         have = (r.frames.n_channels, r.global_feature.size,
-                r.speech_embedding.size if r.has_speech else config.speech_dim)
+                r.speech_embedding.size if r.has_speech and config.with_audio else want[2])
         if have != want:
             i = next(i for i in range(3) if have[i] != want[i])
             field, name = (("frames", "n_channels"), ("global_feature", "global_dim"),
@@ -676,7 +677,7 @@ def prepare_batch(records: list[SampleRecord], config: ModelConfig) -> Batch:
     gfeat = np.stack([r.global_feature for r in records])
     speech = meta = None
     has_speech = np.array([r.has_speech for r in records])
-    if has_speech.any():
+    if config.with_audio and has_speech.any():
         speech = np.zeros((len(records), config.speech_dim))
         meta = np.zeros((len(records), AUDIO_META_DIM))
         for i, r in enumerate(records):

@@ -134,10 +134,8 @@ class TestAcceptance:
         # Pool entries survive training unmodified until FIFO eviction.
         data = fp.synth_dataset(48, n_channels=2, global_dim=5, n_frames=12,
                                 noise=0.4, seed=3, speech_dim=6)
-        tcfg = harness.TrainConfig(batch_size=8, pool_size=256, epochs=2,
-                                   n_channels=2, global_dim=5, width=4,
-                                   n_chunks=4, dropout=0.0, speech_dim=6,
-                                   min_frames=8)
+        tcfg = harness.TrainConfig(batch_size=8, pool_size=256, epochs=2, width=4,
+                                   n_chunks=4, dropout=0.0, min_frames=8)
         state = harness.init_train_state(tcfg, data)
         before = state.pool.entries()
         harness.train_epochs(state, data, None, n_epochs=1)
@@ -249,10 +247,8 @@ class TestAcceptance:
                                 noise=0.4, seed=3, speech_dim=6)
         train = fp.Dataset(data.records[:36], split="train")
         val = fp.Dataset(data.records[36:], split="val")
-        cfg = harness.TrainConfig(batch_size=8, pool_size=16, epochs=4,
-                                  n_channels=2, global_dim=5, width=4,
-                                  n_chunks=4, dropout=0.1, speech_dim=6,
-                                  min_frames=8, seed=9)
+        cfg = harness.TrainConfig(batch_size=8, pool_size=16, epochs=4, width=4,
+                                  n_chunks=4, dropout=0.1, min_frames=8, seed=9)
 
         s1, h1 = harness.train(cfg, train, val)
         s2, h2 = harness.train(cfg, train, val)

@@ -13,18 +13,18 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
-def synth_file(path, n=40, seed=0, speech_fraction=0.0):
+def synth_file(path, n=40, seed=0, speech_fraction=0.0, extra=()):
+    """2-channel, 5-dim data with 6-wide speech; ``extra`` flags override."""
     run_cli("synth", "--out", str(path), "--n", str(n), "--channels", "2",
             "--global-dim", "5", "--frames", "12", "--noise", "0.4",
             "--proportions", "1,1,1,1", "--seed", str(seed),
             "--speech-dim", "6",
-            "--speech-fraction", str(speech_fraction))
+            "--speech-fraction", str(speech_fraction), *extra)
     return str(path)
 
 
 TINY_FLAGS = ("--batch-size", "8", "--pool-size", "16", "--epochs", "2",
-              "--channels", "2", "--global-dim", "5", "--width", "4",
-              "--n-chunks", "4", "--dropout", "0.0", "--speech-dim", "6",
+              "--width", "4", "--n-chunks", "4", "--dropout", "0.0",
               "--min-frames", "8")
 
 
@@ -193,6 +193,40 @@ class TestTrainEval:
         state = harness.load_checkpoint(str(out_dir / "checkpoint.npz"))
         assert state.config.use_audio
 
+    @pytest.mark.parametrize("command", ["train", "train-two-stage"])
+    def test_widths_come_from_the_data(self, tmp_path, command):
+        """No width flag: the checkpoint's model has the data's 2 channels,
+        5-dim global features and 6-wide speech, and evaluates that data."""
+        train = synth_file(tmp_path / "train.jsonl", n=32, speech_fraction=0.5)
+        out_dir = tmp_path / "run"
+        assert run_cli(command, "--train", train, "--out-dir", str(out_dir),
+                       "--loss", "mocorank", "--stage2-epochs", "1", *TINY_FLAGS) == 0
+        with np.load(out_dir / "checkpoint.npz", allow_pickle=False) as data:
+            stored = json.loads(str(data["meta"][()]))["model_config"]
+        assert [stored[k] for k in harness.WIDTHS] == [2, 5, 6]
+        assert run_cli("eval", "--checkpoint", str(out_dir / "checkpoint.npz"),
+                       "--data", train) == 0
+
+    def test_visual_checkpoint_ignores_speech(self, tmp_path, capsys):
+        """A visual model reads no speech: trained on speechless data, it
+        evaluates a file with 6-wide speech as it does the same records
+        without it."""
+        train = synth_file(tmp_path / "train.jsonl", n=32)
+        out_dir = tmp_path / "run"
+        assert run_cli("train", "--train", train, "--out-dir", str(out_dir),
+                       "--loss", "mse", *TINY_FLAGS) == 0
+        state = harness.load_checkpoint(str(out_dir / "checkpoint.npz"))
+        assert state.params.config.speech_dim == featurepipe.SPEECH_DIM
+        test = synth_file(tmp_path / "test.jsonl", n=16, seed=1, speech_fraction=0.5)
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", str(out_dir / "checkpoint.npz"),
+                       "--data", test) == 0
+        printed = json.loads(capsys.readouterr().out)
+        records = featurepipe.load_records(test).records
+        speechless = featurepipe.Dataset([dataclasses.replace(
+            r, speech_embedding=None, audio_meta=None) for r in records])
+        assert printed == json.loads(harness.evaluate(state, speechless).to_json())
+
 
 class TestConfigFile:
     def test_file_supplies_flags_and_cli_overrides(self, tmp_path):
@@ -200,9 +234,8 @@ class TestConfigFile:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "config_version": 1, "loss": "mse", "epochs": 2, "batch_size": 8,
-            "pool_size": 16, "n_channels": 2, "global_dim": 5, "width": 4,
-            "n_chunks": 4, "dropout": 0.0, "speech_dim": 6, "min_frames": 8,
-            "seed": 7}))
+            "pool_size": 16, "width": 4, "n_chunks": 4, "dropout": 0.0,
+            "min_frames": 8, "seed": 7}))
         out_dir = tmp_path / "run"
         code = run_cli("train", "--train", train, "--out-dir", str(out_dir),
                        "--config", str(cfg_path), "--seed", "9")
@@ -249,6 +282,14 @@ class TestConfigFile:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"config_version": 1, "learning_rate": 0.1}))
         with pytest.raises(ValueError, match="unknown keys.*learning_rate"):
+            cli._load_config_file(str(bad))
+
+    @pytest.mark.parametrize("key", harness.WIDTHS)
+    def test_width_key_rejected(self, tmp_path, key):
+        """The training data sets the model's input widths; no config does."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"config_version": 1, key: 2}))
+        with pytest.raises(ValueError, match=re.escape(f"unknown keys: ['{key}']")):
             cli._load_config_file(str(bad))
 
     def test_version_checked(self, tmp_path):
@@ -320,8 +361,7 @@ NON_DEFAULT = dict(
     weight_decay=0.01, momentum=0.99, sampler="class_balanced", use_audio=True,
     ablation="concat_only", seed=5, center_weight=0.3, cb_beta=0.99, cb_gamma=1.5,
     detach_margin=True, score_before_step=True, stage2_epochs=2, init_from="donor.npz",
-    n_channels=3, global_dim=7, width=8, n_chunks=5, dropout=0.2, speech_dim=9,
-    min_frames=20)
+    width=8, n_chunks=5, dropout=0.2, min_frames=20)
 COMMAND_ARGS = {"train": ["train", "--train", "x", "--out-dir", "y"],
                 "train-two-stage": ["train-two-stage", "--train", "x", "--out-dir", "y"],
                 "bench-losses": ["bench-losses", "--train", "x", "--test", "z",
@@ -343,6 +383,11 @@ class TestTrainFlags:
         options = {a.dest: a.option_strings for a in subparser(command)._actions}
         for name in NON_DEFAULT:
             assert flag(name) in options[name]
+
+    def test_no_width_flag(self, command):
+        """The training data sets the model's input widths."""
+        options = {o for a in subparser(command)._actions for o in a.option_strings}
+        assert options.isdisjoint(flag(name) for name in harness.WIDTHS)
 
     def test_values_reach_the_config(self, command):
         argv = list(COMMAND_ARGS[command])
@@ -390,8 +435,9 @@ class TestFileErrors:
 
 
 class TestShapeErrors:
-    """A shape setting the model cannot take, or data of other dims than the
-    config gives, is one error line and exit status 2, before any step."""
+    """A shape setting the model cannot take is one error line and exit
+    status 2, before any step; so is evaluating a checkpoint on data of
+    other widths than its model's, naming the record and the field."""
 
     @pytest.mark.parametrize("command, extra, named", [
         ("train", ["--width", "0"], "width must be at least 1, got 0"),
@@ -399,28 +445,40 @@ class TestShapeErrors:
         ("train", ["--n-chunks", "0"], "n_chunks must be at least 1, got 0"),
         ("train", ["--loss", "cb_focal", "--cb-beta", "1.0"],
          re.escape("cb_beta must be in [0, 1), got 1.0")),
-        ("train", ["--channels", "3"],
-         "field 'frames' gives n_channels 2, but the model's is 3"),
-        ("train", ["--global-dim", "4"],
-         "field 'global_feature' gives global_dim 5, but the model's is 4"),
-        ("train-two-stage", ["--speech-dim", "7"],
-         "field 'speech_embedding' gives speech_dim 6, but the model's is 7")],
+        ("eval", ["--channels", "3"],
+         "record 'synth-0-000000': field 'frames' gives n_channels 3, but the model's is 2"),
+        ("eval", ["--global-dim", "4"],
+         "field 'global_feature' gives global_dim 4, but the model's is 5"),
+        ("eval", ["--speech-dim", "7"],
+         "field 'speech_embedding' gives speech_dim 7, but the model's is 6")],
         ids=["width-0", "width-negative", "chunks-0", "cb-beta-1", "channels",
              "global-dim", "speech-dim"])
     def test_one_error_line(self, tmp_path, capsys, monkeypatch, command, extra, named):
+        """An eval case synthesizes its data with ``extra`` and evaluates the
+        two-stage checkpoint of 2/5/6-wide data on it; its audio branch reads
+        the speech."""
         data = synth_file(tmp_path / "d.jsonl", speech_fraction=1.0)
+        run_dir = tmp_path / "run"
+        if command == "eval":
+            assert run_cli("train-two-stage", "--train", data, "--out-dir", str(run_dir),
+                           "--stage2-epochs", "1", *TINY_FLAGS) == 0
+            other = synth_file(tmp_path / "other.jsonl", speech_fraction=1.0, extra=extra)
+            argv = ["--checkpoint", str(run_dir / "checkpoint.npz"), "--data", other,
+                    "--metrics-out", str(tmp_path / "m.json")]
+        else:
+            argv = ["--train", data, "--out-dir", str(run_dir), *TINY_FLAGS, *extra]
         capsys.readouterr()
 
         def no_step(*args, **kwargs):
             raise AssertionError("a training step ran")
 
         monkeypatch.setattr(harness, "adamw_step", no_step)
-        code = run_cli(command, "--train", data, "--out-dir", str(tmp_path / "run"),
-                       *TINY_FLAGS, *extra)
+        code = run_cli(command, *argv)
         err = capsys.readouterr().err
         assert code == 2 and err.count("\n") == 1
         assert err.startswith("engagerank: error: ") and re.search(named, err)
-        assert not (tmp_path / "run" / "checkpoint.npz").exists()
+        assert not (tmp_path / "m.json").exists()
+        assert (command == "eval") == (run_dir / "checkpoint.npz").exists()
 
 
 class TestGradCheckCommand:

@@ -448,7 +448,7 @@ class TestJsonlRoundTrip:
         for a, b in zip(memory.records, back.records):
             assert a.frames.values.tobytes() == b.frames.values.tobytes()
         cfg = harness.TrainConfig.tiny()
-        for mcfg in (cfg.model_config(), model.ModelConfig(n_channels=2, global_dim=5)):
+        for mcfg in (cfg.model_config(memory), model.ModelConfig(n_channels=2, global_dim=5)):
             assert_bitwise(model.prepare_batch(back.records, mcfg).chunks,
                            model.prepare_batch(memory.records, mcfg).chunks)
         trained = [harness.train(cfg, ds)[0].params.vector for ds in (memory, back)]
@@ -482,8 +482,23 @@ class TestJsonlRoundTrip:
         for r in b.records:
             r.id = f"b{r.id}"
         with pytest.raises(ValueError, match=re.escape(
-                "record dims (channels, global_dim) differ: [(2, 3), (3, 3)]")):
+                "records differ in n_channels: [2, 3]")):
             fp.Dataset(a.records + b.records)
+
+    def test_records_must_share_speech_width(self, tmp_path):
+        """Refused when the set is built, so no save of it truncates a file."""
+        a = fp.synth_dataset(n=4, n_frames=6, seed=0, speech_fraction=1.0, speech_dim=6)
+        b = fp.synth_dataset(n=4, n_frames=6, seed=1, speech_fraction=0.5, speech_dim=7)
+        for r in b.records:
+            r.id = f"b{r.id}"
+        with pytest.raises(ValueError, match=re.escape("records differ in speech_dim: [6, 7]")):
+            fp.Dataset(a.records + b.records)
+        built = fp.Dataset(a.records + [r for r in b.records if not r.has_speech])
+        assert (built.n_channels, built.global_dim, built.speech_dim) == (17, 64, 6)
+        path = tmp_path / "data.jsonl"
+        fp.save_records(built, path)
+        assert json.loads(path.read_text().splitlines()[0])["speech_dim"] == 6
+        assert fp.load_records(path).speech_dim == 6
 
     def test_empty_dataset_saves_a_header_with_the_defaults(self, tmp_path):
         """A header-only file of any dims loads as an empty dataset, which has
@@ -493,6 +508,7 @@ class TestJsonlRoundTrip:
         empty = fp.load_records(path)
         defaults = (fp.DEFAULT_CHANNELS, fp.DEFAULT_GLOBAL_DIM)
         assert len(empty) == 0 and (empty.n_channels, empty.global_dim) == defaults
+        assert empty.speech_dim == fp.SPEECH_DIM
         fp.save_records(empty, path)
         assert path.read_text().splitlines() == [json.dumps(
             {"schema": fp.SCHEMA_NAME, "D": defaults[0], "d": defaults[1]})]

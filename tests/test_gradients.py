@@ -17,17 +17,18 @@ VISUAL_LOSSES = list(harness.LOSSES)
 AUDIO_LOSSES = [l for l in harness.LOSSES if l not in harness.CATEGORICAL_LOSSES]
 
 
+def tiny_params(**overrides):
+    """Parameters of the tiny preset on the grad-check data."""
+    cfg = harness.TrainConfig.tiny(**overrides)
+    return model.init_params(cfg.model_config(harness._tiny_dataset(cfg)))
+
+
 class TestTinyPreset:
     def test_parameter_counts(self):
         """The check model stays under the 1000-parameter cap in every shape."""
-        scalar = model.init_params(harness.TrainConfig.tiny().model_config())
-        assert scalar.n_params == 460
-        cat = model.init_params(
-            harness.TrainConfig.tiny(loss="ce").model_config())
-        assert cat.n_params == 488
-        audio = model.init_params(
-            harness.TrainConfig.tiny(use_audio=True).model_config())
-        assert audio.n_params == 523
+        assert tiny_params().n_params == 460
+        assert tiny_params(loss="ce").n_params == 488
+        assert tiny_params(use_audio=True).n_params == 523
 
     def test_cap_is_enforced(self):
         with pytest.raises(ValueError, match="cap"):
@@ -74,10 +75,8 @@ class TestGradCheckDriver:
             harness.grad_check(losses=["mse"], n_params_max=100)
 
     def test_block_errors_cover_every_tensor(self):
-        cfg = harness.TrainConfig.tiny(loss="mse")
-        result = harness.grad_check_loss(cfg)
-        params = model.init_params(cfg.model_config())
-        assert set(result["blocks"]) == set(params.keys())
+        result = harness.grad_check_loss(harness.TrainConfig.tiny(loss="mse"))
+        assert set(result["blocks"]) == set(tiny_params(loss="mse").keys())
         assert max(result["blocks"].values()) == result["max_rel_err"]
 
     def test_deterministic(self):

@@ -12,9 +12,8 @@ from _oracles import adamw_per_key, pool_fill_all_rows
 
 
 def tiny_train_config(**overrides):
-    kw = dict(batch_size=8, pool_size=16, epochs=6, n_channels=2, global_dim=5,
-              width=4, n_chunks=4, dropout=0.0, speech_dim=6, min_frames=8,
-              lr_start=3e-3, lr_end=3e-5)
+    kw = dict(batch_size=8, pool_size=16, epochs=6, width=4, n_chunks=4, dropout=0.0,
+              min_frames=8, lr_start=3e-3, lr_end=3e-5)
     kw.update(overrides)
     return harness.TrainConfig(**kw)
 
@@ -432,7 +431,7 @@ class TestEvaluate:
 
     def test_params_source(self):
         data = tiny_data(n=16)
-        params = model.init_params(tiny_train_config().model_config())
+        params = model.init_params(tiny_train_config().model_config(data))
         report = harness.evaluate(params, data)
         assert report.n_samples == 16
 
@@ -500,6 +499,19 @@ class TestCheckpointing:
     def test_stored_rates_are_ignored(self, tmp_path):
         """The encoder momentum comes from the config and the center rate is
         the default, so the stored copies older files carry change nothing."""
+        self._edit_changes_nothing(tmp_path, lambda meta: meta.update(
+            enc_momentum=7.0, centers_alpha=-3.0))
+
+    def test_widths_in_older_configs_are_ignored(self, tmp_path):
+        """Older files also store the input widths in config; the model takes
+        them from model_config, whatever config holds."""
+        self._edit_changes_nothing(tmp_path, lambda meta: meta["config"].update(
+            n_channels=3, global_dim=4, speech_dim=7))
+
+    @staticmethod
+    def _edit_changes_nothing(tmp_path, edit):
+        """A checkpoint whose meta ``edit`` changed loads and trains on bit
+        for bit like the file as saved."""
         data = tiny_data(n=32)
         cfg = tiny_train_config(loss="mocorank+center", epochs=3, dropout=0.1)
         state = harness.init_train_state(cfg, data)
@@ -509,7 +521,7 @@ class TestCheckpointing:
         with np.load(path, allow_pickle=False) as saved:
             meta = json.loads(str(saved["meta"][()]))
             arrays = {k: saved[k] for k in saved.files if k != "meta"}
-        meta.update(enc_momentum=7.0, centers_alpha=-3.0)
+        edit(meta)
         edited = tmp_path / "edited.npz"
         with open(edited, "wb") as fh:
             np.savez(fh, meta=json.dumps(meta), **arrays)
@@ -518,6 +530,7 @@ class TestCheckpointing:
         for run in runs:
             harness.train_epochs(run, data, n_epochs=2)
         plain, other = runs
+        assert plain.config == other.config
         assert plain.params.vector.tobytes() == other.params.vector.tobytes()
         assert plain.enc.params.vector.tobytes() == other.enc.params.vector.tobytes()
         assert plain.centers.values.tobytes() == other.centers.values.tobytes()
@@ -597,6 +610,16 @@ class TestCheckpointing:
         path = self._edited_checkpoint(tmp_path, meta_edits={
             "model_config": dict(mcfg, width=mcfg["width"] + 1)})
         self._refused(path, "model_config", "width is 5, but config gives 4")
+
+    @pytest.mark.parametrize("key", harness.WIDTHS)
+    @pytest.mark.parametrize("value", [0, 2.5, "2", True])
+    def test_width_is_an_integer_at_least_one(self, tmp_path, key, value):
+        """The input widths come from model_config, so it is checked there."""
+        mcfg = self._saved(tmp_path, "model_config")
+        path = self._edited_checkpoint(
+            tmp_path, meta_edits={"model_config": dict(mcfg, **{key: value})})
+        self._refused(path, f"model_config.{key}",
+                      re.escape(f"{value!r} is not an integer >= 1"))
 
     def test_param_shape_against_config(self, tmp_path):
         path = self._edited_checkpoint(
@@ -919,7 +942,7 @@ class TestTwoStage:
         data = tiny_data(n=40, speech_fraction=0.5)
         cfg = tiny_train_config(loss="mocorank", epochs=2, stage2_epochs=2)
         state, _ = harness.train_two_stage(cfg, data)
-        init = model.init_params(replace_cfg(cfg, use_audio=True).model_config(),
+        init = model.init_params(replace_cfg(cfg, use_audio=True).model_config(data),
                                  seed=cfg.seed)
         audio = set(state.params.keys()) - set(state.params.visual_keys())
         moved = [k for k in audio if np.any(state.params[k] != init[k])]

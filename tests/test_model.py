@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -208,7 +209,7 @@ class TestTemporalEncoder:
         """Each conv is one product over the whole batch, so a record's
         encoding depends on its batch only by rounding: within ENCODING_TOL
         of its lone encoding, and bitwise the same for the same batch."""
-        cfg = harness.TrainConfig.desk().model_config()
+        cfg = harness.TrainConfig.desk().model_config(fp.Dataset([]))
         params = model.init_params(cfg, seed=2)
         x = np.random.default_rng(b).standard_normal((b, cfg.chunk_rows, cfg.n_chunks))
         batched = model.temporal_encoder(x, params)
@@ -220,7 +221,7 @@ class TestTemporalEncoder:
     def test_matches_per_record_reference(self):
         """Forward (train mode, dropout on) and backward stay within rtol 1e-12
         of the batch-major encoder with one conv product per record."""
-        cfg = harness.TrainConfig.desk().model_config()
+        cfg = harness.TrainConfig.desk().model_config(fp.Dataset([]))
         params = model.init_params(cfg, seed=3)
         rng = np.random.default_rng(4)
         x = rng.standard_normal((8, cfg.chunk_rows, cfg.n_chunks))
@@ -371,11 +372,6 @@ class TestConcatFuse:
         np.testing.assert_array_equal(
             model.concat_fuse(np.zeros((1, 5)), pooled, params), pooled)
 
-    def test_global_feature_length_checked(self):
-        params = model.init_params(tiny_config())
-        with pytest.raises(ValueError, match="global feature"):
-            model.concat_fuse(np.zeros((1, 7)), np.zeros((1, 4)), params)
-
 
 class TestScoreHead:
     def test_matches_cosine(self):
@@ -508,6 +504,17 @@ class TestForwardBatch:
         with pytest.raises(ValueError, match="mode"):
             model.forward_batch(chunks, gfeat, params, mode="test")
 
+    @pytest.mark.parametrize("fusion", model.FUSIONS)
+    def test_global_feature_width_checked(self, fusion):
+        """Checked on entry for every fusion, before the attention MLP's
+        matmul would fail on it."""
+        cfg = tiny_config(fusion=fusion)
+        params = model.init_params(cfg)
+        chunks = tiny_batch(cfg, n=2).chunks
+        with pytest.raises(ValueError, match=re.escape(
+                "global feature has global_dim 3, but the model's is 5")):
+            model.forward_batch(chunks, np.zeros((2, 3)), params)
+
     def test_categorical_head_emits_logits(self):
         cfg = tiny_config(head="categorical")
         params = model.init_params(cfg, seed=3)
@@ -634,7 +641,8 @@ class TestDropoutMasks:
     def _desk_train_trace(b, kind="visual"):
         cfg = harness.TrainConfig.desk(
             use_audio=kind == "audio",
-            loss="cb_focal" if kind == "categorical" else "mocorank").model_config()
+            loss="cb_focal" if kind == "categorical" else "mocorank").model_config(
+                fp.Dataset([]))
         params = model.init_params(cfg, seed=1)
         rng = np.random.default_rng(b)
         chunks = rng.standard_normal((b, cfg.chunk_rows, cfg.n_chunks))
@@ -647,7 +655,7 @@ class TestDropoutMasks:
 
     @pytest.mark.parametrize("b", [32, 20])      # a desk batch and a partial one
     def test_time_major_mask_is_the_batch_major_draw(self, b):
-        cfg = harness.TrainConfig.desk().model_config()
+        cfg = harness.TrainConfig.desk().model_config(fp.Dataset([]))
         ch, t, rate = cfg.width, cfg.n_chunks, cfg.dropout
         rng, ref_rng = np.random.default_rng(b), np.random.default_rng(b)
         keep = model._time_major_mask(rate, True, rng, b, ch, t)
@@ -690,7 +698,7 @@ def scoring_case(kind, n, seed=3):
     audio (every record has speech), mixed (about half do) or categorical at
     the tiny config, or visual at desk shapes."""
     if kind == "desk":
-        cfg = harness.TrainConfig.desk().model_config()
+        cfg = harness.TrainConfig.desk().model_config(fp.Dataset([]))
         data = fp.synth_dataset(max(n, 4), n_frames=cfg.min_frames + 50, seed=seed)
         records = data.records[:n]
     else:
@@ -798,11 +806,26 @@ class TestPrepareBatch:
         ("speech_embedding", "speech_dim", 6)])
     def test_dims_against_config(self, field, name, have):
         """A record of other dims than the config's is refused, naming the
-        record, the field and both values, not left to fail in a matmul."""
+        record, the field and both values, not left to fail in a matmul;
+        the speech width is a model's with the audio branch."""
         records = tiny_records(4, speech_fraction=0.5)
-        cfg = tiny_config(**{name: have + 1})
+        cfg = tiny_config(**{name: have + 1}, with_audio=True)
         first = next(r for r in records if field != "speech_embedding" or r.has_speech)
         with pytest.raises(ValueError, match=re.escape(
                 f"record {first.id!r}: field {field!r} gives {name} {have}, but the "
                 f"model's is {have + 1}")):
             model.prepare_batch(records, cfg)
+
+    def test_visual_model_reads_no_speech(self):
+        """Speech of any width passes a visual model by: its batch carries no
+        speech, and it scores the records as it scores them without speech."""
+        records = tiny_records(4, speech_fraction=0.5)
+        cfg = tiny_config(speech_dim=7)
+        batch = model.prepare_batch(records, cfg)
+        assert batch.speech is None and batch.meta is None
+        assert batch.has_speech.tolist() == [r.has_speech for r in records]
+        speechless = [replace(r, speech_embedding=None, audio_meta=None) for r in records]
+        params = model.init_params(cfg, seed=2)
+        scores = model.score_batch(params, batch)[0]
+        want = model.score_batch(params, model.prepare_batch(speechless, cfg))[0]
+        assert scores.tobytes() == want.tobytes()

@@ -1,5 +1,6 @@
 """The names ``engagerank`` exports, pinned so an API change shows in a diff."""
 
+import dataclasses
 import types
 
 import engagerank
@@ -26,3 +27,18 @@ def test_exported_names_are_pinned():
     public = {name for name, value in vars(engagerank).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(public) == sorted(EXPORTS)
+
+
+TRAIN_CONFIG_FIELDS = """
+    loss batch_size pool_size epochs lr_start lr_end weight_decay momentum
+    sampler use_audio ablation seed train_path val_path center_weight cb_beta
+    cb_gamma detach_margin score_before_step stage2_epochs init_from width
+    n_chunks dropout min_frames
+""".split()
+
+
+def test_train_config_fields_are_pinned():
+    """Each field is a flag of train, train-two-stage and bench-losses, and
+    a config-file key, so an added option shows in a diff."""
+    fields = [f.name for f in dataclasses.fields(engagerank.TrainConfig)]
+    assert fields == TRAIN_CONFIG_FIELDS and len(fields) == 25
