@@ -434,7 +434,10 @@ def _record_from_json(where: str, obj: dict, n_channels: int, global_dim: int,
 
 
 def save_records(dataset: Dataset, path) -> None:
-    """Write a dataset in the JSON-lines format that load_records reads."""
+    """Write a dataset in the JSON-lines format that load_records reads.  The
+    header's widths are those the records share now: records of another width
+    or a repeated id are refused before the file is opened."""
+    dataset = Dataset(dataset.records)
     with open(path, "w", encoding="utf-8") as fh:
         header = {"schema": SCHEMA_NAME, "D": dataset.n_channels, "d": dataset.global_dim}
         if dataset.speech_dim != SPEECH_DIM:

@@ -143,6 +143,8 @@ class TrainConfig:
                                                   and kind is not bool):
                 raise ValueError(f"{name} must be {kind.__name__}"
                                  f"{' or None' if optional else ''}, got {value!r}")
+            if kind is float and not abs(value) < math.inf:     # NaN fails too
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if self.ablation not in model_mod.FUSIONS:
@@ -161,6 +163,9 @@ class TrainConfig:
                              f"got {self.stage2_epochs!r}")
         if not 0.0 < self.momentum < 1.0:
             raise ValueError("momentum must be in (0, 1)")
+        for name in ("weight_decay", "center_weight", "cb_gamma"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)!r}")
         if not 0.0 <= self.cb_beta < 1.0:
             raise ValueError(f"cb_beta must be in [0, 1), got {self.cb_beta!r}")
         if self.use_audio and self.head == "categorical":
@@ -242,37 +247,32 @@ def init_opt_state(params: model_mod.ModelParams) -> dict:
 
 def adamw_step(params: model_mod.ModelParams, grads: np.ndarray, state: dict,
                lr: float, weight_decay: float = 1e-3,
-               frozen_keys: tuple = ()) -> tuple[model_mod.ModelParams, dict]:
-    """One AdamW update (betas 0.9 and 0.999, eps 1e-8) in place on the whole
-    parameter vector; decoupled decay scales weights before the adaptive
-    step.  Entries of frozen blocks are skipped entirely: weights, moments
-    and decay, whatever their gradient."""
+               frozen: int = 0) -> tuple[model_mod.ModelParams, dict]:
+    """One AdamW update (betas 0.9 and 0.999, eps 1e-8) in place on
+    ``params.vector[frozen:]``; decoupled decay scales weights before the
+    adaptive step.  The leading ``frozen`` entries are skipped entirely:
+    weights, moments and decay, whatever their gradient."""
     grads = np.asarray(grads, dtype=np.float64)
     if grads.shape != (params.n_params,):
         raise ValueError(f"gradient vector must have length {params.n_params}")
-    live = np.ones(params.n_params, dtype=bool)
-    for key in frozen_keys:
-        live[params.slices[key]] = False
-    bad = live & ~np.isfinite(grads)
+    if not 0 <= frozen <= params.n_params:
+        raise ValueError(f"frozen must be in 0..{params.n_params}, got {frozen!r}")
+    bad = ~np.isfinite(grads[frozen:])
     if bad.any():
         raise ValueError(f"non-finite gradient in parameter "
-                         f"'{params.key_at(int(np.argmax(bad)))}'")
+                         f"'{params.key_at(frozen + int(np.argmax(bad)))}'")
     state["step"] += 1
     t = state["step"]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
-    # a slice gives views updated in place; an index array gives copies
-    # that are written back, leaving frozen entries bitwise untouched
-    sel = slice(None) if live.all() else np.flatnonzero(live)
-    p, m, v, g = params.vector[sel], state["m"][sel], state["v"][sel], grads[sel]
+    p, m, v, g = (a[frozen:] for a in (params.vector, state["m"], state["v"], grads))
     p *= 1.0 - lr * weight_decay
     m *= beta1
     m += (1.0 - beta1) * g
     v *= beta2
     v += (1.0 - beta2) * g * g
     p -= lr * ((m / bc1) / (np.sqrt(v / bc2) + eps))
-    params.vector[sel], state["m"][sel], state["v"][sel] = p, m, v
     return params, state
 
 
@@ -283,7 +283,9 @@ def adamw_step(params: model_mod.ModelParams, grads: np.ndarray, state: dict,
 @dataclass
 class TrainState:
     """Complete mutable state of a run; everything here but the history and
-    the last validation report is checkpointed."""
+    the last validation report is checkpointed.  AdamW leaves the leading
+    ``frozen`` entries of ``params.vector`` as they are: none in one stage,
+    the visual tensors in the audio stage."""
 
     config: TrainConfig
     params: model_mod.ModelParams
@@ -293,7 +295,7 @@ class TrainState:
     enc: Optional[MomentumEncoder] = None
     pool: Optional[ScorePool] = None
     centers: Optional[ClassCenters] = None
-    frozen_keys: tuple = ()
+    frozen: int = 0
     history: list = field(default_factory=list)
     val_report: Optional[MetricsReport] = None   # of the latest epoch
 
@@ -312,7 +314,7 @@ def init_train_state(config: TrainConfig, train_set: Dataset) -> TrainState:
         if donor.layout != params.layout:
             raise ValueError(f"init_from checkpoint {config.init_from!r} does not "
                              f"match the model shape")
-        params.set_flat(donor.vector)
+        params.vector[...] = donor.vector
     state = TrainState(config=config, params=params, opt=init_opt_state(params), rng=rng)
     _init_loss_state(state, train_set)
     return state
@@ -380,7 +382,7 @@ def train_epochs(state: TrainState, train_set: Dataset,
                 m_scores, m_embeds, _ = model_mod.score_batch(state.enc.params, data)
             adamw_step(state.params, grads, state.opt, lr,
                        weight_decay=config.weight_decay,
-                       frozen_keys=state.frozen_keys)
+                       frozen=state.frozen)
             if config.needs_pool:
                 mocorank.momentum_update(state.enc, state.params, config.momentum)
                 if not config.score_before_step:
@@ -436,12 +438,9 @@ def train_two_stage(config: TrainConfig, train_set: Dataset,
                          else config.stage2_epochs)
     visual = state.params
     params = model_mod.init_params(stage2_cfg.model_config(train_set), seed=config.seed)
-    if params.layout[:len(visual.layout)] != visual.layout:   # audio tensors last
-        raise ValueError("visual parameter layout is not a prefix of the multimodal one")
-    params.vector[:visual.n_params] = visual.vector
+    params.vector[:visual.n_params] = visual.vector     # audio tensors last
     stage2 = TrainState(config=stage2_cfg, params=params, opt=init_opt_state(params),
-                        rng=state.rng, frozen_keys=tuple(params.visual_keys()),
-                        history=state.history)
+                        rng=state.rng, frozen=visual.n_params, history=state.history)
     _init_loss_state(stage2, speech_set)
     n_before = len(stage2.history)
     train_epochs(stage2, speech_set, val_set)
@@ -495,7 +494,8 @@ def save_checkpoint(state: TrainState, path: str) -> None:
         "epoch": state.epoch,
         "opt_step": state.opt["step"],
         "rng_state": state.rng.bit_generator.state,
-        "frozen_keys": list(state.frozen_keys),
+        "frozen_keys": [k for k, s in state.params.slices.items()
+                        if s.stop <= state.frozen],
         "param_keys": list(state.params.keys()),
         "has_enc": state.enc is not None,
         "has_pool": state.pool is not None,
@@ -547,7 +547,9 @@ def load_checkpoint(path: str) -> TrainState:
     in a fresh run; older files that also store ``enc_momentum``,
     ``centers_alpha`` or, in config, the widths load with them ignored, and
     so do those whose model_config holds ``strict_pad: false``.  The pool
-    must have the capacity ``config.pool_size`` gives.
+    must have the capacity ``config.pool_size`` gives.  ``frozen_keys`` must
+    be a leading run of the model's tensor names, ``[]`` in one stage; the
+    state's ``frozen`` is where the last of them ends in the vector.
     """
     with open(path, "rb") as fh:
         try:
@@ -619,11 +621,9 @@ def load_checkpoint(path: str) -> TrainState:
 
     params = load_params("param")
     frozen_keys = need(meta, "frozen_keys", kind=list)
-    if not all(isinstance(k, str) for k in frozen_keys):
-        raise corrupt("frozen_keys", f"{frozen_keys!r} is not a JSON array of strings")
-    missing = [k for k in frozen_keys if k not in params]
-    if missing:
-        raise corrupt("frozen_keys", f"names {missing[0]!r}, which the model does not have")
+    if frozen_keys != list(params.keys())[:len(frozen_keys)]:
+        raise corrupt("frozen_keys", f"{frozen_keys!r} is not a JSON array of a "
+                                     f"leading run of the model's tensor names")
     opt = {"m": array("opt__m", (params.n_params,)),
            "v": array("opt__v", (params.n_params,)), "step": count(meta, "opt_step")}
     if (opt["v"] < 0).any():
@@ -635,7 +635,8 @@ def load_checkpoint(path: str) -> TrainState:
     except (TypeError, ValueError, KeyError, OverflowError) as err:
         raise corrupt("rng_state", f"not a PCG64 state ({err!r})") from err
     state = TrainState(config=config, params=params, opt=opt, rng=rng,
-                       epoch=count(meta, "epoch"), frozen_keys=tuple(frozen_keys))
+                       epoch=count(meta, "epoch"),
+                       frozen=params.slices[frozen_keys[-1]].stop if frozen_keys else 0)
     for name, want in (("has_enc", config.needs_pool), ("has_pool", config.needs_pool),
                        ("has_centers", config.needs_centers)):
         if need(meta, name) is not want:

@@ -106,7 +106,9 @@ class ModelConfig:
 
 class ModelParams:
     """All trainable tensors: one contiguous float64 ``vector``, packed from a
-    dict of arrays in key order, with each named tensor a reshaped view into it."""
+    dict of arrays in key order, with each named tensor a reshaped view into it.
+    Whole-set reads and writes go through ``vector``.  In ``param_layout``
+    order the audio tensors come last, so the visual ones are its leading slice."""
 
     def __init__(self, config: ModelConfig, arrays: dict[str, np.ndarray]):
         self.config = config
@@ -137,31 +139,18 @@ class ModelParams:
         new._views = new.unflatten(new.vector)
         return new
 
-    def flat(self) -> np.ndarray:
-        return self.vector.copy()
-
-    def set_flat(self, vec: np.ndarray) -> None:
-        self.vector[...] = self._check_length(vec)
-
     def unflatten(self, vec: np.ndarray) -> dict[str, np.ndarray]:
         """View a flat vector as named blocks shaped like the parameters."""
-        vec = self._check_length(vec)
-        return {k: vec[self.slices[k]].reshape(shape) for k, shape in self.layout}
-
-    def _check_length(self, vec) -> np.ndarray:
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (self.n_params,):
             raise ValueError(f"flat vector must have length {self.n_params}")
-        return vec
+        return {k: vec[self.slices[k]].reshape(shape) for k, shape in self.layout}
 
     def key_at(self, flat_index: int) -> str:
         for k, s in self.slices.items():
             if s.start <= flat_index < s.stop:
                 return k
         raise IndexError(flat_index)
-
-    def visual_keys(self) -> list[str]:
-        return [k for k in self.slices if not k.startswith("audio.")]
 
 
 def param_layout(config: ModelConfig) -> tuple:

@@ -123,11 +123,11 @@ class TestAcceptance:
         params = model.init_params(cfg, seed=0)
         enc = mr.MomentumEncoder.from_model(params)
         target = model.init_params(cfg, seed=1)
-        gap0 = enc.params.flat() - target.flat()
+        gap0 = enc.params.vector - target.vector
         for _ in range(40):
             mr.momentum_update(enc, target, m=0.999)
-        expected = target.flat() + gap0 * 0.999 ** 40
-        rel = np.max(np.abs(enc.params.flat() - expected)
+        expected = target.vector + gap0 * 0.999 ** 40
+        rel = np.max(np.abs(enc.params.vector - expected)
                      / np.maximum(np.abs(expected), 1e-12))
         checks["momentum"] = rel < 1e-9
 
@@ -252,7 +252,7 @@ class TestAcceptance:
 
         s1, h1 = harness.train(cfg, train, val)
         s2, h2 = harness.train(cfg, train, val)
-        same_logs = h1 == h2 and np.array_equal(s1.params.flat(), s2.params.flat())
+        same_logs = h1 == h2 and np.array_equal(s1.params.vector, s2.params.vector)
 
         # Checkpoint mid-run, resume, and compare against the straight run.
         s3 = harness.init_train_state(cfg, train)
@@ -261,7 +261,7 @@ class TestAcceptance:
         harness.save_checkpoint(s3, path)
         s4 = harness.load_checkpoint(path)
         harness.train_epochs(s4, train, val, n_epochs=2)
-        bitwise = np.array_equal(s4.params.flat(), s1.params.flat())
+        bitwise = np.array_equal(s4.params.vector, s1.params.vector)
 
         ok = same_logs and bitwise
         record(7, ok, f"identical seeds reproduce logs ({same_logs}); "

@@ -344,6 +344,23 @@ class TestConfigFile:
         assert err.startswith("engagerank: error: ") and err.count("\n") == 1
         assert "dropout" in err
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_nonfinite_float_fails_before_training(self, tmp_path, capsys, source):
+        """NaN from a flag or from a config file (Python's json reads it) is one
+        error line naming the field, before any step or checkpoint."""
+        train = synth_file(tmp_path / "train.jsonl", n=16)
+        capsys.readouterr()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"config_version": 1, "weight_decay": NaN}')
+        given = (["--weight-decay", "nan"] if source == "flag"
+                 else ["--config", str(cfg_path)])
+        code = run_cli("train", "--train", train, "--out-dir", str(tmp_path / "run"),
+                       *TINY_FLAGS, *given)
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err == "engagerank: error: weight_decay must be finite, got nan\n"
+        assert not (tmp_path / "run").exists()
+
     def test_malformed_config_file_through_main(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
         bad.write_text('{"config_version": 1, "epochs": }')

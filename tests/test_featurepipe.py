@@ -500,6 +500,26 @@ class TestJsonlRoundTrip:
         assert json.loads(path.read_text().splitlines()[0])["speech_dim"] == 6
         assert fp.load_records(path).speech_dim == 6
 
+    def test_save_checks_records_appended_after_build(self, tmp_path):
+        """The header's widths come from the records as they are at the save:
+        a record of another width, appended later, is refused before the
+        target file is touched."""
+        built = fp.synth_dataset(n=4, n_channels=2, global_dim=5, n_frames=6, seed=0)
+        wider = fp.synth_dataset(n=4, n_channels=3, global_dim=5, n_frames=6, seed=1)
+        wider.records[0].id = "wider"
+        built.records.append(wider.records[0])
+        path = tmp_path / "data.jsonl"
+        path.write_text("earlier\n")
+        with pytest.raises(ValueError, match=re.escape(
+                "records differ in n_channels: [2, 3]")):
+            fp.save_records(built, path)
+        assert path.read_text() == "earlier\n"
+        built.records.append(built.records[0])
+        del built.records[-2]
+        with pytest.raises(ValueError, match="record ids must be unique"):
+            fp.save_records(built, path)
+        assert path.read_text() == "earlier\n"
+
     def test_empty_dataset_saves_a_header_with_the_defaults(self, tmp_path):
         """A header-only file of any dims loads as an empty dataset, which has
         the default dims and saves as a header-only file with them."""

@@ -99,6 +99,21 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{field} must be {kind}, got"):
             tiny_train_config(**{field: value})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [name for name, (kind, _)
+                                       in harness.config_field_types().items()
+                                       if kind is float])
+    def test_floats_are_finite(self, field, value):
+        """Refused when the config is built, not as a non-finite gradient."""
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+            tiny_train_config(**{field: value})
+
+    @pytest.mark.parametrize("field", ["weight_decay", "center_weight", "cb_gamma"])
+    def test_weights_are_not_negative(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be at least 0, got -0.5"):
+            tiny_train_config(**{field: -0.5})
+        assert getattr(tiny_train_config(**{field: 0.0}), field) == 0.0
+
     def test_int_is_a_float_and_none_is_optional(self):
         cfg = tiny_train_config(lr_start=1, lr_end=1, sampler=None, stage2_epochs=None)
         assert cfg.lr_start == 1 and cfg.sampler is None
@@ -168,7 +183,7 @@ class TestAdamW:
                                          "b": np.array([3.0])})
         opt = harness.init_opt_state(params)
         harness.adamw_step(params, np.array([1.0, 1.0, 1.0]), opt, lr=0.1,
-                           weight_decay=0.5, frozen_keys=("a",))
+                           weight_decay=0.5, frozen=2)
         np.testing.assert_array_equal(params["a"], [1.0, 2.0])
         np.testing.assert_array_equal(opt["m"][params.slices["a"]], 0.0)
         assert params["b"][0] != 3.0
@@ -184,14 +199,22 @@ class TestAdamW:
                                 speech_dim=6, min_frames=8)
         params = model.ModelParams(cfg, {"a": np.array([1.0]), "b": np.array([1.0])})
         opt = harness.init_opt_state(params)
-        harness.adamw_step(params, np.array([np.inf, 0.5]), opt, lr=0.1,
-                           frozen_keys=("a",))
+        harness.adamw_step(params, np.array([np.inf, 0.5]), opt, lr=0.1, frozen=1)
 
     def test_gradient_length_checked(self):
         params = scalar_params()
         with pytest.raises(ValueError, match="length"):
             harness.adamw_step(params, np.zeros(7), harness.init_opt_state(params),
                                lr=0.1)
+
+    @pytest.mark.parametrize("frozen", [-1, 2])
+    def test_frozen_count_in_range(self, frozen):
+        """A negative count would update only the tail it counts from the end."""
+        params = scalar_params()
+        opt = harness.init_opt_state(params)
+        with pytest.raises(ValueError, match=f"frozen must be in 0..1, got {frozen}"):
+            harness.adamw_step(params, np.zeros(1), opt, lr=0.1, frozen=frozen)
+        assert params["w"][0] == 1.0 and opt["step"] == 0
 
     def test_nonfinite_gradient_names_the_first_bad_live_key(self):
         cfg = model.ModelConfig(n_channels=2, n_chunks=4, width=4, global_dim=5,
@@ -201,12 +224,13 @@ class TestAdamW:
         opt = harness.init_opt_state(params)
         grads = np.array([np.nan, 0.0, 0.0, 0.0, np.inf, np.nan])
         with pytest.raises(ValueError, match="parameter 'b'"):
-            harness.adamw_step(params, grads, opt, lr=0.1, frozen_keys=("a",))
+            harness.adamw_step(params, grads, opt, lr=0.1, frozen=2)
         assert opt["step"] == 0
 
     def test_whole_vector_matches_per_key_loop(self):
-        """Bitwise against the per-tensor loop: random shapes and frozen sets,
-        nonzero moments everywhere, non-finite gradients on frozen entries."""
+        """Bitwise against the per-tensor loop: random shapes and leading
+        frozen runs, nonzero moments everywhere, non-finite gradients on frozen
+        entries."""
         hyp = pytest.importorskip("hypothesis")
         st = hyp.strategies
         cfg = model.ModelConfig(n_channels=2, n_chunks=4, width=4, global_dim=5,
@@ -215,15 +239,16 @@ class TestAdamW:
         @hyp.settings(max_examples=200, deadline=None, database=None)
         @hyp.given(st.lists(st.lists(st.integers(1, 4), max_size=3), min_size=1,
                             max_size=6),
-                   st.integers(0, 63), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
-        def check(shapes, frozen_bits, n_steps, seed):
+                   st.integers(0, 6), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+        def check(shapes, n_frozen, n_steps, seed):
             rng = np.random.default_rng(seed)
             keys = [f"k{i}" for i in range(len(shapes))]
-            frozen = tuple(k for i, k in enumerate(keys) if frozen_bits >> i & 1)
+            frozen = tuple(keys[:n_frozen])
             ref = {k: rng.standard_normal(tuple(s)) for k, s in zip(keys, shapes)}
             ref_m = {k: rng.standard_normal(v.shape) for k, v in ref.items()}
             ref_v = {k: rng.random(v.shape) for k, v in ref.items()}
             params = model.ModelParams(cfg, ref)
+            n_entries = sum(params[k].size for k in frozen)
 
             def pack(d):
                 return np.concatenate([d[k].ravel() for k in keys])
@@ -236,7 +261,7 @@ class TestAdamW:
                         [np.nan, np.inf, -np.inf])
                 lr = float(rng.uniform(1e-4, 1e-1))
                 harness.adamw_step(params, pack(grads), opt, lr, weight_decay=0.01,
-                                   frozen_keys=frozen)
+                                   frozen=n_entries)
                 adamw_per_key(ref, grads, ref_m, ref_v, step, lr, weight_decay=0.01,
                               frozen_keys=frozen)
             assert opt["step"] == 4 + n_steps
@@ -325,14 +350,14 @@ class TestTraining:
         state_a, hist_a = harness.train(cfg, data)
         state_b, hist_b = harness.train(cfg, data)
         assert hist_a == hist_b
-        np.testing.assert_array_equal(state_a.params.flat(), state_b.params.flat())
+        np.testing.assert_array_equal(state_a.params.vector, state_b.params.vector)
         np.testing.assert_array_equal(state_a.pool.scores, state_b.pool.scores)
 
     def test_seed_changes_the_run(self):
         data = tiny_data(n=32)
         a = harness.train(tiny_train_config(epochs=2, seed=0), data)[0]
         b = harness.train(tiny_train_config(epochs=2, seed=1), data)[0]
-        assert np.any(a.params.flat() != b.params.flat())
+        assert np.any(a.params.vector != b.params.vector)
 
     def test_pool_holds_exactly_the_last_batches(self):
         """Pool age spread: after an epoch it is the last ceil(P/B) batches."""
@@ -389,8 +414,9 @@ class TestTraining:
         data = tiny_data(n=32)
         cfg = tiny_train_config(loss="mse", epochs=3)
         state = harness.init_train_state(cfg, data)
-        frozen = ("tcn.0.conv1.w", "mlp2.fc1.w")
-        state.frozen_keys = frozen
+        keys = list(state.params.keys())
+        frozen = tuple(keys[:keys.index("tcn.1.conv1.w")])    # all of block 0
+        state.frozen = state.params.slices["tcn.1.conv1.w"].start
         before = {k: state.params[k].copy()
                   for k in frozen + ("tcn.1.conv1.w",)}
         harness.train_epochs(state, data)
@@ -405,7 +431,7 @@ class TestTraining:
         state = harness.init_train_state(cfg, data)
         harness.train_epochs(state, data, n_epochs=2)
         harness.train_epochs(state, data, n_epochs=4)
-        np.testing.assert_array_equal(straight.params.flat(), state.params.flat())
+        np.testing.assert_array_equal(straight.params.vector, state.params.vector)
 
 
 class TestEvaluate:
@@ -450,15 +476,15 @@ class TestCheckpointing:
         resumed = harness.load_checkpoint(str(path))
         harness.train_epochs(resumed, data, n_epochs=3)
 
-        np.testing.assert_array_equal(state.params.flat(), resumed.params.flat())
+        np.testing.assert_array_equal(state.params.vector, resumed.params.vector)
         np.testing.assert_array_equal(state.opt["m"], resumed.opt["m"])
         np.testing.assert_array_equal(state.opt["v"], resumed.opt["v"])
         np.testing.assert_array_equal(state.pool.scores, resumed.pool.scores)
         np.testing.assert_array_equal(state.pool.embeddings,
                                       resumed.pool.embeddings)
         np.testing.assert_array_equal(state.centers.values, resumed.centers.values)
-        np.testing.assert_array_equal(state.enc.params.flat(),
-                                      resumed.enc.params.flat())
+        np.testing.assert_array_equal(state.enc.params.vector,
+                                      resumed.enc.params.vector)
 
     def test_restores_exact_fields(self, tmp_path):
         data = tiny_data(n=32)
@@ -479,7 +505,7 @@ class TestCheckpointing:
         path = tmp_path / "ckpt.npz"
         harness.save_checkpoint(state, str(path))
         before = path.read_bytes()
-        saved_params = state.params.flat().copy()
+        saved_params = state.params.vector.copy()
         harness.train_epochs(state, data, n_epochs=1)
 
         def cut_off(fh, **arrays):
@@ -494,7 +520,7 @@ class TestCheckpointing:
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
         loaded = harness.load_checkpoint(str(path))
         assert loaded.epoch == 0
-        np.testing.assert_array_equal(loaded.params.flat(), saved_params)
+        np.testing.assert_array_equal(loaded.params.vector, saved_params)
 
     def test_stored_rates_are_ignored(self, tmp_path):
         """The encoder momentum comes from the config and the center rate is
@@ -748,10 +774,11 @@ class TestCheckpointing:
 
     @pytest.mark.parametrize("config", [{"bogus": 1}, {"loss": "hinge"},
                                         {"momentum": 1.5}, 7, {"seed": "abc"},
-                                        {"epochs": 4.5}, {"detach_margin": "false"}])
+                                        {"epochs": 4.5}, {"detach_margin": "false"},
+                                        {"cb_gamma": math.nan}])
     def test_config(self, tmp_path, config):
-        """An unknown field, an invalid value, no mapping at all, or a value
-        of another type than the field's."""
+        """An unknown field, an invalid value, no mapping at all, a value of
+        another type than the field's, or a NaN, which Python's json reads."""
         base = self._saved(tmp_path, "config")
         edited = dict(base, **config) if isinstance(config, dict) else config
         path = self._edited_checkpoint(tmp_path, meta_edits={"config": edited})
@@ -792,6 +819,14 @@ class TestCheckpointing:
         path = self._edited_checkpoint(tmp_path, meta_edits={name: value})
         self._refused(path, name, ".* is not a JSON")
 
+    @pytest.mark.parametrize("frozen_keys", [["tcn.0.conv1.b"],
+                                             ["tcn.0.conv1.b", "tcn.0.conv1.w"]])
+    def test_frozen_keys_must_lead(self, tmp_path, frozen_keys):
+        """Only a leading run of the model's tensors, in order, can be frozen."""
+        path = self._edited_checkpoint(tmp_path, meta_edits={"frozen_keys": frozen_keys})
+        self._refused(path, "frozen_keys", re.escape(f"{frozen_keys!r} is not a JSON "
+                                                     f"array of a leading run"))
+
     def test_meta_not_an_object(self, tmp_path):
         path = tmp_path / "ckpt.npz"
         with open(path, "wb") as fh:
@@ -803,7 +838,7 @@ class TestCheckpointing:
         path = self._edited_checkpoint(
             tmp_path, meta_edits={"frozen_keys": ["tcn.0.conv1.w"], "opt_step": 0})
         loaded = harness.load_checkpoint(str(path))
-        assert loaded.frozen_keys == ("tcn.0.conv1.w",)
+        assert loaded.frozen == loaded.params.slices["tcn.0.conv1.w"].stop
         assert loaded.opt["step"] == 0
 
     def test_future_version_refused(self, tmp_path):
@@ -863,7 +898,7 @@ class TestCheckpointing:
         path = tmp_path / "donor.npz"
         harness.save_checkpoint(state, str(path))
         fresh = harness.init_train_state(replace_cfg(cfg, init_from=str(path)), data)
-        np.testing.assert_array_equal(fresh.params.flat(), state.params.flat())
+        np.testing.assert_array_equal(fresh.params.vector, state.params.vector)
 
     def test_init_from_shape_mismatch(self, tmp_path):
         data = tiny_data(n=32)
@@ -887,7 +922,7 @@ class TestTwoStage:
         state, history = harness.train_two_stage(cfg, data)
         stages = [row["stage"] for row in history]
         assert stages == [1, 1, 1, 2, 2]
-        assert set(state.frozen_keys) == set(state.params.visual_keys())
+        assert state.frozen == state.params.slices["audio.fc.w"].start
         assert state.config.use_audio
         # pool rebuilt at the multimodal embedding width
         assert state.pool.embeddings.shape[1] == 8 + 6 + 7
@@ -934,6 +969,32 @@ class TestTwoStage:
         assert ring["scores"].tobytes() == scores.tobytes()
         assert ring["embeddings"].tobytes() == embeddings.tobytes()
 
+    def test_stage_two_resumes_bitwise(self, tmp_path):
+        """A saved stage-2 state reloads with its visual slice frozen, and one
+        more epoch runs alike from the original and the reloaded state,
+        leaving the visual slice at its stage-1 bytes."""
+        data = tiny_data(n=40, speech_fraction=0.5)
+        cfg = tiny_train_config(loss="mocorank+center", epochs=2, stage2_epochs=2,
+                                dropout=0.1)
+        state, _ = harness.train_two_stage(cfg, data)
+        path = tmp_path / "ckpt.npz"
+        harness.save_checkpoint(state, str(path))
+        loaded = harness.load_checkpoint(str(path))
+        assert loaded.frozen == loaded.params.slices["audio.fc.w"].start
+        speech_set = fp.Dataset([r for r in data.records if r.has_speech])
+        for s in (state, loaded):
+            s.config = replace_cfg(s.config, epochs=s.config.epochs + 1)
+            harness.train_epochs(s, speech_set)
+        pairs = [(state.params.vector, loaded.params.vector),
+                 (state.opt["m"], loaded.opt["m"]), (state.opt["v"], loaded.opt["v"]),
+                 (state.centers.values, loaded.centers.values)]
+        pairs += [(a, loaded.pool.state()[k]) for k, a in state.pool.state().items()]
+        for a, b in pairs:
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        stage1, _ = harness.train(replace_cfg(cfg, use_audio=False), data)
+        assert loaded.params.vector[:loaded.frozen].tobytes() == \
+            stage1.params.vector.tobytes()
+
     def test_requires_speech_records(self):
         with pytest.raises(ValueError, match="no speech records"):
             harness.train_two_stage(tiny_train_config(), tiny_data(n=16))
@@ -944,8 +1005,8 @@ class TestTwoStage:
         state, _ = harness.train_two_stage(cfg, data)
         init = model.init_params(replace_cfg(cfg, use_audio=True).model_config(data),
                                  seed=cfg.seed)
-        audio = set(state.params.keys()) - set(state.params.visual_keys())
-        moved = [k for k in audio if np.any(state.params[k] != init[k])]
+        moved = [k for k in state.params.keys()
+                 if k.startswith("audio.") and np.any(state.params[k] != init[k])]
         assert "audio.fc.w" in moved and "audio.head.w" in moved
 
     def test_stage_one_is_a_plain_visual_run(self):
@@ -961,21 +1022,6 @@ class TestTwoStage:
         assert prefix.tobytes() == plain.params.vector.tobytes()
         assert state.params.layout[:len(plain.params.layout)] == plain.params.layout
         assert [dict(row, stage=1) for row in plain_history] == history[:3]
-
-    def test_layout_prefix_is_checked(self, monkeypatch):
-        """Stage 2 copies stage 1 into the leading tensors only when init_params
-        really puts the visual tensors first."""
-        real = model.init_params
-
-        def audio_first(config, seed=0):
-            params = real(config, seed)
-            items = sorted(params.items(), key=lambda kv: not kv[0].startswith("audio."))
-            return model.ModelParams(config, dict(items))
-
-        monkeypatch.setattr(model, "init_params", audio_first)
-        cfg = tiny_train_config(loss="mse", epochs=1, stage2_epochs=1)
-        with pytest.raises(ValueError, match="not a prefix"):
-            harness.train_two_stage(cfg, tiny_data(n=16, speech_fraction=0.5))
 
     @pytest.mark.parametrize("subset", ["all", "speech_only"])
     def test_state_and_params_evaluate_alike(self, subset):
@@ -1000,7 +1046,7 @@ class TestTwoStage:
         starts = []
         real = harness.train_epochs
         monkeypatch.setattr(harness, "train_epochs", lambda state, *a, **kw: (
-            starts.append(state.params.flat()) or real(state, *a, **kw)))
+            starts.append(state.params.vector.copy()) or real(state, *a, **kw)))
         harness.train_two_stage(replace_cfg(cfg, init_from=str(path)), data)
         assert len(starts) == 2
         assert starts[0].tobytes() == donor.params.vector.tobytes()

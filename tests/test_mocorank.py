@@ -235,27 +235,27 @@ class TestMomentumEncoder:
     def test_single_update(self):
         target = self.tiny_params(seed=1)
         enc = mr.MomentumEncoder.from_model(self.tiny_params(seed=0))
-        w0 = enc.params.flat()
+        w0 = enc.params.vector.copy()
         mr.momentum_update(enc, target, m=0.999)
-        expect = 0.999 * w0 + 0.001 * target.flat()
-        np.testing.assert_allclose(enc.params.flat(), expect, rtol=1e-15)
+        expect = 0.999 * w0 + 0.001 * target.vector
+        np.testing.assert_allclose(enc.params.vector, expect, rtol=1e-15)
 
     def test_fixed_point(self):
         target = self.tiny_params(seed=2)
         enc = mr.MomentumEncoder.from_model(target)
         mr.momentum_update(enc, target, m=0.999)
-        np.testing.assert_allclose(enc.params.flat(), target.flat(), rtol=1e-12)
+        np.testing.assert_allclose(enc.params.vector, target.vector, rtol=1e-12)
 
     def test_geometric_decay(self):
         """n updates toward a frozen target leave w + (w0 - w) * m^n."""
         target = self.tiny_params(seed=3)
         enc = mr.MomentumEncoder.from_model(self.tiny_params(seed=4))
-        w0, w = enc.params.flat(), target.flat()
+        w0, w = enc.params.vector.copy(), target.vector
         n = 200
         for _ in range(n):
             mr.momentum_update(enc, target, m=0.999)
         expect = w + (w0 - w) * 0.999 ** n
-        np.testing.assert_allclose(enc.params.flat(), expect, rtol=1e-9,
+        np.testing.assert_allclose(enc.params.vector, expect, rtol=1e-9,
                                    atol=1e-12)
 
     def test_matches_per_key_loop_bitwise(self):

@@ -88,9 +88,9 @@ class TestInitParams:
 
     def test_seed_determinism(self):
         cfg = tiny_config()
-        a = model.init_params(cfg, seed=7).flat()
-        b = model.init_params(cfg, seed=7).flat()
-        c = model.init_params(cfg, seed=8).flat()
+        a = model.init_params(cfg, seed=7).vector
+        b = model.init_params(cfg, seed=7).vector
+        c = model.init_params(cfg, seed=8).vector
         np.testing.assert_array_equal(a, b)
         assert np.any(a != c)
 
@@ -101,9 +101,15 @@ class TestInitParams:
         assert "mlp1.fc1.w" in full and "mlp2.fc1.w" in full
 
     def test_audio_keys_split(self):
-        params = model.init_params(tiny_config(with_audio=True))
-        audio = set(params.keys()) - set(params.visual_keys())
-        assert audio == {"audio.fc.w", "audio.fc.b", "audio.head.w"}
+        """The visual tensors are the leading part of the multimodal layout
+        and the audio tensors its tail, so stage 2 freezes one leading slice
+        of the vector."""
+        for fusion in model.FUSIONS:
+            visual = model.param_layout(tiny_config(fusion=fusion))
+            both = model.param_layout(tiny_config(fusion=fusion, with_audio=True))
+            assert both[:len(visual)] == visual, fusion
+            assert [k for k, _ in both[len(visual):]] == ["audio.fc.w", "audio.fc.b",
+                                                          "audio.head.w"], fusion
 
     @pytest.mark.parametrize("head, with_audio", [("scalar", False), ("categorical", False),
                                                   ("scalar", True)])
@@ -123,14 +129,16 @@ class TestInitParams:
 
 class TestParamsFlat:
     def test_round_trip(self):
+        """Blocks viewed from a vector pack back into that vector."""
         params = model.init_params(tiny_config(with_audio=True), seed=1)
-        vec = params.flat()
-        params.set_flat(vec * 2.0)
-        np.testing.assert_array_equal(params.flat(), vec * 2.0)
+        vec = params.vector * 2.0
+        packed = model.ModelParams(params.config, params.unflatten(vec))
+        assert packed.layout == params.layout
+        assert packed.vector.tobytes() == vec.tobytes()
 
     def test_unflatten_matches_blocks(self):
         params = model.init_params(tiny_config(), seed=2)
-        blocks = params.unflatten(params.flat())
+        blocks = params.unflatten(params.vector)
         for key, value in params.items():
             np.testing.assert_array_equal(blocks[key], value)
 
@@ -171,7 +179,7 @@ class TestParamsFlat:
     def test_wrong_length_rejected(self):
         params = model.init_params(tiny_config())
         with pytest.raises(ValueError, match="length"):
-            params.set_flat(np.zeros(3))
+            params.unflatten(np.zeros(3))
 
 
 class TestTemporalEncoder:

@@ -42,3 +42,14 @@ def test_train_config_fields_are_pinned():
     a config-file key, so an added option shows in a diff."""
     fields = [f.name for f in dataclasses.fields(engagerank.TrainConfig)]
     assert fields == TRAIN_CONFIG_FIELDS and len(fields) == 25
+
+
+TRAIN_STATE_FIELDS = """
+    config params opt rng epoch enc pool centers frozen history val_report
+""".split()
+
+
+def test_train_state_fields_are_pinned():
+    """A run's whole mutable state; a new piece shows in a diff, and with it
+    whether checkpoints store it."""
+    assert [f.name for f in dataclasses.fields(engagerank.TrainState)] == TRAIN_STATE_FIELDS
